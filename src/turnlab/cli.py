@@ -56,6 +56,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _checked(what: str, build, *args, **kwargs):
+    """Call a library builder on command-line values.
+
+    The scenario builders, ``SearchConfig`` and ideal-spec parsing raise
+    ValueError on values they cannot use; at this boundary that is a
+    configuration error (exit 2), reported with ``what`` as its subject.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -93,7 +106,10 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _load_config_file(path: str) -> dict:
-    text = FilePath(path).read_text()
+    try:
+        text = FilePath(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     data: dict
     try:
         data = json.loads(text)
@@ -173,10 +189,16 @@ def write_path_csv(
 # scenario assembly
 
 
+def _parse_ideal(config: RunConfig, horizon: int):
+    spec = config.resolved_ideal()
+    return _checked(f"--ideal {spec!r}", parse_ideal_spec, spec, horizon)
+
+
 def _build_system(config: RunConfig, horizon: int):
-    ideal = parse_ideal_spec(config.resolved_ideal(), horizon)
+    ideal = _parse_ideal(config, horizon)
+    what = f"scenario {config.scenario}"
     if config.scenario == "counterexample":
-        return build_counterexample_system(ideal)
+        return _checked(what, build_counterexample_system, ideal)
     if config.scenario == "ifs":
         pairs = []
         try:
@@ -185,14 +207,30 @@ def _build_system(config: RunConfig, horizon: int):
                 pairs.append((float(a), float(b)))
         except ValueError as exc:
             raise ConfigError(f"malformed --branches value {config.branches!r}") from exc
-        return build_ifs_system(pairs, ideal)
+        return _checked(what, build_ifs_system, pairs, ideal)
     if config.scenario == "l2":
         rng = np.random.default_rng(config.seed)
         x_star = rng.uniform(-1.0, 1.0, config.dim)
         x_star *= 0.9 / max(1.0, float(np.sqrt((x_star**2).sum())))
-        return build_l2_truncation(config.dim, x_star, ideal)
+        return _checked(what, build_l2_truncation, config.dim, x_star, ideal)
     raise ConfigError(
         f"unknown scenario {config.scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
+    )
+
+
+def _search_config(
+    config: RunConfig, horizon: int, beam: int | None = None, grid: float = 1e-3
+) -> SearchConfig:
+    """Search settings from the run config; ``grid`` is the default state
+    grid and ``beam`` overrides the configured beam width."""
+    return _checked(
+        "search settings",
+        SearchConfig,
+        horizon=horizon,
+        beam_width=config.beam if beam is None else beam,
+        state_grid=config.grid if config.grid > 0 else grid,
+        trim_fraction=config.trim,
+        seed=config.seed,
     )
 
 
@@ -213,7 +251,7 @@ def cmd_analyze(config: RunConfig) -> int:
         window = SequenceWindow.from_text(config.input)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model = parse_ideal_spec(config.resolved_ideal(), window.horizon)
+    model = _parse_ideal(config, window.horizon)
     eps = config.grid if config.grid > 0 else None
     report = analyze_window(window, model, eps_grid=eps, theta=config.theta)
     results = report.to_dict()
@@ -234,13 +272,7 @@ def cmd_analyze(config: RunConfig) -> int:
 def cmd_optimize(config: RunConfig) -> int:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
-    cfg = SearchConfig(
-        horizon=horizon,
-        beam_width=config.beam,
-        state_grid=config.grid if config.grid > 0 else 1e-3,
-        trim_fraction=config.trim,
-        seed=config.seed,
-    )
+    cfg = _search_config(config, horizon)
     report = maxmin_search(sys_inst, cfg)
     verdict = turnpike_verdict(
         report.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
@@ -280,8 +312,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool]:
-    window = build_block_sequence(config.k_max)
-    model = parse_ideal_spec(config.resolved_ideal(), window.horizon)
+    window = _checked("scenario blocks", build_block_sequence, config.k_max)
+    model = _parse_ideal(config, window.horizon)
     report = analyze_window(window, model, limit_eps=0.1)
     vals = window.scalars()
     results = {
@@ -302,13 +334,7 @@ def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool]:
 def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
-    cfg = SearchConfig(
-        horizon=horizon,
-        beam_width=config.beam,
-        state_grid=config.grid if config.grid > 0 else 1e-3,
-        trim_fraction=config.trim,
-        seed=config.seed,
-    )
+    cfg = _search_config(config, horizon)
     opt = maxmin_search(sys_inst, cfg)
     verdict = turnpike_verdict(
         opt.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
@@ -338,13 +364,7 @@ def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool]:
     local = dataclasses.replace(config, horizon=horizon)
     sys_inst = _build_system(local, horizon)
     pts = fixed_points(sys_inst.phi, sys_inst.box)
-    cfg = SearchConfig(
-        horizon=horizon,
-        beam_width=local.beam,
-        state_grid=local.grid if local.grid > 0 else 1e-6,
-        trim_fraction=local.trim,
-        seed=local.seed,
-    )
+    cfg = _search_config(local, horizon, grid=1e-6)
     opt = maxmin_search(sys_inst, cfg)
     final_gap = float(np.abs(opt.path.points[-1] - sys_inst.eta_star).max())
     verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3, 1e-4))
@@ -369,13 +389,7 @@ def _reproduce_l2(config: RunConfig) -> tuple[dict, bool]:
     draw = rng.uniform(-1.0, 1.0, (4 * config.probes, config.dim))
     draw = draw[draw[:, 0] >= 0.0][: config.probes]
     gains = t_hat_batch(sys_inst, draw)
-    cfg = SearchConfig(
-        horizon=horizon,
-        beam_width=min(config.beam, 8),
-        state_grid=config.grid if config.grid > 0 else 1e-3,
-        trim_fraction=config.trim,
-        seed=config.seed,
-    )
+    cfg = _search_config(config, horizon, beam=min(config.beam, 8))
     opt = maxmin_search(sys_inst, cfg)
     verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3,))
     results = {

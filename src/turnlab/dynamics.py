@@ -4,11 +4,14 @@ Compact images are rendered as finite point samples with a declared
 resolution. Points are (d,) float arrays; maps broadcast over leading
 axes, so a branch map must accept (..., d) input. Image sets keep a
 stable branch order (duplicates collapse to the first occurrence), which
-policies and tie-breaking rely on.
+policies and tie-breaking rely on. Distance computations (residuals,
+feasibility, continuity) read the raw ``expand`` output instead:
+duplicate points change no minimum or Hausdorff distance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -52,6 +55,11 @@ def _dedup_rows(a: np.ndarray) -> np.ndarray:
     return a[np.sort(first)]
 
 
+def _raw_images(phi: Correspondence, x) -> np.ndarray:
+    """Image sample of one point as ``expand`` returns it, duplicates kept."""
+    return phi.expand(_point(x)[None, :])[0]
+
+
 class Correspondence:
     """Base class; subclasses implement ``expand`` over point batches."""
 
@@ -67,7 +75,12 @@ class Correspondence:
         raise NotImplementedError
 
     def images(self, x) -> np.ndarray:
-        """Finite image sample of one point, deduplicated, branch order."""
+        """Finite image sample of one point, deduplicated, branch order.
+
+        The dedup is for consumers that index branches (path policies,
+        witness re-verification). Distance computations use the raw
+        ``expand`` output, where duplicates are harmless.
+        """
         p = _point(x)
         children, _, _ = self.expand(p[None, :])
         return _dedup_rows(children)
@@ -161,42 +174,39 @@ class TruncatedL2(Correspondence):
         if self.band_samples == 0:
             object.__setattr__(self, "band_samples", 5 if self.dim <= 4 else 2)
 
+    @functools.cached_property
     def _fractions(self) -> np.ndarray:
-        combos = np.array(
-            list(itertools.product(np.linspace(0.0, 1.0, self.band_samples), repeat=self.dim - 1))
-        )
-        return combos  # (C, d-1)
+        """Band lattice in unit coordinates, (C, d-1), built once."""
+        grid = np.linspace(0.0, 1.0, self.band_samples)
+        combos = np.array(list(itertools.product(grid, repeat=self.dim - 1)))
+        combos.flags.writeable = False
+        return combos
 
     def expand(self, states: np.ndarray):
         d = self.dim
-        halving = states / 2.0
-        frac = self._fractions()  # (C, d-1)
+        frac = self._fractions  # (C, d-1)
         lo = 2.0 * states[:, 1:]
         hi = states[:, 1:] + 1.0 / np.arange(1, d)
         feasible = (lo <= hi).all(axis=1)
         head = -(states[:, 1:] ** 2).sum(axis=1)
-        children_list = []
-        parent_list = []
-        branch_list = []
-        for i in range(states.shape[0]):
-            rows = [halving[i][None, :]]
-            branches = [np.array([0])]
-            if feasible[i]:
-                band = lo[i][None, :] + frac * (hi[i] - lo[i])[None, :]
-                block = np.empty((band.shape[0], d))
-                block[:, 0] = head[i]
-                block[:, 1:] = band
-                rows.append(block)
-                branches.append(np.arange(1, band.shape[0] + 1))
-            kid = np.concatenate(rows, axis=0)
-            children_list.append(kid)
-            parent_list.append(np.full(kid.shape[0], i))
-            branch_list.append(np.concatenate(branches))
-        return (
-            np.concatenate(children_list, axis=0),
-            np.concatenate(parent_list),
-            np.concatenate(branch_list),
-        )
+        # per state: the halving point, then the band block; the block is
+        # dropped for states whose band set is empty
+        full = np.empty((states.shape[0], 1 + frac.shape[0], d))
+        full[:, 0] = states / 2.0
+        full[:, 1:, 0] = head[:, None]
+        band = full[:, 1:, 1:]  # lo + frac * (hi - lo), built in place
+        np.multiply(frac[None, :, :], (hi - lo)[:, None, :], out=band)
+        band += lo[:, None, :]
+        counts = np.where(feasible, full.shape[1], 1)
+        if feasible.all():
+            children = full.reshape(-1, d)
+        else:
+            keep = np.ones(full.shape[:2], dtype=bool)
+            keep[~feasible, 1:] = False
+            children = full[keep]
+        parents = np.repeat(np.arange(states.shape[0]), counts)
+        branches = np.arange(children.shape[0]) - (np.cumsum(counts) - counts)[parents]
+        return children, parents, branches
 
 
 def images(phi: Correspondence, x) -> np.ndarray:
@@ -282,9 +292,8 @@ def feasibility_check(path: Path, phi: Correspondence, tol: float = FEASIBILITY_
     """Re-verify x_{k+1} against a fresh image sample of x_k."""
     pts = path.points
     worst = 0.0
-    for k in range(pts.shape[0] - 1):
-        gap = min_distance(pts[k + 1], phi.images(pts[k]))
-        worst = max(worst, gap)
+    if pts.shape[0] > 1:
+        worst = float(_child_gaps(phi, pts[:-1], pts[1:]).max())
     scale = 1.0 + float(np.abs(pts).max())
     return {"max_residual": worst, "tolerance": tol * scale, "feasible": worst <= tol * scale}
 
@@ -293,8 +302,21 @@ def feasibility_check(path: Path, phi: Correspondence, tol: float = FEASIBILITY_
 # fixed points
 
 
-def _residual(phi: Correspondence, x: np.ndarray) -> float:
-    return min_distance(x, phi.images(x))
+def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distance from targets[i] to the raw image sample of states[i], per i.
+
+    One ``expand`` over the batch and a segmented minimum, the same
+    arithmetic per row as ``min_distance`` on a single point.
+    """
+    children, parent, _ = phi.expand(states)
+    gaps = np.sqrt(((children - targets[parent]) ** 2).sum(axis=1))
+    return np.minimum.reduceat(gaps, np.searchsorted(parent, np.arange(states.shape[0])))
+
+
+def _residual(phi: Correspondence, x) -> float:
+    """dist(x, Phi(x)) over the raw image sample of x."""
+    p = _point(x)
+    return min_distance(p, phi.expand(p[None, :])[0])
 
 
 def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
@@ -314,7 +336,7 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     x = center.copy()
     orbit = []
     for _ in range(128):
-        imgs = phi.images(x)
+        imgs = _raw_images(phi, x)
         x = imgs[int(np.argmin(np.sqrt(((imgs - x) ** 2).sum(axis=1))))]
         orbit.append(x)
     seeds.append(np.array(orbit[-8:]))
@@ -335,14 +357,17 @@ def fixed_points(
 ) -> np.ndarray:
     """Points with dist(x, Phi(x)) <= tol inside the box.
 
-    Coarse scan over lattice/random seeds, simplex refinement of the most
-    promising ones, then deduplication at radius 10 * tol.
+    Coarse scan over lattice/random seeds (one batched ``expand``),
+    simplex refinement of the most promising ones, then deduplication at
+    radius 10 * tol. Residuals read the raw ``expand`` output; duplicate
+    image points are harmless to a minimum distance, so ``images()`` and
+    its dedup are not involved.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
         raise ValueError("box must be a (d, 2) array of [lo, hi] rows")
     seeds = _seed_points(phi, box, seed)
-    res = np.array([_residual(phi, s) for s in seeds])
+    res = _child_gaps(phi, seeds, seeds)
     order = np.argsort(res, kind="stable")
     candidates = seeds[order[:48]]
     found = []
@@ -485,7 +510,9 @@ def continuity_probe(
     For probe points x and perturbations x' at distance delta, the rung
     statistic is max H(Phi(x), Phi(x')) / delta. The verdict fails when
     the statistic grows faster than delta^(-1/2) across the ladder, the
-    signature of a jump.
+    signature of a jump. Image samples are the raw ``expand`` output
+    (duplicates do not change a Hausdorff distance), and each probe
+    point's own image is computed once for the whole ladder.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
@@ -503,17 +530,19 @@ def continuity_probe(
         rnd = rng.normal(size=(2, d))
         rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
         dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
+    bases = []
+    for x in pts:
+        try:
+            bases.append((x, _raw_images(phi, x)))
+        except InfeasibleImageError:
+            continue
     rungs = []
     for delta in ladder:
         worst = 0.0
-        for x in pts:
-            try:
-                base = phi.images(x)
-            except InfeasibleImageError:
-                continue
+        for x, base in bases:
             for v in dirs:
                 try:
-                    moved = phi.images(x + delta * v)
+                    moved = _raw_images(phi, x + delta * v)
                 except InfeasibleImageError:
                     continue
                 worst = max(worst, hausdorff_distance(base, moved) / delta)
@@ -584,7 +613,7 @@ class SystemInstance:
             object.__setattr__(self, "separation", t)
         if self.eta_star is not None:
             eta = _point(self.eta_star)
-            gap = min_distance(eta, self.phi.images(eta))
+            gap = _residual(self.phi, eta)
             if gap > self.stationarity_tol:
                 raise ValueError(
                     f"claimed stationary point has residual {gap:.3e} above "

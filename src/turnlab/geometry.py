@@ -18,11 +18,16 @@ def _as_points(a) -> np.ndarray:
     return a
 
 
-def directed_hausdorff(a, b) -> float:
-    """max over a of the distance to the nearest point of b."""
+def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = _as_points(a), _as_points(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must share a dimension")
+    return a, b
+
+
+def directed_hausdorff(a, b) -> float:
+    """max over a of the distance to the nearest point of b."""
+    a, b = _as_pair(a, b)
     if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
         return float(cdist(a, b).min(axis=1).max())
     d, _ = cKDTree(b).query(a, k=1)
@@ -30,6 +35,12 @@ def directed_hausdorff(a, b) -> float:
 
 
 def hausdorff_distance(a, b) -> float:
+    """Larger of the two directed distances; below the brute-force budget
+    one distance matrix serves both (row minima and column minima)."""
+    a, b = _as_pair(a, b)
+    if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
+        d = cdist(a, b)
+        return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 

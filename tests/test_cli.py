@@ -176,3 +176,28 @@ def test_unreadable_input_exit_2(tmp_path):
 
 def test_missing_input_exit_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.txt")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "l2", "--dim", "9"],
+        ["optimize", "--scenario", "l2", "--beam", "0"],
+        ["verify", "--scenario", "ifs", "--branches", "1.5,0"],
+        ["verify", "--scenario", "counterexample", "--ideal", "fin:abc"],
+        ["reproduce", "blocks", "--k-max", "13"],
+    ],
+    ids=["dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13"],
+)
+def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_file_exit_2(alt_file, tmp_path, capsys):
+    code = main(["analyze", "--input", str(alt_file), "--config", str(tmp_path / "none.ini")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1

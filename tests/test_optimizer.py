@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,25 @@ def test_free_constraint_seeds_lattice():
     )
     rep = maxmin_search(sys_inst, SearchConfig(horizon=32, beam_width=8))
     assert rep.objective == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("trim", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "ideal",
+    [{"kind": "density", "threshold": 0.2}, {"kind": "finite_trace", "cutoff": 1, "trace": "evens"}],
+    ids=["density", "finite_trace"],
+)
+def test_oracle_agreement_multi_column_profiles(ideal, trim):
+    # density and finite_trace keep several worst values in the tie
+    # profile (fin keeps one), so this is the gate on the multi-column path
+    n = 10
+    model = IdealModel(horizon=n, **ideal)
+    for seed in range(40):
+        sys_inst = dataclasses.replace(random_two_branch_system(seed, n), ideal=model)
+        ex = exhaustive_maxmin(sys_inst, n, trim_fraction=trim)
+        bm = maxmin_search(
+            sys_inst,
+            SearchConfig(horizon=n, beam_width=1024, state_grid=1e-12, trim_fraction=trim),
+        )
+        assert bm.objective == ex.objective, seed
+        assert bm.path.trace == ex.path.trace, seed
