@@ -35,7 +35,6 @@ from turnlab.dynamics import (
     StartAt,
     Free,
     Path,
-    images,
     fixed_points,
     hutchinson_iterate,
     continuity_probe,
@@ -94,7 +93,6 @@ __all__ = [
     "StartAt",
     "Free",
     "Path",
-    "images",
     "fixed_points",
     "hutchinson_iterate",
     "continuity_probe",

@@ -7,10 +7,14 @@ its eps-ball form a positive (not small) set under the ideal model. For
 the density ideal, positivity of visit sets uses a separate threshold
 ``theta`` (default 0.05), well above the smallness threshold.
 
+A visit set is positive when its ``IdealModel.counted`` indices exceed
+the model's ``budget`` (at theta, for cluster cells).
+
 The first ceil(sqrt(N)) indices are excluded from all visit statistics
-(transient burn-in). Liminf is computed straight from the definition by
-bisection on the threshold r, classifying {n : x_n < r} through the
-model oracle; limsup is the exact sign mirror.
+(transient burn-in). The liminf inf{r : {n : x_n < r} is positive} is
+then the exact order statistic of Fridy and Orhan's statistical limit
+inferior: the counted post-burn-in values at ascending rank ``budget``.
+Limsup is the exact sign mirror.
 
 Two textbook facts about the limiting cluster set, its topological
 closedness and its minimality among closed attractor sets, quantify over
@@ -27,18 +31,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from turnlab.geometry import hausdorff_distance, min_distance
-from turnlab.ideals import IdealModel, burn_in
+from turnlab.ideals import IdealModel, burn_in, is_small
 from turnlab.windows import SequenceWindow
 
 DEFAULT_POSITIVITY = 0.05
 GRID_CELLS_PER_RANGE = 200
-BISECTION_MAX_ITER = 60
-BISECTION_WIDTH = 1e-9
+# identity-check tolerance floor per unit of value scale (float rounding)
+FLOAT_TOL = 64 * np.finfo(float).eps
 
 
 class UnboundedWindowError(ValueError):
-    """Raised when a window fails the boundedness precondition: no bound M
-    has a small exceedance set {n : |x_n| >= M}."""
+    """Raised when the window has no essential mass under the model: no
+    threshold r makes {n : x_n < r} positive, so the liminf is +inf."""
 
 
 def default_grid(window: SequenceWindow) -> float:
@@ -47,32 +51,8 @@ def default_grid(window: SequenceWindow) -> float:
     return span / GRID_CELLS_PER_RANGE if span > 0 else 0.0
 
 
-def _require_finite(window: SequenceWindow) -> None:
-    if not np.all(np.isfinite(window.values)):
-        raise UnboundedWindowError(
-            "window is unbounded: no M satisfies that {n : |x_n| >= M} is small"
-        )
-
-
 # ---------------------------------------------------------------------------
 # cluster detection
-
-
-def _visit_score(model: IdealModel, count: int, max_index: int, trace_count: int) -> float:
-    """Scalar positivity score of a visit set; larger is more positive."""
-    if model.kind == "density":
-        return count / model.horizon
-    if model.kind == "fin":
-        return float(max_index)
-    return float(trace_count)
-
-
-def _positivity_floor(model: IdealModel, theta: float) -> float:
-    if model.kind == "density":
-        return theta
-    if model.kind == "fin":
-        return float(model.cutoff)
-    return float(model.cutoff) + 1.0
 
 
 def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start: int):
@@ -86,21 +66,16 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     n_cells = max(1, int(np.ceil((vals.max() - lo) / eps)))
     occupied = np.unique(np.clip(((v - lo) / eps).astype(np.int64), 0, n_cells - 1))
     stats = {}
-    trace = model.trace_mask(si) if model.kind == "finite_trace" else None
-    trace_cum = np.concatenate([[0], np.cumsum(trace)]) if trace is not None else None
+    counted = model.counted(si)
     for c in occupied:
         center = lo + (float(c) + 0.5) * eps
         a = int(np.searchsorted(sv, center - eps, side="right"))
         b = int(np.searchsorted(sv, center + eps, side="left"))
         if b <= a:
             continue
-        max_index = int(si[a:b].max()) if model.kind == "fin" else -1
-        tcount = int(trace_cum[b] - trace_cum[a]) if trace_cum is not None else 0
         stats[(int(c),)] = {
             "center": np.array([center]),
-            "count": b - a,
-            "max_index": max_index,
-            "trace_count": tcount,
+            "count": int(counted[a:b].sum()),
             "slice": (a, b),
         }
     return stats, (sv, si, lo)
@@ -136,14 +111,9 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
             hit = gather(key, center)
             if hit.size == 0:
                 continue
-            hit_idx = idx[hit]
             out[key] = {
                 "center": center,
-                "count": int(hit.size),
-                "max_index": int(hit_idx.max()) if model.kind == "fin" else -1,
-                "trace_count": int(model.trace_mask(hit_idx).sum())
-                if model.kind == "finite_trace"
-                else 0,
+                "count": int(model.counted(idx[hit]).sum()),
                 "members": hit,
             }
         return out
@@ -160,9 +130,7 @@ def _merge_cells(
     qualifying: list[tuple],
     stats: dict,
     window: SequenceWindow,
-    model: IdealModel,
     eps: float,
-    start: int,
     aux,
 ) -> np.ndarray:
     """Merge Chebyshev-adjacent qualifying cells to visit-weighted centroids."""
@@ -185,7 +153,7 @@ def _merge_cells(
                 if nb in qual and nb not in seen:
                     seen.add(nb)
                     frontier.append(nb)
-        member_pts = _component_points(component, stats, window, model, eps, start, aux)
+        member_pts = _component_points(component, stats, window, eps, aux)
         centroid = member_pts.mean(axis=0)
         # a hollow component (ring) can drop its centroid outside every
         # cell; keep the reported point within eps of a real visit
@@ -197,7 +165,7 @@ def _merge_cells(
     return out[np.lexsort(out.T[::-1])]
 
 
-def _component_points(component, stats, window, model, eps, start, aux):
+def _component_points(component, stats, window, eps, aux):
     if window.dim == 1:
         sv, si, lo = aux
         chunks = []
@@ -213,13 +181,12 @@ def _component_points(component, stats, window, model, eps, start, aux):
                 a, b = stats[key]["slice"]
                 chunks.append(sv[a:b])
         return np.concatenate(chunks)[:, None]
-    pts, idx, lo = aux
+    pts = aux[0]
     rows = np.concatenate([stats[key]["members"] for key in component])
     return pts[np.unique(rows)]
 
 
 def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float):
-    _require_finite(window)
     model = model.at_horizon(window.horizon)
     vals = window.values
     span = float((vals.max(axis=0) - vals.min(axis=0)).max())
@@ -241,21 +208,17 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
         stats, aux = _cell_stats_1d(window, model, eps, start)
     else:
         stats, aux = _cell_stats_nd(window, model, eps, start)
-    floor = _positivity_floor(model, theta)
-    scores = {
-        key: _visit_score(model, s["count"], s["max_index"], s["trace_count"])
-        for key, s in stats.items()
-    }
-    qualifying = [k for k, s in scores.items() if s >= floor]
+    budget = model.budget(theta)
+    qualifying = [k for k, s in stats.items() if s["count"] > budget]
     if not qualifying:
         # Positivity never clears theta when visits spread thin (a window
         # dense in an interval, say); every bounded window still has a
         # cluster point, so fall back to the maximally visited cells.
-        top = max(scores.values())
-        qualifying = [k for k, s in scores.items() if s >= top * (1 - 1e-12)]
-        diag["theta_effective"] = top if model.kind == "density" else None
+        top = max(s["count"] for s in stats.values())
+        qualifying = [k for k, s in stats.items() if s["count"] == top]
+        diag["theta_effective"] = top / model.horizon if model.kind == "density" else None
         diag["fallback"] = True
-    pts = _merge_cells(qualifying, stats, window, model, eps, start, aux)
+    pts = _merge_cells(qualifying, stats, window, eps, aux)
     return pts, diag
 
 
@@ -281,63 +244,27 @@ def cluster_points(
 # liminf / limsup / limit
 
 
-def _below_positive(vals: np.ndarray, model: IdealModel, start: int) -> Callable[[float], bool]:
-    """Classifier of {n >= start : x_n < r} positivity, per model kind."""
-    n = vals.size
-    idx = np.arange(start, n, dtype=np.int64)
-    tail = vals[start:]
-    if model.kind == "density":
-        thr = model.threshold * model.horizon
-
-        def pos(r: float) -> bool:
-            return int((tail < r).sum()) >= thr
-
-    elif model.kind == "fin":
-        lo = max(start, model.cutoff)
-        late = vals[lo:]
-
-        def pos(r: float) -> bool:
-            return bool((late < r).any())
-
-    else:
-        on_trace = tail[model.trace_mask(idx)]
-
-        def pos(r: float) -> bool:
-            return int((on_trace < r).sum()) > model.cutoff
-
-    return pos
-
-
 def ideal_liminf(window: SequenceWindow, model: IdealModel) -> float:
     """Smallest value r such that the sequence dips below r on a positive
-    index set: inf{r : {n : x_n < r} is not small}. Bisection on r."""
-    _require_finite(window)
+    index set: inf{r : {n : x_n < r} is not small}.
+
+    {n : x_n < r} is positive exactly when more than ``budget`` counted
+    post-burn-in values lie below r, so the infimum is the counted value
+    of rank ``budget`` in ascending order.
+    """
     if window.dim != 1:
         raise ValueError("liminf needs a scalar window")
     model = model.at_horizon(window.horizon)
-    vals = window.scalars()
     start = burn_in(window.horizon)
-    pos = _below_positive(vals, model, start)
-    vmin, vmax = float(vals.min()), float(vals.max())
-    pad = max(1e-12, 1e-9 * (1.0 + abs(vmax) + abs(vmin)))
-    lo, hi = vmin - pad, vmax + pad
-    if not pos(hi):
+    vals = window.scalars()[start:][model.counted(np.arange(start, window.horizon))]
+    k = model.budget()
+    if vals.size <= k:
         raise UnboundedWindowError(
             "no threshold r makes {n : x_n < r} positive; the window has no "
             "essential mass under this model"
         )
-    if pos(lo):  # cannot happen for a finite window; defensive
-        return lo
-    width_stop = BISECTION_WIDTH * max(1.0, abs(vmin), abs(vmax))
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if pos(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= width_stop:
-            break
-    return 0.5 * (lo + hi)
+    vals.partition(k)
+    return float(vals[k])
 
 
 def ideal_limsup(window: SequenceWindow, model: IdealModel) -> float:
@@ -365,16 +292,10 @@ def deviation_densities(
                 "scale": float(s),
                 "count": int(dev.size),
                 "upper_density": dev.size / window.horizon,
-                "small": _small_index_set(dev, model),
+                "small": is_small(dev, model),
             }
         )
     return rungs
-
-
-def _small_index_set(indices: np.ndarray, model: IdealModel) -> bool:
-    from turnlab.ideals import is_small
-
-    return is_small(indices, model)
 
 
 def ideal_limit(
@@ -539,7 +460,6 @@ def check_image_cluster_identity(
     Both sides are computed independently on the same grid resolution;
     they must agree within 2 * eps_grid * (1 + Lipschitz estimate of h).
     """
-    _require_finite(window)
     eps = default_grid(window) if eps_grid is None else eps_grid
     state_clusters = cluster_points(window, model, eps_grid=eps, theta=theta)
     mapped = np.asarray(h(state_clusters), dtype=float)
@@ -549,7 +469,7 @@ def check_image_cluster_identity(
     image_clusters = cluster_points(image_window, model, eps_grid=eps, theta=theta)
     lip = lipschitz_estimate(h, window)
     scale = 1.0 + float(np.abs(image_window.values).max())
-    tol = max(2.0 * eps * (1.0 + lip), 4.0 * BISECTION_WIDTH * scale)
+    tol = max(2.0 * eps * (1.0 + lip), FLOAT_TOL * scale)
     dist = hausdorff_distance(mapped, image_clusters)
     return IdentityReport(
         passed=dist <= tol,
@@ -588,14 +508,13 @@ def check_representation_identity(
 ) -> RepresentationReport:
     """Three independent routes to the liminf of u along the window:
 
-    1. definitional bisection on the scalar image sequence,
+    1. the exact order statistic on the scalar image sequence,
     2. the smallest cluster point of the image sequence,
     3. the minimum of u over the state cluster set,
 
     plus the mirrored limsup triple. All must pairwise agree within
     eps_grid * (1 + Lipschitz estimate of u).
     """
-    _require_finite(window)
     eps = default_grid(window) if eps_grid is None else eps_grid
     image_window = window.map(u)
     if image_window.dim != 1:
@@ -611,9 +530,9 @@ def check_representation_identity(
     q3_max = float(u_on_clusters.max())
     lip = lipschitz_estimate(u, window)
     scale = 1.0 + float(np.abs(image_window.values).max())
-    tol = max(eps * (1.0 + lip), 4.0 * BISECTION_WIDTH * scale)
-    lim_inf = {"bisection": q1_min, "image_cluster_min": q2_min, "state_cluster_min": q3_min}
-    lim_sup = {"bisection": q1_max, "image_cluster_max": q2_max, "state_cluster_max": q3_max}
+    tol = max(eps * (1.0 + lip), FLOAT_TOL * scale)
+    lim_inf = {"order_statistic": q1_min, "image_cluster_min": q2_min, "state_cluster_min": q3_min}
+    lim_sup = {"order_statistic": q1_max, "image_cluster_max": q2_max, "state_cluster_max": q3_max}
     spread = max(
         max(lim_inf.values()) - min(lim_inf.values()),
         max(lim_sup.values()) - min(lim_sup.values()),

@@ -234,6 +234,10 @@ def _search_config(
     )
 
 
+def _sampling_plan(config: RunConfig) -> SamplingPlan:
+    return _checked("--probes", SamplingPlan, n_points=config.probes, seed=config.seed)
+
+
 def _turnpike_ladder(config: RunConfig) -> tuple[float, ...]:
     if config.scenario == "l2":
         return (1e-3,)
@@ -297,7 +301,7 @@ def cmd_optimize(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     sys_inst = _build_system(config, config.resolved_horizon())
-    plan = SamplingPlan(n_points=config.probes, seed=config.seed)
+    plan = _sampling_plan(config)
     conditions = check_conditions(sys_inst, plan)
     separation = check_separation_variants(sys_inst, plan)
     results = {"conditions": conditions.to_dict(), "separation": separation.to_dict()}
@@ -335,11 +339,11 @@ def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
     cfg = _search_config(config, horizon)
+    plan = _sampling_plan(config)
     opt = maxmin_search(sys_inst, cfg)
     verdict = turnpike_verdict(
         opt.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
     )
-    plan = SamplingPlan(n_points=config.probes, seed=config.seed)
     conditions = check_conditions(sys_inst, plan)
     results = {
         "optimizer": opt.to_dict(),
@@ -382,7 +386,7 @@ def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool]:
 def _reproduce_l2(config: RunConfig) -> tuple[dict, bool]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
-    plan = SamplingPlan(n_points=config.probes, seed=config.seed)
+    plan = _sampling_plan(config)
     conditions = check_conditions(sys_inst, plan)
     origin_gain = t_hat(sys_inst, sys_inst.eta_star)
     rng = np.random.default_rng(config.seed + 1)

@@ -209,11 +209,6 @@ class TruncatedL2(Correspondence):
         return children, parents, branches
 
 
-def images(phi: Correspondence, x) -> np.ndarray:
-    """Module-level convenience for ``phi.images(x)``."""
-    return phi.images(x)
-
-
 # ---------------------------------------------------------------------------
 # feasible paths
 

@@ -14,6 +14,9 @@ explicit thresholds:
   "sets containing finitely many even integers"; the whole odd class is
   then small. These models are deliberately not translation invariant.
 
+Each kind is one rule: a set is small when it holds at most ``budget``
+of the ``counted`` indices.
+
 Maximal ideals have no computable membership oracle and are rejected at
 parse time.
 """
@@ -95,6 +98,35 @@ class IdealModel:
         parity = 0 if self.trace == "evens" else 1
         return (n - parity + 1) // 2 if n > parity else 0
 
+    def counted(self, indices: np.ndarray) -> np.ndarray:
+        """Mask of the indices that count toward positivity: all of them
+        for ``density``, those at or past the cutoff for ``fin``, the
+        trace class for ``finite_trace``."""
+        if self.kind == "fin":
+            return indices >= self.cutoff
+        if self.kind == "finite_trace":
+            return self.trace_mask(indices)
+        return np.ones(np.shape(indices), dtype=bool)
+
+    def budget(self, fraction: float | None = None) -> int:
+        """Largest number of counted indices a small set may hold.
+
+        For ``density``: the largest c with c / horizon < fraction, the
+        float comparison of the smallness test itself. ``fraction``
+        defaults to the smallness threshold; cluster positivity passes
+        theta. ``fin`` forgives no counted index, ``finite_trace``
+        forgives ``cutoff`` of them.
+        """
+        if self.kind == "fin":
+            return 0
+        if self.kind == "finite_trace":
+            return self.cutoff
+        f = self.threshold if fraction is None else fraction
+        c = min(self.horizon, max(-1, math.ceil(f * self.horizon)))
+        while c >= 0 and c / self.horizon >= f:
+            c -= 1
+        return c
+
     def at_horizon(self, n: int) -> "IdealModel":
         """Same ideal family re-rendered at horizon ``n``.
 
@@ -145,14 +177,7 @@ def upper_density(indices: Iterable[int] | np.ndarray, n: int, horizon: int | No
 
 def is_small(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
     """Membership oracle: does the index set belong to the ideal?"""
-    a = as_index_set(indices, model.horizon)
-    if a.size == 0:
-        return True
-    if model.kind == "fin":
-        return int(a[-1]) < model.cutoff
-    if model.kind == "density":
-        return upper_density(a, model.horizon, model.horizon) < model.threshold
-    return int(model.trace_mask(a).sum()) <= model.cutoff
+    return int(model.counted(as_index_set(indices, model.horizon)).sum()) <= model.budget()
 
 
 def is_positive(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:

@@ -90,11 +90,9 @@ def _window_indices(n: int, model: IdealModel, tail_only: bool) -> np.ndarray:
 def _trim_count(model: IdealModel, m: int, trim_fraction: float) -> int:
     if m <= 0:
         return 0
-    if model.kind == "fin":
-        return 0
     if model.kind == "density":
         return min(m - 1, int(math.ceil(trim_fraction * m)))
-    return min(model.cutoff, m - 1)
+    return min(model.budget(), m - 1)
 
 
 def path_objective(values: np.ndarray, model: IdealModel, trim_fraction: float) -> float:
@@ -239,21 +237,16 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     k_tail = _trim_count(model, tail_idx.size, trim)
     k_full = _trim_count(model, full_idx.size, trim)
     tail_start = n // 2
+    relevant = model.trace_mask(np.arange(n)) if model.kind == "finite_trace" else np.ones(n, bool)
 
-    def relevant(j: int) -> bool:
-        if model.kind != "finite_trace":
-            return True
-        parity = 0 if model.trace == "evens" else 1
-        return j % 2 == parity
-
-    states = _initial_states(sys, cfg)
+    states = initial = _initial_states(sys, cfg)
     if isinstance(sys.constraint, StartAt):
         sys.phi.images(sys.constraint.x0)  # infeasible start raises here
     m0 = states.shape[0]
     tail_prof = np.full((m0, k_tail + 1), np.inf)
     full_prof = np.full((m0, k_full + 1), np.inf)
     u0 = sys.utilities(states).reshape(-1)
-    if relevant(0):
+    if relevant[0]:
         _profile_insert(full_prof, u0, np.arange(m0))
     lex = np.arange(m0, dtype=np.int64)
     parents_log: list[np.ndarray] = []
@@ -273,7 +266,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         vals = sys.utilities(children).reshape(-1)
         c_tail = tail_prof[parent].copy()
         c_full = full_prof[parent].copy()
-        if relevant(j):
+        if relevant[j]:
             _profile_insert(c_full, vals, np.arange(vals.size))
             if j >= tail_start:
                 _profile_insert(c_tail, vals, np.arange(vals.size))
@@ -321,7 +314,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     for parent in reversed(parents_log):
         rows.append(int(parent[rows[-1]]))
     rows.reverse()
-    pts = [_initial_states(sys, cfg)[rows[0]]]
+    pts = [initial[rows[0]]]
     trace: list[int] = []
     for step in range(len(parents_log)):
         b = int(branches_log[step][rows[step + 1]])

@@ -55,6 +55,10 @@ class SamplingPlan:
     translation_shifts: tuple[int, ...] = (1, -1, 7, -7)
     delta_ladder: Optional[tuple[float, ...]] = None
 
+    def __post_init__(self) -> None:
+        if self.n_points < 1:
+            raise ValueError(f"probe count must be positive, got {self.n_points}")
+
     def describe(self) -> dict:
         return {
             "n_points": self.n_points,

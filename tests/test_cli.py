@@ -196,6 +196,22 @@ def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "counterexample"],
+        ["reproduce", "counterexample"],
+        ["reproduce", "l2"],
+    ],
+    ids=["verify-counterexample", "reproduce-counterexample", "reproduce-l2"],
+)
+def test_zero_probes_exit_2_one_line_error(argv, tmp_path, capsys):
+    assert main(argv + ["--probes", "0", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --probes") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exit_2(alt_file, tmp_path, capsys):
     code = main(["analyze", "--input", str(alt_file), "--config", str(tmp_path / "none.ini")])
     assert code == 2
