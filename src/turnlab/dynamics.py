@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from turnlab.geometry import hausdorff_distance, min_distance
 from turnlab.ideals import IdealModel
@@ -347,6 +346,14 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     return np.concatenate([np.atleast_2d(s) for s in seeds], axis=0)
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call so that commands
+    that never refine a fixed point do not load SciPy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def fixed_points(
     phi: Correspondence, box, tol: float = FIXED_POINT_TOL, seed: int = 0
 ) -> np.ndarray:
@@ -615,11 +622,6 @@ class SystemInstance:
                     f"tolerance {self.stationarity_tol:.1e}"
                 )
             object.__setattr__(self, "eta_star", eta)
-
-    def apply_separation(self, pts: np.ndarray) -> np.ndarray:
-        if self.separation is None:
-            raise ValueError("system has no separation functional configured")
-        return np.asarray(pts, dtype=float) @ self.separation
 
     def utilities(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.utility(np.asarray(pts, dtype=float)), dtype=float)

@@ -1,10 +1,13 @@
-"""Distances between finite point sets."""
+"""Distances between finite point sets.
+
+SciPy is imported inside the functions that call it: loading
+``scipy.spatial`` costs more than the rest of the package's import, and
+most commands never measure a distance.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 _BRUTE_LIMIT = 4_000_000  # pairwise-matrix budget before switching to trees
 
@@ -29,7 +32,11 @@ def directed_hausdorff(a, b) -> float:
     """max over a of the distance to the nearest point of b."""
     a, b = _as_pair(a, b)
     if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
+        from scipy.spatial.distance import cdist
+
         return float(cdist(a, b).min(axis=1).max())
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(b).query(a, k=1)
     return float(np.max(d))
 
@@ -39,6 +46,8 @@ def hausdorff_distance(a, b) -> float:
     one distance matrix serves both (row minima and column minima)."""
     a, b = _as_pair(a, b)
     if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
+        from scipy.spatial.distance import cdist
+
         d = cdist(a, b)
         return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))

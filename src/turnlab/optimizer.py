@@ -120,7 +120,11 @@ def worst_profile(values: np.ndarray, model: IdealModel, trim_fraction: float) -
 
 
 def _profile_insert(prof: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> None:
-    """Insert vals[rows] into the ascending profiles prof[rows], in place."""
+    """Insert vals[rows] into the ascending profiles prof[rows], in place.
+
+    A zero is stored as +0.0: the beam dedups on the raw bytes of the
+    profiles, and -0.0 would make value-equal candidates look distinct.
+    """
     if rows.size == 0:
         return
     sub = prof[rows]
@@ -129,9 +133,32 @@ def _profile_insert(prof: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> Non
     if not hit.any():
         return
     rows = rows[hit]
-    merged = np.concatenate([prof[rows], vals[rows, None]], axis=1)
+    merged = np.concatenate([prof[rows], vals[rows, None] + 0.0], axis=1)
     merged.sort(axis=1)
     prof[rows] = merged[:, :-1]
+
+
+def _rank(
+    lex: np.ndarray,
+    full_prof: np.ndarray,
+    objective: np.ndarray,
+    utility: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Candidate indices, best first: larger objective, then larger
+    worst-value profile (compared from its smallest entry up), then larger
+    current utility if given, then smaller trace order.
+
+    One float key array for ``np.lexsort``, whose last row is the primary
+    key; trace orders are exact in float64.
+    """
+    head = 1 if utility is None else 2
+    keys = np.empty((head + full_prof.shape[1] + 1, lex.size))
+    keys[0] = lex
+    if utility is not None:
+        np.negative(utility, out=keys[1])
+    np.negative(full_prof[:, ::-1].T, out=keys[head:-1])
+    np.negative(objective, out=keys[-1])
+    return np.lexsort(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +266,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     tail_start = n // 2
     relevant = model.trace_mask(np.arange(n)) if model.kind == "finite_trace" else np.ones(n, bool)
 
-    states = initial = _initial_states(sys, cfg)
+    states = _initial_states(sys, cfg)
     if isinstance(sys.constraint, StartAt):
         sys.phi.images(sys.constraint.x0)  # infeasible start raises here
     m0 = states.shape[0]
@@ -249,6 +276,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     if relevant[0]:
         _profile_insert(full_prof, u0, np.arange(m0))
     lex = np.arange(m0, dtype=np.int64)
+    states_log = [states]
     parents_log: list[np.ndarray] = []
     branches_log: list[np.ndarray] = []
     frontier_sizes: list[tuple[int, int]] = [(m0, m0)]
@@ -273,14 +301,10 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         # lexicographic order of the child traces: parent order, then branch
         c_lex = np.empty(vals.size, dtype=np.int64)
         c_lex[np.lexsort((branch, lex[parent]))] = np.arange(vals.size)
-        objective_now = c_tail[:, k_tail]
-        # pruning rank: objective, worst-value profile, then current
-        # utility (keeps climbing lineages alive through the otherwise
-        # objective-blind transient), then trace order
-        keys = [c_lex, -vals]
-        keys.extend(-c_full[:, col] for col in range(k_full, -1, -1))
-        keys.append(-objective_now)
-        order = np.lexsort(tuple(keys))
+        # pruning rank: current utility between profile and trace order
+        # keeps climbing lineages alive through the otherwise
+        # objective-blind transient
+        order = _rank(c_lex, c_full, c_tail[:, k_tail], utility=vals)
         cells = np.round(children / cfg.state_grid).astype(np.int64)
         kept: list[int] = []
         seen: set[bytes] = set()
@@ -299,29 +323,21 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         new_lex = np.empty(kept_arr.size, dtype=np.int64)
         new_lex[np.argsort(c_lex[kept_arr], kind="stable")] = np.arange(kept_arr.size)
         lex = new_lex
+        states_log.append(states)
         parents_log.append(parent[kept_arr])
         branches_log.append(branch[kept_arr])
         frontier_sizes.append((int(vals.size), int(kept_arr.size)))
 
     # final selection drops the utility component so the comparator
     # matches the exhaustive oracle: objective, profile, trace order
-    final_keys = [lex]
-    final_keys.extend(-full_prof[:, col] for col in range(k_full, -1, -1))
-    final_keys.append(-tail_prof[:, k_tail])
-    winner = int(np.lexsort(tuple(final_keys))[0])
-    # backtrack the winning candidate, then rebuild its states forward
+    winner = int(_rank(lex, full_prof, tail_prof[:, k_tail])[0])
+    # backtrack the winning candidate through the logged beams
     rows = [winner]
     for parent in reversed(parents_log):
         rows.append(int(parent[rows[-1]]))
     rows.reverse()
-    pts = [initial[rows[0]]]
-    trace: list[int] = []
-    for step in range(len(parents_log)):
-        b = int(branches_log[step][rows[step + 1]])
-        children, _, branch = sys.phi.expand(pts[-1][None, :])
-        pts.append(children[np.nonzero(branch == b)[0][0]])
-        trace.append(b)
-    states_path = np.array(pts)
+    states_path = np.array([beam[r] for beam, r in zip(states_log, rows)])
+    trace = [int(b[r]) for b, r in zip(branches_log, rows[1:])]
     return _finalize(
         sys,
         states_path,

@@ -218,3 +218,19 @@ def test_oracle_agreement_multi_column_profiles(ideal, trim):
         )
         assert bm.objective == ex.objective, seed
         assert bm.path.trace == ex.path.trace, seed
+
+
+def test_signed_zero_profiles_dedup_to_one_candidate():
+    # both branches land on the same state cell with utility 0.0 and -0.0;
+    # the two candidates are value-equal, so the beam keeps one
+    phi = FiniteBranch(((lambda x: x * 0.0), (lambda x: x * -0.0)), dim=1)
+    sys_inst = SystemInstance(
+        dim=1,
+        phi=phi,
+        utility=lambda p: p[..., 0],
+        ideal=_fin(3, cutoff=1),
+        constraint=StartAt([1.0]),
+        box=np.array([[-2.0, 2.0]]),
+    )
+    rep = maxmin_search(sys_inst, SearchConfig(horizon=3, beam_width=8))
+    assert rep.frontier_sizes == ((1, 1), (2, 1), (2, 1))
