@@ -64,7 +64,13 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     si = idx[order]
     lo = float(vals.min())
     n_cells = max(1, int(np.ceil((vals.max() - lo) / eps)))
-    occupied = np.unique(np.clip(((v - lo) / eps).astype(np.int64), 0, n_cells - 1))
+    # cell indices of the sorted values never decrease, so the occupied
+    # cells are the run starts; truncation equals the int cast, as sv >= lo
+    cells = np.subtract(sv, lo)
+    cells /= eps
+    np.trunc(cells, out=cells)
+    np.clip(cells, 0, n_cells - 1, out=cells)
+    occupied = cells[_run_starts(cells[:, None])].astype(np.int64)
     stats = {}
     counted = model.counted(si)
     for c in occupied:
@@ -81,17 +87,29 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     return stats, (sv, si, lo)
 
 
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Positions at which sorted (n, d) rows begin a run of equal rows."""
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _cell_members(cells: np.ndarray) -> dict[tuple, np.ndarray]:
+    """Row positions of each distinct (n, d) cell row, keyed in lexicographic
+    order; within a cell the positions ascend (the lexsort is stable)."""
+    order = np.lexsort(cells.T[::-1])
+    starts = _run_starts(cells[order])
+    ends = np.append(starts[1:], len(order))
+    keys = cells[order[starts]].tolist()
+    return {tuple(k): order[a:b] for k, a, b in zip(keys, starts.tolist(), ends.tolist())}
+
+
 def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start: int):
     pts = window.values[start:]
     idx = np.arange(start, window.horizon, dtype=np.int64)
     lo = window.values.min(axis=0)
-    cells = ((pts - lo) / eps).astype(np.int64)
-    keys, inverse = np.unique(cells, axis=0, return_inverse=True)
-    members: dict[tuple, np.ndarray] = {}
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(keys) + 1))
-    for k in range(len(keys)):
-        members[tuple(int(c) for c in keys[k])] = order[bounds[k] : bounds[k + 1]]
+    members = _cell_members(((pts - lo) / eps).astype(np.int64))
     offsets = list(itertools.product((-1, 0, 1), repeat=window.dim))
 
     def gather(key: tuple, center: np.ndarray):
@@ -187,6 +205,8 @@ def _component_points(component, stats, window, eps, aux):
 
 
 def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float):
+    if not 0 < theta < 1:
+        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     model = model.at_horizon(window.horizon)
     vals = window.values
     span = float((vals.max(axis=0) - vals.min(axis=0)).max())
@@ -196,6 +216,7 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
         "burn_in": burn_in(window.horizon),
         "model": model.describe(),
         "theta_effective": None,
+        "fallback": False,
         "degenerate": False,
     }
     if span <= 1e-12:
@@ -233,7 +254,7 @@ def cluster_points(
     A grid cell center qualifies when the post-burn-in indices visiting
     its eps-ball form a positive set; adjacent qualifying cells merge to
     their visit-weighted centroid. Every reported point lies within
-    eps_grid of some window point.
+    eps_grid of some window point. Raises ValueError unless 0 < theta < 1.
     """
     eps = default_grid(window) if eps_grid is None else eps_grid
     pts, _ = _cluster(window, model, eps, theta)
@@ -340,6 +361,8 @@ class ClusterReport:
     model: dict
     burn_in: int
     degenerate: bool
+    fallback: bool
+    theta_effective: Optional[float]
 
     def to_dict(self) -> dict:
         return {
@@ -356,6 +379,8 @@ class ClusterReport:
             "model": self.model,
             "burn_in": self.burn_in,
             "degenerate": self.degenerate,
+            "fallback": self.fallback,
+            "theta_effective": self.theta_effective,
         }
 
 
@@ -367,7 +392,15 @@ def analyze_window(
     limit_eps: float | None = None,
 ) -> ClusterReport:
     """One-stop analysis: cluster set, liminf/limsup (scalar windows),
-    and a convergence verdict with its deviation-density ladder."""
+    and a convergence verdict with its deviation-density ladder.
+
+    ``fallback`` marks a cluster set taken from the most visited cells
+    because no cell cleared theta; ``theta_effective`` is then their
+    visit share under the density ideal. Raises ValueError unless
+    0 < theta < 1 and an explicit eps_grid is positive.
+    """
+    if eps_grid is not None and not eps_grid > 0:
+        raise ValueError(f"eps_grid must be positive, got {eps_grid!r}")
     eps = default_grid(window) if eps_grid is None else eps_grid
     pts, diag = _cluster(window, model, eps if eps > 0 else 1.0, theta)
     model_h = model.at_horizon(window.horizon)
@@ -396,6 +429,8 @@ def analyze_window(
         model=model_h.describe(),
         burn_in=diag["burn_in"],
         degenerate=diag["degenerate"],
+        fallback=diag["fallback"],
+        theta_effective=diag["theta_effective"],
     )
 
 

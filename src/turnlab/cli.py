@@ -59,9 +59,10 @@ class ConfigError(ValueError):
 def _checked(what: str, build, *args, **kwargs):
     """Call a library builder on command-line values.
 
-    The scenario builders, ``SearchConfig`` and ideal-spec parsing raise
-    ValueError on values they cannot use; at this boundary that is a
-    configuration error (exit 2), reported with ``what`` as its subject.
+    The scenario builders, ``SearchConfig``, ``analyze_window`` and
+    ideal-spec parsing raise ValueError on values they cannot use; at
+    this boundary that is a configuration error (exit 2), reported with
+    ``what`` as its subject.
     """
     try:
         return build(*args, **kwargs)
@@ -228,7 +229,7 @@ def _search_config(
         SearchConfig,
         horizon=horizon,
         beam_width=config.beam if beam is None else beam,
-        state_grid=config.grid if config.grid > 0 else grid,
+        state_grid=config.grid or grid,
         trim_fraction=config.trim,
         seed=config.seed,
     )
@@ -256,8 +257,8 @@ def cmd_analyze(config: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     model = _parse_ideal(config, window.horizon)
-    eps = config.grid if config.grid > 0 else None
-    report = analyze_window(window, model, eps_grid=eps, theta=config.theta)
+    eps = config.grid or None
+    report = _checked("analyze", analyze_window, window, model, eps_grid=eps, theta=config.theta)
     results = report.to_dict()
     out = write_report(config, results, "analyze")
     print(f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.resolved_ideal()}")

@@ -214,3 +214,33 @@ def test_window_unreadable_file(tmp_path):
     bad.write_text("1.0 2.0\nnot numbers\n")
     with pytest.raises(ValueError, match="unreadable"):
         SequenceWindow.from_text(bad)
+
+
+def test_report_marks_max_visit_fallback():
+    # equidistributed in [0, 1): no eps-ball clears theta, so the most
+    # visited cells decide and their visit share is reported
+    n, eps = 3000, 0.01
+    vals = (np.arange(n) * 0.6180339887498949) % 1.0
+    rep = analyze_window(SequenceWindow(vals), IdealModel("density", n), eps_grid=eps)
+    post = vals[int(np.ceil(np.sqrt(n))) :]
+    lo = vals.min()
+    centers = lo + (np.unique((post - lo) // eps) + 0.5) * eps
+    top = max(int(((post > c - eps) & (post < c + eps)).sum()) for c in centers)
+    d = rep.to_dict()
+    assert d["fallback"] is True
+    assert d["theta_effective"] == top / n < rep.theta
+
+
+def test_report_without_fallback():
+    window, _ = periodic_noise_window(3, n=5000)
+    d = analyze_window(window, IdealModel("density", 5000)).to_dict()
+    assert d["fallback"] is False and d["theta_effective"] is None
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0, 1.5])
+def test_theta_outside_unit_interval_rejected(theta):
+    w = alternating_window(2000)
+    with pytest.raises(ValueError, match="theta"):
+        cluster_points(w, DENS, theta=theta)
+    with pytest.raises(ValueError, match="theta"):
+        analyze_window(w, DENS, theta=theta)

@@ -217,3 +217,22 @@ def test_missing_config_file_exit_2(alt_file, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theta", ["-1", "1.5"])
+def test_theta_outside_unit_interval_exit_2(theta, alt_file, tmp_path, capsys):
+    argv = ["analyze", "--input", str(alt_file), "--theta", theta]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize"])
+def test_negative_grid_exit_2(command, alt_file, tmp_path, capsys):
+    target = {"analyze": ["--input", str(alt_file)], "optimize": ["--scenario", "ifs"]}
+    argv = [command, *target[command], "--grid", "-0.5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
