@@ -44,7 +44,6 @@ from turnlab.scenarios import (
 from turnlab.verifier import (
     SamplingPlan,
     check_conditions,
-    check_separation_variants,
     t_hat,
     t_hat_batch,
     turnpike_verdict,
@@ -304,7 +303,7 @@ def cmd_verify(config: RunConfig) -> int:
     sys_inst = _build_system(config, config.resolved_horizon())
     plan = _sampling_plan(config)
     conditions = check_conditions(sys_inst, plan)
-    separation = check_separation_variants(sys_inst, plan)
+    separation = conditions.separation
     results = {"conditions": conditions.to_dict(), "separation": separation.to_dict()}
     out = write_report(config, results, f"verify-{config.scenario}")
     for name in sorted(conditions.conditions):

@@ -46,6 +46,12 @@ def _point(x) -> np.ndarray:
     return p
 
 
+def _sample_box(box: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k points drawn uniformly from a (d, 2) box."""
+    lo, hi = box[:, 0], box[:, 1]
+    return lo + rng.random((k, box.shape[0])) * (hi - lo)
+
+
 def _dedup_rows(a: np.ndarray) -> np.ndarray:
     """Drop exact duplicate rows, keeping first occurrences in order."""
     if a.shape[0] <= 1:
@@ -321,8 +327,7 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     if d <= 2:
         lattice = np.array(list(itertools.product(*axes)))
     else:
-        rng = np.random.default_rng(seed)
-        lattice = lo + rng.random((1024, d)) * (hi - lo)
+        lattice = _sample_box(box, 1024, np.random.default_rng(seed))
     center = (lo + hi) / 2.0
     corners = np.array(list(itertools.product(*box)))
     seeds = [lattice, center[None, :], corners]
@@ -421,9 +426,8 @@ class HutchinsonResult:
 def branch_lipschitz(phi: FiniteBranch, box, seed: int = 0, pairs: int = 256) -> tuple[float, ...]:
     box = np.atleast_2d(np.asarray(box, dtype=float))
     rng = np.random.default_rng(seed)
-    lo, hi = box[:, 0], box[:, 1]
-    a = lo + rng.random((pairs, box.shape[0])) * (hi - lo)
-    b = lo + rng.random((pairs, box.shape[0])) * (hi - lo)
+    a = _sample_box(box, pairs, rng)
+    b = _sample_box(box, pairs, rng)
     gap = np.sqrt(((a - b) ** 2).sum(axis=1))
     ok = gap > 1e-12
     out = []
@@ -483,6 +487,24 @@ class ContinuityReport:
         return {"rungs": list(self.rungs), "growth": self.growth, "passed": self.passed}
 
 
+def _ladder(box: np.ndarray, ladder: Sequence[float] | None) -> Sequence[float]:
+    """The probe scales: ``ladder``, else span / k for k in (20, 40, 80, 160)."""
+    span = float((box[:, 1] - box[:, 0]).max())
+    if span <= 0:
+        raise ValueError("probe box must have positive extent")
+    return tuple(span / k for k in (20, 40, 80, 160)) if ladder is None else ladder
+
+
+def _ladder_verdict(rungs: list[dict], ladder: Sequence[float]) -> tuple[float, bool]:
+    """Growth of the rung statistic across the ladder, and whether it
+    stays within delta^(-1/2); faster growth is the signature of a jump."""
+    first, last = rungs[0]["max_ratio"], rungs[-1]["max_ratio"]
+    if last <= 1e-12:
+        return 0.0, True
+    growth = last / max(first, 1e-12)
+    return float(growth), bool(growth <= np.sqrt(ladder[0] / ladder[-1]))
+
+
 def _probe_points(box: np.ndarray, samples: int, seed: int) -> np.ndarray:
     d = box.shape[0]
     lo, hi = box[:, 0], box[:, 1]
@@ -495,8 +517,7 @@ def _probe_points(box: np.ndarray, samples: int, seed: int) -> np.ndarray:
         line = np.tile(center, (per_axis, 1))
         line[:, i] = np.linspace(lo[i], hi[i], per_axis)
         lines.append(line)
-    rng = np.random.default_rng(seed)
-    fill = lo + rng.random((samples, d)) * (hi - lo)
+    fill = _sample_box(box, samples, np.random.default_rng(seed))
     return np.concatenate(lines + [fill], axis=0)
 
 
@@ -518,11 +539,7 @@ def continuity_probe(
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
-    span = float((box[:, 1] - box[:, 0]).max())
-    if span <= 0:
-        raise ValueError("probe box must have positive extent")
-    if ladder is None:
-        ladder = tuple(span / k for k in (20, 40, 80, 160))
+    ladder = _ladder(box, ladder)
     pts = _probe_points(box, samples, seed)
     rng = np.random.default_rng(seed + 1)
     if d == 1:
@@ -549,15 +566,30 @@ def continuity_probe(
                     continue
                 worst = max(worst, hausdorff_distance(base, moved) / delta)
         rungs.append({"delta": float(delta), "max_ratio": worst})
-    first = rungs[0]["max_ratio"]
-    last = rungs[-1]["max_ratio"]
-    ladder_span = ladder[0] / ladder[-1]
-    if last <= 1e-12:
-        growth, passed = 0.0, True
-    else:
-        growth = last / max(first, 1e-12)
-        passed = growth <= np.sqrt(ladder_span)
-    return ContinuityReport(tuple(rungs), float(growth), bool(passed))
+    return ContinuityReport(tuple(rungs), *_ladder_verdict(rungs, ladder))
+
+
+def scalar_continuity(
+    u: Callable[[np.ndarray], np.ndarray],
+    box,
+    samples: int = 256,
+    ladder: Sequence[float] | None = None,
+    seed: int = 0,
+) -> ContinuityReport:
+    """Difference quotients |u(x') - u(x)| / delta of a scalar map at
+    random box points, on the ladder and verdict of ``continuity_probe``."""
+    box = np.atleast_2d(np.asarray(box, dtype=float))
+    ladder = _ladder(box, ladder)
+    rng = np.random.default_rng(seed)
+    pts = _sample_box(box, samples, rng)
+    base = np.asarray(u(pts), dtype=float).ravel()
+    rungs = []
+    for delta in ladder:
+        dirs = rng.normal(size=pts.shape)
+        dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
+        du = np.abs(np.asarray(u(pts + delta * dirs), dtype=float).ravel() - base)
+        rungs.append({"delta": float(delta), "max_ratio": float(du.max() / delta)})
+    return ContinuityReport(tuple(rungs), *_ladder_verdict(rungs, ladder))
 
 
 # ---------------------------------------------------------------------------

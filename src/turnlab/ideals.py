@@ -37,6 +37,11 @@ DEFAULT_DENSITY_THRESHOLD = 0.01
 DEFAULT_COFINITE_CUTOFF = 64
 
 
+def _clamped_cutoff(cutoff: int, n: int) -> int:
+    """The cofinite cutoff at horizon n, clamped to n // 2 (at least 1)."""
+    return min(cutoff, max(1, n // 2))
+
+
 class IdealSpecError(ValueError):
     """Raised for unusable ideal specifications."""
 
@@ -135,9 +140,7 @@ class IdealModel:
         """
         if n == self.horizon:
             return self
-        cutoff = self.cutoff
-        if self.kind in ("fin", "finite_trace"):
-            cutoff = min(cutoff, max(1, n // 2))
+        cutoff = self.cutoff if self.kind == "density" else _clamped_cutoff(self.cutoff, n)
         return dataclasses.replace(self, horizon=n, cutoff=cutoff)
 
     def describe(self) -> dict:
@@ -319,8 +322,7 @@ def parse_ideal_spec(spec: str, horizon: int) -> IdealModel:
     head, _, arg = text.partition(":")
     if head == "fin":
         cutoff = int(arg) if arg else DEFAULT_COFINITE_CUTOFF
-        cutoff = min(cutoff, max(1, horizon // 2))
-        return IdealModel("fin", horizon, cutoff=cutoff)
+        return IdealModel("fin", horizon, cutoff=_clamped_cutoff(cutoff, horizon))
     if head == "density":
         threshold = float(arg) if arg else DEFAULT_DENSITY_THRESHOLD
         return IdealModel("density", horizon, threshold=threshold)
@@ -334,7 +336,7 @@ def parse_ideal_spec(spec: str, horizon: int) -> IdealModel:
         return IdealModel(
             "finite_trace",
             horizon,
-            cutoff=min(DEFAULT_COFINITE_CUTOFF, max(1, horizon // 2)),
+            cutoff=_clamped_cutoff(DEFAULT_COFINITE_CUTOFF, horizon),
             trace=trace,
         )
     raise IdealSpecError(f"unknown ideal spec {spec!r}")

@@ -10,7 +10,10 @@ The six conditions checked here:
   scan plus a uniqueness margin on the runner-up.
 * A5 -- a linear functional strictly separates one dynamics step on the
   upper level set F = {x : u(x) >= u(eta_star)}: sampled (x, y) pairs,
-  with every would-be witness re-verified at 10x image resolution.
+  with every would-be witness re-verified at 10x image resolution. The
+  strong/weak separation variants are read off the same sample (with
+  eta_star prepended) and the same ``expand``; ``check_conditions``
+  keeps them on ``ConditionReport.separation``.
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star).
 
@@ -33,9 +36,12 @@ from turnlab.dynamics import (
     Path,
     SystemInstance,
     TruncatedL2,
+    _point,
+    _sample_box,
     continuity_probe,
     feasibility_check,
     fixed_points,
+    scalar_continuity,
 )
 from turnlab.ideals import IdealModel, check_translation_invariance
 from turnlab.windows import SequenceWindow
@@ -76,11 +82,7 @@ class SamplingPlan:
 
 def t_hat(sys: SystemInstance, x) -> float:
     """Best one-step separation gain max over y in Phi(x) of T(y - x)."""
-    if sys.separation is None:
-        raise ValueError("system has no separation functional configured")
-    p = np.asarray(x, dtype=float).ravel()
-    imgs = sys.phi.images(p)
-    return float((imgs @ sys.separation).max() - p @ sys.separation)
+    return float(t_hat_batch(sys, _point(x)[None, :])[0])
 
 
 def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
@@ -115,6 +117,9 @@ class ConditionReport:
     conditions: dict
     plan: dict
     model: dict
+    # strong/weak variants from the A5 sample (None when A5 is untestable);
+    # not part of to_dict
+    separation: Optional[SeparationVariantReport] = None
 
     @property
     def all_pass(self) -> bool:
@@ -125,35 +130,6 @@ class ConditionReport:
 
     def to_dict(self) -> dict:
         return {"conditions": self.conditions, "plan": self.plan, "model": self.model}
-
-
-def _sample_box(box: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = box[:, 0], box[:, 1]
-    return lo + rng.random((k, box.shape[0])) * (hi - lo)
-
-
-def _scalar_continuity(u, box: np.ndarray, samples: int, ladder, seed: int) -> dict:
-    span = float((box[:, 1] - box[:, 0]).max())
-    if ladder is None:
-        ladder = tuple(span / k for k in (20, 40, 80, 160))
-    rng = np.random.default_rng(seed)
-    pts = _sample_box(box, samples, rng)
-    rungs = []
-    for delta in ladder:
-        dirs = rng.normal(size=pts.shape)
-        dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
-        moved = pts + delta * dirs
-        du = np.abs(
-            np.asarray(u(moved), dtype=float).ravel() - np.asarray(u(pts), dtype=float).ravel()
-        )
-        rungs.append({"delta": float(delta), "max_ratio": float(du.max() / delta)})
-    first, last = rungs[0]["max_ratio"], rungs[-1]["max_ratio"]
-    if last <= 1e-12:
-        growth, passed = 0.0, True
-    else:
-        growth = last / max(first, 1e-12)
-        passed = growth <= float(np.sqrt(ladder[0] / ladder[-1]))
-    return {"rungs": rungs, "growth": growth, "passed": passed}
 
 
 def _check_a4(sys: SystemInstance) -> dict:
@@ -189,45 +165,76 @@ def _check_a4(sys: SystemInstance) -> dict:
     return {"verdict": "pass", **diag}
 
 
-def _separation_pairs(sys: SystemInstance, plan: SamplingPlan, include_stationary: bool):
-    """Sampled (x, y in Phi(x)) pairs with x drawn from F.
+def _first_witness(sys: SystemInstance, xs: np.ndarray, ys: np.ndarray) -> Optional[dict]:
+    """The first pair (x, y), in order, whose T x <= T y survives
+    re-verification against a 10x-resolution image sample of x."""
+    for x, y in zip(xs, ys):
+        refined = _refined_images(sys.phi, x)
+        gaps = np.sqrt(((refined - y) ** 2).sum(axis=1))
+        j = int(np.argmin(gaps))
+        scale = 1.0 + float(np.abs(x).max()) + float(np.abs(y).max())
+        if gaps[j] <= 1e-6 * scale and (
+            x @ sys.separation <= refined[j] @ sys.separation + 1e-15 * scale
+        ):
+            return {"x": [float(v) for v in x], "y": [float(v) for v in y]}
+    return None
 
-    The stationary point itself is prepended only on request: the A5
-    condition is a randomized audit of the probe box, while the
-    strong/weak variant comparison must evaluate the implication at
-    eta_star exactly, since that is where the two variants part ways.
+
+def _separation_audit(
+    sys: SystemInstance, plan: SamplingPlan
+) -> tuple[dict, SeparationVariantReport]:
+    """A5 and the strong/weak separation variants from one sample.
+
+    Row 0 is eta_star, the rest are draws from F; the sample is expanded
+    once. Strong: T x <= T y forces x = y = eta_star. Weak: it only
+    forces x = eta_star. The variants evaluate the implication at
+    eta_star too, since that is where the two part ways. A5, a
+    randomized audit of the probe box, is the strong variant over the
+    draws alone, with its own scale. Only pairs meeting the premise
+    T x <= T y can violate either, so the eta_star tests run on those.
     """
+    if sys.separation is None or sys.eta_star is None:
+        raise ValueError("separation variants need the functional and eta_star")
     rng = np.random.default_rng(plan.seed)
     u_star = float(sys.utilities(sys.eta_star[None, :])[0])
-    collected = []
-    attempts = 0
-    while sum(c.shape[0] for c in collected) < plan.n_points and attempts < 40:
+    collected = [sys.eta_star[None, :]]
+    drawn = 0
+    for _ in range(40):
+        if drawn >= plan.n_points:
+            break
         draw = _sample_box(sys.box, plan.n_points, rng)
-        keep = draw[np.asarray(sys.utilities(draw), dtype=float).ravel() >= u_star]
-        if keep.shape[0]:
-            collected.append(keep)
-        attempts += 1
-    if collected:
-        pts = np.concatenate(collected, axis=0)[: plan.n_points]
-    else:
-        pts = np.empty((0, sys.dim))
-    if include_stationary:
-        pts = np.concatenate([sys.eta_star[None, :], pts], axis=0)
+        collected.append(draw[np.asarray(sys.utilities(draw), dtype=float).ravel() >= u_star])
+        drawn += collected[-1].shape[0]
+    pts = np.concatenate(collected, axis=0)[: 1 + plan.n_points]
     children, parent, _ = sys.phi.expand(pts)
-    return pts, children, parent
-
-
-def _confirm_separation_witness(sys: SystemInstance, x: np.ndarray, y: np.ndarray) -> bool:
-    """Re-verify T x <= T y against a 10x-resolution image sample."""
-    refined = _refined_images(sys.phi, x)
-    gaps = np.sqrt(((refined - y) ** 2).sum(axis=1))
-    j = int(np.argmin(gaps))
-    scale = 1.0 + float(np.abs(x).max()) + float(np.abs(y).max())
-    if gaps[j] > 1e-6 * scale:
-        return False
-    tx = float(x @ sys.separation)
-    ty = float(refined[j] @ sys.separation)
-    return tx <= ty + 1e-15 * scale
+    rows = np.nonzero((pts @ sys.separation)[parent] <= children @ sys.separation)[0]
+    xs, ys = pts[parent[rows]], children[rows]
+    dx = np.sqrt(((xs - sys.eta_star) ** 2).sum(axis=1))
+    dy = np.sqrt(((ys - sys.eta_star) ** 2).sum(axis=1))
+    scale = 1.0 + float(np.abs(pts).max())
+    scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))
+    x_star = dx <= 1e-9 * scale
+    strong = ~(x_star & (dy <= 1e-9 * scale))
+    a5 = (parent[rows] > 0) & ~((dx <= 1e-9 * scale_a5) & (dy <= 1e-9 * scale_a5))
+    a5_witness = _first_witness(sys, xs[a5], ys[a5])
+    strong_witness = _first_witness(sys, xs[strong], ys[strong])
+    weak_witness = _first_witness(sys, xs[~x_star], ys[~x_star])
+    strong_holds, weak_holds = strong_witness is None, weak_witness is None
+    return (
+        {
+            "verdict": "pass" if a5_witness is None else "fail",
+            "pairs_checked": int(np.count_nonzero(parent)),
+            "witness": a5_witness,
+        },
+        SeparationVariantReport(
+            strong_holds=strong_holds,
+            weak_holds=weak_holds,
+            weak_without_strong=weak_holds and not strong_holds,
+            strong_witness=strong_witness,
+            weak_witness=weak_witness,
+            pairs_checked=int(children.shape[0]),
+        ),
+    )
 
 
 def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> ConditionReport:
@@ -240,10 +247,10 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
     )
     out["A1"] = {"verdict": "pass" if probe.passed else "fail", **probe.to_dict()}
 
-    a2 = _scalar_continuity(
+    a2 = scalar_continuity(
         sys.utility, sys.box, plan.continuity_samples, plan.delta_ladder, plan.seed
     )
-    out["A2"] = {"verdict": "pass" if a2["passed"] else "fail", **a2}
+    out["A2"] = {"verdict": "pass" if a2.passed else "fail", **a2.to_dict()}
 
     inv = check_translation_invariance(
         sys.ideal,
@@ -255,32 +262,14 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
 
     out["A4"] = _check_a4(sys)
 
+    separation = None
     if sys.separation is None or sys.eta_star is None:
         out["A5"] = {
             "verdict": "untestable",
             "reason": "no separation functional or stationary point configured",
         }
     else:
-        pts, children, parent = _separation_pairs(sys, plan, include_stationary=False)
-        tx = pts @ sys.separation
-        ty = children @ sys.separation
-        scale = 1.0 + float(np.abs(pts).max())
-        premise = tx[parent] <= ty
-        x_is_star = np.sqrt(((pts - sys.eta_star) ** 2).sum(axis=1)) <= 1e-9 * scale
-        y_is_star = np.sqrt(((children - sys.eta_star) ** 2).sum(axis=1)) <= 1e-9 * scale
-        violating = premise & ~(x_is_star[parent] & y_is_star)
-        verdict, witness = "pass", None
-        for i in np.nonzero(violating)[0]:
-            x, y = pts[parent[i]], children[i]
-            if _confirm_separation_witness(sys, x, y):
-                verdict = "fail"
-                witness = {"x": [float(v) for v in x], "y": [float(v) for v in y]}
-                break
-        out["A5"] = {
-            "verdict": verdict,
-            "pairs_checked": int(children.shape[0]),
-            "witness": witness,
-        }
+        out["A5"], separation = _separation_audit(sys, plan)
 
     if sys.reference_path is None or sys.eta_star is None:
         out["A6"] = {"verdict": "untestable", "reason": "no reference path supplied"}
@@ -299,7 +288,9 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
             "reference_feasible": feas["feasible"],
         }
 
-    return ConditionReport(conditions=out, plan=plan.describe(), model=sys.ideal.describe())
+    return ConditionReport(
+        conditions=out, plan=plan.describe(), model=sys.ideal.describe(), separation=separation
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,41 +324,10 @@ def check_separation_variants(
 
     Strong: T x <= T y forces x = y = eta_star. Weak: it only forces
     x = eta_star. The report flags systems where the weak variant holds
-    but the strong one fails.
+    but the strong one fails. ``check_conditions`` computes the same
+    report from its A5 sample and keeps it on ``separation``.
     """
-    if sys.separation is None or sys.eta_star is None:
-        raise ValueError("separation variants need the functional and eta_star")
-    plan = plan or SamplingPlan()
-    pts, children, parent = _separation_pairs(sys, plan, include_stationary=True)
-    tx = pts @ sys.separation
-    ty = children @ sys.separation
-    scale = 1.0 + float(np.abs(pts).max())
-    premise = tx[parent] <= ty
-    x_is_star = np.sqrt(((pts - sys.eta_star) ** 2).sum(axis=1)) <= 1e-9 * scale
-    y_is_star = np.sqrt(((children - sys.eta_star) ** 2).sum(axis=1)) <= 1e-9 * scale
-    strong_viol = premise & ~(x_is_star[parent] & y_is_star)
-    weak_viol = premise & ~x_is_star[parent]
-    strong_witness = weak_witness = None
-    for i in np.nonzero(strong_viol)[0]:
-        x, y = pts[parent[i]], children[i]
-        if _confirm_separation_witness(sys, x, y):
-            strong_witness = {"x": [float(v) for v in x], "y": [float(v) for v in y]}
-            break
-    for i in np.nonzero(weak_viol)[0]:
-        x, y = pts[parent[i]], children[i]
-        if _confirm_separation_witness(sys, x, y):
-            weak_witness = {"x": [float(v) for v in x], "y": [float(v) for v in y]}
-            break
-    strong_holds = strong_witness is None
-    weak_holds = weak_witness is None
-    return SeparationVariantReport(
-        strong_holds=strong_holds,
-        weak_holds=weak_holds,
-        weak_without_strong=weak_holds and not strong_holds,
-        strong_witness=strong_witness,
-        weak_witness=weak_witness,
-        pairs_checked=int(children.shape[0]),
-    )
+    return _separation_audit(sys, plan or SamplingPlan())[1]
 
 
 # ---------------------------------------------------------------------------
