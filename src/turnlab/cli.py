@@ -58,10 +58,11 @@ class ConfigError(ValueError):
 def _checked(what: str, build, *args, **kwargs):
     """Call a library builder on command-line values.
 
-    The scenario builders, ``SearchConfig``, ``analyze_window`` and
-    ideal-spec parsing raise ValueError on values they cannot use; at
-    this boundary that is a configuration error (exit 2), reported with
-    ``what`` as its subject.
+    The scenario builders, ``SearchConfig``, ``analyze_window``,
+    ``check_conditions`` (whose translation probe needs a horizon above
+    twice its largest shift) and ideal-spec parsing raise ValueError on
+    values they cannot use; at this boundary that is a configuration
+    error (exit 2), reported with ``what`` as its subject.
     """
     try:
         return build(*args, **kwargs)
@@ -230,7 +231,6 @@ def _search_config(
         beam_width=config.beam if beam is None else beam,
         state_grid=config.grid or grid,
         trim_fraction=config.trim,
-        seed=config.seed,
     )
 
 
@@ -302,7 +302,7 @@ def cmd_optimize(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     sys_inst = _build_system(config, config.resolved_horizon())
     plan = _sampling_plan(config)
-    conditions = check_conditions(sys_inst, plan)
+    conditions = _checked("condition battery", check_conditions, sys_inst, plan)
     separation = conditions.separation
     results = {"conditions": conditions.to_dict(), "separation": separation.to_dict()}
     out = write_report(config, results, f"verify-{config.scenario}")
@@ -344,7 +344,7 @@ def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool]:
     verdict = turnpike_verdict(
         opt.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
     )
-    conditions = check_conditions(sys_inst, plan)
+    conditions = _checked("condition battery", check_conditions, sys_inst, plan)
     results = {
         "optimizer": opt.to_dict(),
         "turnpike": verdict.to_dict(),
@@ -387,7 +387,7 @@ def _reproduce_l2(config: RunConfig) -> tuple[dict, bool]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
     plan = _sampling_plan(config)
-    conditions = check_conditions(sys_inst, plan)
+    conditions = _checked("condition battery", check_conditions, sys_inst, plan)
     origin_gain = t_hat(sys_inst, sys_inst.eta_star)
     rng = np.random.default_rng(config.seed + 1)
     draw = rng.uniform(-1.0, 1.0, (4 * config.probes, config.dim))

@@ -52,6 +52,13 @@ def _sample_box(box: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return lo + rng.random((k, box.shape[0])) * (hi - lo)
 
 
+def _box_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
+    """per_axis^d points of a (d, 2) box, evenly spaced with endpoints on
+    each axis, the last axis varying fastest."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def _dedup_rows(a: np.ndarray) -> np.ndarray:
     """Drop exact duplicate rows, keeping first occurrences in order."""
     if a.shape[0] <= 1:
@@ -75,7 +82,9 @@ class Correspondence:
 
         Returns (children, parent_index, branch_index) where children is
         (M, d), and branch_index encodes which branch or sample produced
-        each child. Branch order is deterministic.
+        each child. Children are grouped by parent in input order, and
+        within each parent the branch indices run 0, 1, ...; the beam
+        search, ``_child_gaps`` and the batched audits rely on this order.
         """
         raise NotImplementedError
 
@@ -322,10 +331,8 @@ def _residual(phi: Correspondence, x) -> float:
 def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     d = box.shape[0]
     lo, hi = box[:, 0], box[:, 1]
-    per_axis = max(2, int(round(4096 ** (1.0 / d))))
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(d)]
     if d <= 2:
-        lattice = np.array(list(itertools.product(*axes)))
+        lattice = _box_lattice(box, max(2, int(round(4096 ** (1.0 / d)))))
     else:
         lattice = _sample_box(box, 1024, np.random.default_rng(seed))
     center = (lo + hi) / 2.0

@@ -15,10 +15,13 @@ high-utility excursions tie with well-behaved ones once tail values
 underflow, and the reported winner would contradict its own re-evaluated
 liminf. Final ties break lexicographically on the branch trace.
 
-Beam expansion dedups on (grid-quantized state, tail profile, full
-profile); two candidates agreeing there are exchangeable for every
-continuation, so with a beam at least as wide as the dedup-group count
-the search is exhaustive-equivalent.
+Each beam is kept in trace order, so a candidate's index is its trace
+rank and the stable rank sort breaks final ties without a trace key.
+Each candidate carries one profile row: its tail profile, then its full
+profile. Beam expansion dedups on (grid-quantized state, profile row);
+two candidates agreeing there are exchangeable for every continuation,
+so with a beam at least as wide as the dedup-group count the search is
+exhaustive-equivalent.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from turnlab.dynamics import (
     Path,
     StartAt,
     SystemInstance,
+    _box_lattice,
 )
 from turnlab.ideals import IdealModel
 from turnlab.windows import SequenceWindow
@@ -54,7 +58,6 @@ class SearchConfig:
     beam_width: int = 64
     state_grid: float = 1e-3
     trim_fraction: float = 0.01
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.horizon < 2:
@@ -72,7 +75,6 @@ class SearchConfig:
             "beam_width": self.beam_width,
             "state_grid": self.state_grid,
             "trim_fraction": self.trim_fraction,
-            "seed": self.seed,
         }
 
 
@@ -80,29 +82,24 @@ class SearchConfig:
 # objective machinery
 
 
-def _window_indices(n: int, model: IdealModel, tail_only: bool) -> np.ndarray:
+def _window(n: int, model: IdealModel, trim: float, tail_only: bool) -> tuple[np.ndarray, int]:
+    """Indices of the tail (last n // 2) or full window, restricted to the
+    trace class for finite-trace models, and how many of their worst
+    values the model forgives."""
     idx = np.arange(n // 2 if tail_only else 0, n, dtype=np.int64)
     if model.kind == "finite_trace":
         idx = idx[model.trace_mask(idx)]
-    return idx
-
-
-def _trim_count(model: IdealModel, m: int, trim_fraction: float) -> int:
-    if m <= 0:
-        return 0
-    if model.kind == "density":
-        return min(m - 1, int(math.ceil(trim_fraction * m)))
-    return min(model.budget(), m - 1)
+    k = math.ceil(trim * idx.size) if model.kind == "density" else model.budget()
+    return idx, max(0, min(k, idx.size - 1))
 
 
 def path_objective(values: np.ndarray, model: IdealModel, trim_fraction: float) -> float:
     """Trimmed tail minimum of a utility sequence under the model."""
     values = np.asarray(values, dtype=float).ravel()
     model = model.at_horizon(values.size)
-    idx = _window_indices(values.size, model, tail_only=True)
+    idx, k = _window(values.size, model, trim_fraction, tail_only=True)
     if idx.size == 0:
-        idx = _window_indices(values.size, model, tail_only=False)
-    k = _trim_count(model, idx.size, trim_fraction)
+        idx, k = _window(values.size, model, trim_fraction, tail_only=False)
     return float(np.sort(values[idx])[k])
 
 
@@ -111,52 +108,45 @@ def worst_profile(values: np.ndarray, model: IdealModel, trim_fraction: float) -
     window, the tie-breaking signature."""
     values = np.asarray(values, dtype=float).ravel()
     model = model.at_horizon(values.size)
-    idx = _window_indices(values.size, model, tail_only=False)
-    k = _trim_count(model, idx.size, trim_fraction)
+    idx, k = _window(values.size, model, trim_fraction, tail_only=False)
     prof = np.full(k + 1, np.inf)
     take = np.sort(values[idx])[: k + 1]
     prof[: take.size] = take
     return prof
 
 
-def _profile_insert(prof: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> None:
-    """Insert vals[rows] into the ascending profiles prof[rows], in place.
+def _profile_insert(prof: np.ndarray, vals: np.ndarray) -> None:
+    """Insert vals[i] into the ascending profile prof[i], in place.
 
     A zero is stored as +0.0: the beam dedups on the raw bytes of the
     profiles, and -0.0 would make value-equal candidates look distinct.
     """
-    if rows.size == 0:
-        return
-    sub = prof[rows]
-    v = vals[rows]
-    hit = v < sub[:, -1]
+    hit = vals < prof[:, -1]
     if not hit.any():
         return
-    rows = rows[hit]
-    merged = np.concatenate([prof[rows], vals[rows, None] + 0.0], axis=1)
+    merged = np.concatenate([prof[hit], vals[hit, None] + 0.0], axis=1)
     merged.sort(axis=1)
-    prof[rows] = merged[:, :-1]
+    prof[hit] = merged[:, :-1]
 
 
 def _rank(
-    lex: np.ndarray,
-    full_prof: np.ndarray,
+    profile: np.ndarray,
     objective: np.ndarray,
     utility: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Candidate indices, best first: larger objective, then larger
     worst-value profile (compared from its smallest entry up), then larger
-    current utility if given, then smaller trace order.
+    current utility if given, then smaller index.
 
-    One float key array for ``np.lexsort``, whose last row is the primary
-    key; trace orders are exact in float64.
+    One float key array for the stable ``np.lexsort``, whose last row is
+    the primary key; candidates are indexed in trace order, so full ties
+    fall to the smaller trace.
     """
-    head = 1 if utility is None else 2
-    keys = np.empty((head + full_prof.shape[1] + 1, lex.size))
-    keys[0] = lex
+    head = 0 if utility is None else 1
+    keys = np.empty((head + profile.shape[1] + 1, objective.size))
     if utility is not None:
-        np.negative(utility, out=keys[1])
-    np.negative(full_prof[:, ::-1].T, out=keys[head:-1])
+        np.negative(utility, out=keys[0])
+    np.negative(profile[:, ::-1].T, out=keys[head:-1])
     np.negative(objective, out=keys[-1])
     return np.lexsort(keys)
 
@@ -242,12 +232,8 @@ def _initial_states(sys: SystemInstance, cfg: SearchConfig) -> np.ndarray:
     if isinstance(sys.constraint, StartAt):
         return sys.constraint.x0[None, :]
     box = sys.constraint.start_box
-    d = box.shape[0]
-    per_axis = max(2, int(round(cfg.beam_width ** (1.0 / d))))
-    axes = [np.linspace(box[i, 0], box[i, 1], per_axis) for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[: cfg.beam_width]
+    per_axis = max(2, int(round(cfg.beam_width ** (1.0 / box.shape[0]))))
+    return _box_lattice(box, per_axis)[: cfg.beam_width]
 
 
 def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
@@ -258,24 +244,20 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     """
     model = sys.ideal.at_horizon(cfg.horizon)
     n = cfg.horizon
-    trim = cfg.trim_fraction
-    tail_idx = _window_indices(n, model, tail_only=True)
-    full_idx = _window_indices(n, model, tail_only=False)
-    k_tail = _trim_count(model, tail_idx.size, trim)
-    k_full = _trim_count(model, full_idx.size, trim)
-    tail_start = n // 2
-    relevant = model.trace_mask(np.arange(n)) if model.kind == "finite_trace" else np.ones(n, bool)
+    _, k_tail = _window(n, model, cfg.trim_fraction, tail_only=True)
+    full_idx, k_full = _window(n, model, cfg.trim_fraction, tail_only=False)
+    relevant = np.zeros(n, dtype=bool)
+    relevant[full_idx] = True
+    # one profile row per candidate: the tail profile, then the full one
+    tail, full = slice(0, k_tail + 1), slice(k_tail + 1, None)
 
     states = _initial_states(sys, cfg)
     if isinstance(sys.constraint, StartAt):
         sys.phi.images(sys.constraint.x0)  # infeasible start raises here
     m0 = states.shape[0]
-    tail_prof = np.full((m0, k_tail + 1), np.inf)
-    full_prof = np.full((m0, k_full + 1), np.inf)
-    u0 = sys.utilities(states).reshape(-1)
+    prof = np.full((m0, k_tail + k_full + 2), np.inf)
     if relevant[0]:
-        _profile_insert(full_prof, u0, np.arange(m0))
-    lex = np.arange(m0, dtype=np.int64)
+        _profile_insert(prof[:, full], sys.utilities(states).reshape(-1))
     states_log = [states]
     parents_log: list[np.ndarray] = []
     branches_log: list[np.ndarray] = []
@@ -292,37 +274,31 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
             collapsed = True
             break
         vals = sys.utilities(children).reshape(-1)
-        c_tail = tail_prof[parent].copy()
-        c_full = full_prof[parent].copy()
+        c_prof = prof[parent]
         if relevant[j]:
-            _profile_insert(c_full, vals, np.arange(vals.size))
-            if j >= tail_start:
-                _profile_insert(c_tail, vals, np.arange(vals.size))
-        # lexicographic order of the child traces: parent order, then branch
-        c_lex = np.empty(vals.size, dtype=np.int64)
-        c_lex[np.lexsort((branch, lex[parent]))] = np.arange(vals.size)
+            _profile_insert(c_prof[:, full], vals)
+            if j >= n // 2:
+                _profile_insert(c_prof[:, tail], vals)
         # pruning rank: current utility between profile and trace order
         # keeps climbing lineages alive through the otherwise
         # objective-blind transient
-        order = _rank(c_lex, c_full, c_tail[:, k_tail], utility=vals)
+        order = _rank(c_prof[:, full], c_prof[:, k_tail], utility=vals)
         cells = np.round(children / cfg.state_grid).astype(np.int64)
         kept: list[int] = []
         seen: set[bytes] = set()
         for i in order:
-            key = cells[i].tobytes() + c_tail[i].tobytes() + c_full[i].tobytes()
+            key = cells[i].tobytes() + c_prof[i].tobytes()
             if key in seen:
                 continue
             seen.add(key)
             kept.append(i)
             if len(kept) >= cfg.beam_width:
                 break
-        kept_arr = np.array(kept, dtype=np.int64)
+        # ``expand`` lists children by parent, then branch: with the beam
+        # in trace order, ascending child indices are in trace order too
+        kept_arr = np.sort(np.array(kept, dtype=np.int64))
         states = children[kept_arr]
-        tail_prof = c_tail[kept_arr]
-        full_prof = c_full[kept_arr]
-        new_lex = np.empty(kept_arr.size, dtype=np.int64)
-        new_lex[np.argsort(c_lex[kept_arr], kind="stable")] = np.arange(kept_arr.size)
-        lex = new_lex
+        prof = c_prof[kept_arr]
         states_log.append(states)
         parents_log.append(parent[kept_arr])
         branches_log.append(branch[kept_arr])
@@ -330,7 +306,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
 
     # final selection drops the utility component so the comparator
     # matches the exhaustive oracle: objective, profile, trace order
-    winner = int(_rank(lex, full_prof, tail_prof[:, k_tail])[0])
+    winner = int(_rank(prof[:, full], prof[:, k_tail])[0])
     # backtrack the winning candidate through the logged beams
     rows = [winner]
     for parent in reversed(parents_log):
@@ -344,7 +320,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         tuple(trace),
         model,
         cfg.describe(),
-        trim,
+        cfg.trim_fraction,
         tuple(frontier_sizes),
         certificate=False,
         collapsed=collapsed,

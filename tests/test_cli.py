@@ -236,3 +236,22 @@ def test_negative_grid_exit_2(command, alt_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "counterexample"],
+        ["verify", "--scenario", "ifs"],
+        ["verify", "--scenario", "l2"],
+        ["reproduce", "counterexample"],
+        ["reproduce", "l2"],
+    ],
+    ids=lambda argv: "-".join(argv[i] for i in (0, -1)),
+)
+def test_horizon_below_translation_shifts_exit_2(argv, tmp_path, capsys):
+    # the A3 probe shifts by +-7, which needs a horizon of at least 15
+    assert main(argv + ["--horizon", "14", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shift" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

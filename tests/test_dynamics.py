@@ -9,6 +9,7 @@ from turnlab.dynamics import (
     Singleton,
     StartAt,
     SystemInstance,
+    TruncatedL2,
     continuity_probe,
     feasibility_check,
     feasible_path,
@@ -27,6 +28,26 @@ def test_images_branch_order_and_dedup():
     np.testing.assert_allclose(FLIP_OR_HALVE.images([1.0]).ravel(), [-1.0, 0.5])
     # both branches coincide at the origin; duplicates collapse
     assert FLIP_OR_HALVE.images([0.0]).shape == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "phi,states,counts",
+    [
+        (FLIP_OR_HALVE, [[1.0], [-0.5], [0.25]], [2, 2, 2]),
+        (Interval1D(lambda x: x - 1.0, lambda x: x + 1.0, samples=4), [[0.0], [2.0]], [4, 4]),
+        (Singleton(lambda x: 0.5 * x), [[1.0], [2.0], [3.0]], [1, 1, 1]),
+        # the middle state has x_1 > 1/1, so its band set is empty
+        (TruncatedL2(3), [[0.1, 0.2, 0.1], [0.0, 1.5, 0.0], [0.3, -0.2, 0.4]], [26, 1, 26]),
+    ],
+    ids=["finite-branch", "interval", "singleton", "truncated-l2"],
+)
+def test_expand_groups_children_by_parent_then_branch(phi, states, counts):
+    states = np.array(states)
+    children, parent, branch = phi.expand(states)
+    np.testing.assert_array_equal(parent, np.repeat(np.arange(len(counts)), counts))
+    np.testing.assert_array_equal(branch, np.concatenate([np.arange(c) for c in counts]))
+    for i in range(len(counts)):
+        np.testing.assert_array_equal(children[parent == i], phi.expand(states[i : i + 1])[0])
 
 
 def test_interval_images_equispaced():
