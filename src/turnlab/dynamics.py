@@ -7,6 +7,11 @@ stable branch order (duplicates collapse to the first occurrence), which
 policies and tie-breaking rely on. Distance computations (residuals,
 feasibility, continuity) read the raw ``expand`` output instead:
 duplicate points change no minimum or Hausdorff distance.
+
+Each branch index of ``expand`` is a smooth map of the state, so fixed
+points are solved per (state, branch) pair by batched Newton steps, and
+the continuity probe expands each ladder rung in one batch. Neither
+loads SciPy. A state whose image is empty is skipped by both.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, min_distance
+from turnlab.geometry import hausdorff_distance, squared_distances
 from turnlab.ideals import IdealModel
 from turnlab.windows import SequenceWindow
 
@@ -65,11 +70,6 @@ def _dedup_rows(a: np.ndarray) -> np.ndarray:
         return a
     _, first = np.unique(a, axis=0, return_index=True)
     return a[np.sort(first)]
-
-
-def _raw_images(phi: Correspondence, x) -> np.ndarray:
-    """Image sample of one point as ``expand`` returns it, duplicates kept."""
-    return phi.expand(_point(x)[None, :])[0]
 
 
 class Correspondence:
@@ -311,21 +311,49 @@ def feasibility_check(path: Path, phi: Correspondence, tol: float = FEASIBILITY_
 # fixed points
 
 
+def _expand_rows(phi: Correspondence, states: np.ndarray):
+    """``expand`` of a batch in which some images may be empty.
+
+    One batched call; when it raises ``InfeasibleImageError`` the states
+    are expanded one by one and those with an empty image contribute no
+    children, so ``parent`` may skip rows.
+    """
+    try:
+        return phi.expand(states)
+    except InfeasibleImageError:
+        none = np.empty(0, dtype=np.int64)
+        parts = [(np.empty((0, states.shape[1])), none, none)]
+    for i in range(states.shape[0]):
+        try:
+            children, _, branch = phi.expand(states[i : i + 1])
+        except InfeasibleImageError:
+            continue
+        parts.append((children, np.full(branch.size, i), branch))
+    children, parent, branch = (np.concatenate(z) for z in zip(*parts))
+    return children, parent, branch
+
+
+def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a grouped parent
+    array (one run per state that has children)."""
+    start = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]]) if parent.size else parent
+    return start, np.diff(np.r_[start, parent.size])
+
+
 def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Distance from targets[i] to the raw image sample of states[i], per i.
 
     One ``expand`` over the batch and a segmented minimum, the same
-    arithmetic per row as ``min_distance`` on a single point.
+    arithmetic per row as ``min_distance`` on a single point. A state
+    with an empty image is at distance inf.
     """
-    children, parent, _ = phi.expand(states)
+    children, parent, _ = _expand_rows(phi, states)
     gaps = np.sqrt(((children - targets[parent]) ** 2).sum(axis=1))
-    return np.minimum.reduceat(gaps, np.searchsorted(parent, np.arange(states.shape[0])))
-
-
-def _residual(phi: Correspondence, x) -> float:
-    """dist(x, Phi(x)) over the raw image sample of x."""
-    p = _point(x)
-    return min_distance(p, phi.expand(p[None, :])[0])
+    out = np.full(states.shape[0], np.inf)
+    start, _ = _segments(parent)
+    if start.size:
+        out[parent[start]] = np.minimum.reduceat(gaps, start)
+    return out
 
 
 def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
@@ -342,10 +370,13 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     x = center.copy()
     orbit = []
     for _ in range(128):
-        imgs = _raw_images(phi, x)
+        try:
+            imgs = phi.expand(x[None, :])[0]
+        except InfeasibleImageError:
+            break
         x = imgs[int(np.argmin(np.sqrt(((imgs - x) ** 2).sum(axis=1))))]
         orbit.append(x)
-    seeds.append(np.array(orbit[-8:]))
+    seeds.append(np.array(orbit[-8:]).reshape(-1, d))
     if isinstance(phi, FiniteBranch):
         for f in phi.maps:
             y = center.copy()
@@ -359,11 +390,64 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call so that commands
-    that never refine a fixed point do not load SciPy."""
+    """``scipy.optimize.minimize``, imported on first call. No turnlab code
+    calls it since fixed points are solved by branch-wise Newton; it stays
+    a module attribute that profiling wrappers resolve by name."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
+
+
+NEWTON_PAIRS = 384  # (seed, branch) pairs with the smallest child gap
+NEWTON_ITERATIONS = 40
+_ROUNDING_STEP = 16 * np.finfo(float).eps
+
+
+def _branch_children(phi: Correspondence, states: np.ndarray, branch: np.ndarray) -> np.ndarray:
+    """Child ``branch[i]`` of ``states[i]`` per row; NaN where the image
+    is empty or has no such branch."""
+    children, parent, b = _expand_rows(phi, states)
+    out = np.full(states.shape, np.nan)
+    hit = b == branch[parent]
+    out[parent[hit]] = children[hit]
+    return out
+
+
+def _branch_newton(phi: Correspondence, x: np.ndarray, branch: np.ndarray) -> np.ndarray:
+    """Solve child_branch(x) = x from every start row at once.
+
+    Each branch index is a smooth map of x (a finite branch, an interval
+    sample point, a band lattice point), so Newton applies per row, with
+    a forward-difference Jacobian at one batched ``expand`` per column. A
+    row stops when its step reaches rounding level, or when its child is
+    missing, non-finite or has a singular Jacobian.
+    """
+    x = np.array(x, dtype=float)
+    d = x.shape[1]
+    eye = np.eye(d)
+    active = np.arange(x.shape[0])
+    for _ in range(NEWTON_ITERATIONS):
+        if active.size == 0:
+            break
+        xa, ba = x[active], branch[active]
+        fx = _branch_children(phi, xa, ba)
+        jac = np.empty((active.size, d, d))
+        for k in range(d):
+            xk = xa.copy()
+            xk[:, k] += 1e-7 * (1.0 + np.abs(xa[:, k]))
+            jac[:, :, k] = (_branch_children(phi, xk, ba) - fx) / (xk[:, k] - xa[:, k])[:, None]
+        jac -= eye
+        with np.errstate(invalid="ignore"):  # NaN where a child is missing
+            singular = ~(np.linalg.det(jac) != 0.0)
+        jac[singular] = eye
+        step = np.linalg.solve(jac, (xa - fx)[:, :, None])[:, :, 0]
+        step[singular] = np.nan
+        moved = np.isfinite(step).all(axis=1)
+        x[active[moved]] += step[moved]
+        size = np.sqrt((step**2).sum(axis=1))
+        norm = np.sqrt((x[active] ** 2).sum(axis=1))
+        active = active[moved & (size > _ROUNDING_STEP * (1.0 + norm))]
+    return x
 
 
 def fixed_points(
@@ -371,36 +455,32 @@ def fixed_points(
 ) -> np.ndarray:
     """Points with dist(x, Phi(x)) <= tol inside the box.
 
-    Coarse scan over lattice/random seeds (one batched ``expand``),
-    simplex refinement of the most promising ones, then deduplication at
-    radius 10 * tol. Residuals read the raw ``expand`` output; duplicate
-    image points are harmless to a minimum distance, so ``images()`` and
-    its dedup are not involved.
+    Coarse scan over lattice/random seeds (one batched ``expand``), then
+    the ``NEWTON_PAIRS`` (seed, branch) pairs with the smallest child gap
+    are solved for child_branch(x) = x by batched Newton
+    (``_branch_newton``); solutions inside the box within tol are
+    deduplicated at radius 10 * tol. A state with an empty image is not
+    a fixed point. Gaps read the raw ``expand`` output; duplicate image
+    points are harmless to a minimum distance, so ``images()`` and its
+    dedup are not involved.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
         raise ValueError("box must be a (d, 2) array of [lo, hi] rows")
     seeds = _seed_points(phi, box, seed)
-    res = _child_gaps(phi, seeds, seeds)
-    order = np.argsort(res, kind="stable")
-    candidates = seeds[order[:48]]
-    found = []
+    children, parent, branch = _expand_rows(phi, seeds)
+    gaps = np.sqrt(((children - seeds[parent]) ** 2).sum(axis=1))
+    pick = np.argsort(gaps, kind="stable")[:NEWTON_PAIRS]
+    x = _branch_newton(phi, seeds[parent[pick]], branch[pick])
     span = float((box[:, 1] - box[:, 0]).max())
-    for s in candidates:
-        out = minimize(
-            lambda z: _residual(phi, z),
-            s,
-            method="Nelder-Mead",
-            options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 600},
-        )
-        x = out.x
-        inside = np.all(x >= box[:, 0] - 1e-9 * span) and np.all(x <= box[:, 1] + 1e-9 * span)
-        if inside and _residual(phi, x) <= tol:
-            found.append(x)
-    if not found:
+    inside = np.all(x >= box[:, 0] - 1e-9 * span, axis=1) & np.all(
+        x <= box[:, 1] + 1e-9 * span, axis=1
+    )
+    x = x[inside]
+    resids = _child_gaps(phi, x, x)
+    found_arr, resids = x[resids <= tol], resids[resids <= tol]
+    if found_arr.shape[0] == 0:
         return np.empty((0, box.shape[0]))
-    found_arr = np.array(found)
-    resids = np.array([_residual(phi, x) for x in found_arr])
     keep: list[np.ndarray] = []
     for i in np.argsort(resids, kind="stable"):
         x = found_arr[i]
@@ -541,8 +621,12 @@ def continuity_probe(
     statistic is max H(Phi(x), Phi(x')) / delta. The verdict fails when
     the statistic grows faster than delta^(-1/2) across the ladder, the
     signature of a jump. Image samples are the raw ``expand`` output
-    (duplicates do not change a Hausdorff distance), and each probe
-    point's own image is computed once for the whole ladder.
+    (duplicates do not change a Hausdorff distance); probe points and
+    points with an empty image are skipped. The probe points are expanded
+    once for the whole ladder and the moved points once per rung. Where
+    base and moved images have equal counts, the matched-branch distance
+    U = max_j |a_j - b_j| bounds H from above, so exact distances are
+    computed in descending U only until U falls to the best H so far.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
@@ -556,23 +640,35 @@ def continuity_probe(
         rnd = rng.normal(size=(2, d))
         rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
         dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
-    bases = []
-    for x in pts:
-        try:
-            bases.append((x, _raw_images(phi, x)))
-        except InfeasibleImageError:
-            continue
+    base, base_parent, _ = _expand_rows(phi, pts)
+    base_start, base_count = _segments(base_parent)
+    pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
     rungs = []
     for delta in ladder:
+        moved = (pts[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
+        children, parent, _ = _expand_rows(phi, moved)
+        start, count = _segments(parent)
+        of = parent[start] // dirs.shape[0]  # probe point of each moved image
+        # matched-branch bound U = max_j |a_j - b_j|, accumulated per
+        # coordinate like the distance matrix whose diagonal it reads, so
+        # H(A, B) <= U holds exactly; U = inf where the counts differ
+        bound = np.full(start.size, np.inf)
+        same = count == base_count[of]
+        if same.any():
+            seg = np.repeat(np.arange(start.size), count)
+            rows = np.flatnonzero(same[seg])
+            a = base[base_start[of[seg[rows]]] + rows - start[seg[rows]]]
+            sq = squared_distances(a, children[rows])
+            bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
+        # exact distances in descending U, until no U can beat the best
         worst = 0.0
-        for x, base in bases:
-            for v in dirs:
-                try:
-                    moved = _raw_images(phi, x + delta * v)
-                except InfeasibleImageError:
-                    continue
-                worst = max(worst, hausdorff_distance(base, moved) / delta)
-        rungs.append({"delta": float(delta), "max_ratio": worst})
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] <= worst:
+                break
+            b0, m0 = base_start[of[i]], start[i]
+            image = base[b0 : b0 + base_count[of[i]]]
+            worst = max(worst, hausdorff_distance(image, children[m0 : m0 + count[i]]))
+        rungs.append({"delta": float(delta), "max_ratio": worst / delta})
     return ContinuityReport(tuple(rungs), *_ladder_verdict(rungs, ladder))
 
 
@@ -654,7 +750,7 @@ class SystemInstance:
             object.__setattr__(self, "separation", t)
         if self.eta_star is not None:
             eta = _point(self.eta_star)
-            gap = _residual(self.phi, eta)
+            gap = _child_gaps(self.phi, eta[None, :], eta[None, :])[0]
             if gap > self.stationarity_tol:
                 raise ValueError(
                     f"claimed stationary point has residual {gap:.3e} above "

@@ -1,8 +1,9 @@
 """Distances between finite point sets.
 
-SciPy is imported inside the functions that call it: loading
-``scipy.spatial`` costs more than the rest of the package's import, and
-most commands never measure a distance.
+Below ``_BRUTE_LIMIT`` pairs the distance matrix is built in NumPy, with
+squared coordinate differences accumulated in coordinate order: the same
+bits as ``scipy.spatial.distance.cdist``. Only larger sets load SciPy,
+for a ``cKDTree`` query, imported on that path alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,29 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k (a[..., k] - b[..., k])^2 over the broadcast leading axes,
+    accumulated over k in order (``.sum(axis=-1)`` rounds differently)."""
+    out = a[..., 0] - b[..., 0]
+    out *= out
+    term = np.empty_like(out)
+    for k in range(1, a.shape[-1]):
+        np.subtract(a[..., k], b[..., k], out=term)
+        term *= term
+        out += term
+    return out
+
+
+def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) Euclidean distances, bit for bit those of ``cdist``."""
+    return np.sqrt(squared_distances(a[:, None, :], b[None, :, :]))
+
+
 def directed_hausdorff(a, b) -> float:
     """max over a of the distance to the nearest point of b."""
     a, b = _as_pair(a, b)
     if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
-        from scipy.spatial.distance import cdist
-
-        return float(cdist(a, b).min(axis=1).max())
+        return float(_distance_matrix(a, b).min(axis=1).max())
     from scipy.spatial import cKDTree
 
     d, _ = cKDTree(b).query(a, k=1)
@@ -46,9 +63,7 @@ def hausdorff_distance(a, b) -> float:
     one distance matrix serves both (row minima and column minima)."""
     a, b = _as_pair(a, b)
     if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
-        from scipy.spatial.distance import cdist
-
-        d = cdist(a, b)
+        d = _distance_matrix(a, b)
         return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 

@@ -1,9 +1,9 @@
 """SciPy stays off the CLI import path, and beam paths stay feasible.
 
-SciPy is loaded only by the code that calls it (Nelder-Mead refinement
-of fixed points and the distance matrices of Hausdorff distances), so
-``analyze`` and ``optimize`` never import it, while ``verify`` does on
-first use.
+SciPy is loaded only by the code that calls it: the k-d tree of a
+Hausdorff distance above the brute-force budget and the
+``dynamics.minimize`` wrapper, which no command calls. So ``analyze``,
+``optimize`` and ``verify`` never import it.
 """
 
 import json
@@ -71,11 +71,20 @@ def test_analyze_loads_no_scipy(tmp_path):
     assert (tmp_path / "analyze.json").is_file()
 
 
-def test_verify_loads_scipy_on_use(tmp_path):
-    run = _cli_run(["verify", "--scenario", "ifs", "--out-dir", str(tmp_path)])
-    loaded = _scipy_modules_after(run + "assert code == 0")
-    assert "scipy.optimize" in loaded
-    assert "scipy.spatial" in loaded
+def test_verify_loads_no_scipy(tmp_path):
+    runs = {
+        "l2": (["--ideal", "density:0.01"], 0),
+        "counterexample": (["--ideal", "finite-trace:auto"], 1),
+        "ifs": ([], 0),
+    }
+    code = "".join(
+        _cli_run(["verify", "--scenario", name, *extra, "--out-dir", str(tmp_path)])
+        + f"assert code == {want}\n"
+        for name, (extra, want) in runs.items()
+    )
+    assert _scipy_modules_after(code) == []
+    for name in runs:
+        assert (tmp_path / f"verify-{name}.json").is_file()
 
 
 def test_minimize_is_a_module_attribute_with_nfev():
