@@ -397,10 +397,10 @@ def analyze_window(
     ``fallback`` marks a cluster set taken from the most visited cells
     because no cell cleared theta; ``theta_effective`` is then their
     visit share under the density ideal. Raises ValueError unless
-    0 < theta < 1 and an explicit eps_grid is positive.
+    0 < theta < 1 and an explicit eps_grid is positive and finite.
     """
-    if eps_grid is not None and not eps_grid > 0:
-        raise ValueError(f"eps_grid must be positive, got {eps_grid!r}")
+    if eps_grid is not None and not 0 < eps_grid < np.inf:
+        raise ValueError(f"eps_grid must be positive and finite, got {eps_grid!r}")
     eps = default_grid(window) if eps_grid is None else eps_grid
     pts, diag = _cluster(window, model, eps if eps > 0 else 1.0, theta)
     model_h = model.at_horizon(window.horizon)

@@ -22,6 +22,23 @@ profile. Beam expansion dedups on (grid-quantized state, profile row);
 two candidates agreeing there are exchangeable for every continuation,
 so with a beam at least as wide as the dedup-group count the search is
 exhaustive-equivalent.
+
+A step ranks only the children that can survive. Children of one parent
+share its profile row, and inserting a value v into a profile is
+elementwise non-decreasing in v, so within a parent the full comparator
+(objective, profile, utility, index) reduces to v descending, then
+index. The selection relies on ``Correspondence.expand`` grouping
+children by parent, then branch, so that index order within a parent is
+branch order. A child can be kept only if fewer than ``beam_width``
+distinct dedup keys precede it in its parent's order. The cell is a
+coarser key than (cell, profile row), so keeping each parent's children
+up to and including its ``beam_width``-th distinct cell keeps a superset
+of the survivors, and ranking and deduplicating that superset keeps
+exactly the children that ranking all of them keeps. A NaN utility never
+enters a profile and so breaks the monotonicity: a step with one ranks
+every child, as does a step where no parent has more than
+``beam_width`` children. ``frontier_sizes`` counts the children from
+before the selection.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ from turnlab.windows import SequenceWindow
 
 EXHAUSTIVE_BUDGET = 10**7
 EXHAUSTIVE_MAX_HORIZON = 16
+_CELL_MIX = 1_000_003  # odd multiplier of the cell hash; wraps modulo 2**64
 
 
 class SearchBudgetError(RuntimeError):
@@ -64,8 +82,8 @@ class SearchConfig:
             raise ValueError("horizon must be at least 2")
         if self.beam_width < 1:
             raise ValueError("beam width must be positive")
-        if self.state_grid <= 0:
-            raise ValueError("state grid must be positive")
+        if not 0 < self.state_grid < math.inf:
+            raise ValueError(f"state grid must be positive and finite, got {self.state_grid!r}")
         if not 0.0 <= self.trim_fraction < 0.5:
             raise ValueError("trim fraction must lie in [0, 0.5)")
 
@@ -127,6 +145,36 @@ def _profile_insert(prof: np.ndarray, vals: np.ndarray) -> None:
     merged = np.concatenate([prof[hit], vals[hit, None] + 0.0], axis=1)
     merged.sort(axis=1)
     prof[hit] = merged[:, :-1]
+
+
+def _survivors(
+    parent: np.ndarray, vals: np.ndarray, cells: np.ndarray, width: int
+) -> Optional[np.ndarray]:
+    """Ascending indices of a superset of the children a beam step of
+    ``width`` keeps, or None when every child must be ranked: no parent
+    has more than ``width`` children, or a utility is NaN.
+
+    Each parent's children are taken by descending value, ties in index
+    order, up to and including its ``width``-th distinct cell. Cells are
+    told apart by an integer hash of (parent, cell row); a collision
+    merges two cells and so only keeps more children.
+    """
+    counts = np.bincount(parent)
+    if counts.max() <= width or np.isnan(vals).any():
+        return None
+    order = np.lexsort((-vals, parent))
+    mix = _CELL_MIX ** np.arange(cells.shape[1], dtype=np.int64)
+    key = (cells @ mix + parent)[order]
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    first = np.empty(key.size, dtype=bool)
+    first[by_key[0]] = True
+    first[by_key[1:]] = sorted_key[1:] != sorted_key[:-1]
+    # distinct cells before each child, counted from its parent's first child
+    before = np.cumsum(first) - first
+    starts = np.cumsum(counts) - counts
+    keep = before - before[starts[parent[order]]] < width
+    return np.sort(order[keep])
 
 
 def _rank(
@@ -274,6 +322,13 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
             collapsed = True
             break
         vals = sys.utilities(children).reshape(-1)
+        size = vals.size
+        cells = np.round(children / cfg.state_grid).astype(np.int64)
+        rows = _survivors(parent, vals, cells, cfg.beam_width)
+        if rows is not None:
+            children, parent, branch, vals, cells = (
+                a[rows] for a in (children, parent, branch, vals, cells)
+            )
         c_prof = prof[parent]
         if relevant[j]:
             _profile_insert(c_prof[:, full], vals)
@@ -283,7 +338,6 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         # keeps climbing lineages alive through the otherwise
         # objective-blind transient
         order = _rank(c_prof[:, full], c_prof[:, k_tail], utility=vals)
-        cells = np.round(children / cfg.state_grid).astype(np.int64)
         kept: list[int] = []
         seen: set[bytes] = set()
         for i in order:
@@ -302,7 +356,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         states_log.append(states)
         parents_log.append(parent[kept_arr])
         branches_log.append(branch[kept_arr])
-        frontier_sizes.append((int(vals.size), int(kept_arr.size)))
+        frontier_sizes.append((size, int(kept_arr.size)))
 
     # final selection drops the utility component so the comparator
     # matches the exhaustive oracle: objective, profile, trace order

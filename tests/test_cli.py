@@ -241,6 +241,26 @@ def test_negative_grid_exit_2(command, alt_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["optimize", "--scenario", "l2", "--grid", "nan"],
+        ["optimize", "--scenario", "l2", "--grid", "inf"],
+        ["reproduce", "counterexample", "--grid", "nan"],
+        ["analyze", "--grid", "nan"],
+        ["analyze", "--grid", "inf"],
+    ],
+    ids=lambda argv: "-".join(argv[i] for i in (0, -1)),
+)
+def test_non_finite_grid_exit_2(argv, alt_file, tmp_path, capsys):
+    if argv[0] == "analyze":
+        argv = [*argv, "--input", str(alt_file)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive and finite" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "--scenario", "counterexample"],
         ["verify", "--scenario", "ifs"],
         ["verify", "--scenario", "l2"],
