@@ -57,11 +57,10 @@ def default_grid(window: SequenceWindow) -> float:
 
 def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start: int):
     vals = window.scalars()
-    idx = np.arange(start, window.horizon, dtype=np.int64)
     v = vals[start:]
     order = np.argsort(v, kind="stable")
     sv = v[order]
-    si = idx[order]
+    si = np.add(order, start, out=order)  # window index of each sorted value
     lo = float(vals.min())
     n_cells = max(1, int(np.ceil((vals.max() - lo) / eps)))
     # cell indices of the sorted values never decrease, so the occupied
@@ -141,7 +140,8 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
         # above dimension three a lone corner point can sit farther than
         # eps from every cell center; anchor candidates on visited points
         stats = build(lambda key, rows: pts[rows[0]])
-    return stats, (pts, idx, lo)
+    # all-False scratch marks over the rows, for _component_points
+    return stats, (pts, np.zeros(pts.shape[0], dtype=bool))
 
 
 def _merge_cells(
@@ -199,9 +199,15 @@ def _component_points(component, stats, window, eps, aux):
                 a, b = stats[key]["slice"]
                 chunks.append(sv[a:b])
         return np.concatenate(chunks)[:, None]
-    pts = aux[0]
+    pts, mark = aux
     rows = np.concatenate([stats[key]["members"] for key in component])
-    return pts[np.unique(rows)]
+    # distinct rows in ascending order, as np.unique gives them, read off
+    # the marks; clearing through rows leaves the marks all False again
+    mark[rows] = True
+    lo, hi = int(rows.min()), int(rows.max()) + 1
+    picked = lo + np.flatnonzero(mark[lo:hi])
+    mark[rows] = False
+    return pts[picked]
 
 
 def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float):

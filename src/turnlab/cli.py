@@ -499,6 +499,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = getattr(args, key)
             if value is not None:
                 setattr(base, key, value)
+    if base.horizon < 0:
+        raise ConfigError(f"--horizon must be positive, or 0 for the default; got {base.horizon}")
     return base
 
 

@@ -10,8 +10,9 @@ duplicate points change no minimum or Hausdorff distance.
 
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps, and
-the continuity probe expands each ladder rung in one batch. Neither
-loads SciPy. A state whose image is empty is skipped by both.
+the continuity probe expands each ladder rung in batches of at most
+``EXPAND_CHUNK`` moved points. Neither loads SciPy. A state whose image
+is empty is skipped by both.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from turnlab.windows import SequenceWindow
 FIXED_POINT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
 HUTCHINSON_RESOLUTION = 1e-6
+# states per ``expand`` call when a sample-sized batch is streamed: the
+# condition battery's temporaries then scale with this, not the sample
+EXPAND_CHUNK = 1024
 
 
 class InfeasibleImageError(RuntimeError):
@@ -333,6 +337,13 @@ def _expand_rows(phi: Correspondence, states: np.ndarray):
     return children, parent, branch
 
 
+def _chunks(n: int, per_row: int = 1) -> list[slice]:
+    """Slices over n rows, each spanning at most ``EXPAND_CHUNK`` states
+    when one row expands to ``per_row`` states (and at least one row)."""
+    step = max(1, EXPAND_CHUNK // per_row)
+    return [slice(c0, c0 + step) for c0 in range(0, n, step)]
+
+
 def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a grouped parent
     array (one run per state that has children)."""
@@ -623,10 +634,13 @@ def continuity_probe(
     signature of a jump. Image samples are the raw ``expand`` output
     (duplicates do not change a Hausdorff distance); probe points and
     points with an empty image are skipped. The probe points are expanded
-    once for the whole ladder and the moved points once per rung. Where
-    base and moved images have equal counts, the matched-branch distance
+    once for the whole ladder; each rung expands the moved points of
+    ``EXPAND_CHUNK // len(dirs)`` probe points at a time. Where base and
+    moved images have equal counts, the matched-branch distance
     U = max_j |a_j - b_j| bounds H from above, so exact distances are
-    computed in descending U only until U falls to the best H so far.
+    computed in descending U only until U falls to the best H so far,
+    carried across chunks: every skipped pair has H <= U <= the rung's
+    maximum, which is therefore exact.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
@@ -645,29 +659,30 @@ def continuity_probe(
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
     rungs = []
     for delta in ladder:
-        moved = (pts[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
-        children, parent, _ = _expand_rows(phi, moved)
-        start, count = _segments(parent)
-        of = parent[start] // dirs.shape[0]  # probe point of each moved image
-        # matched-branch bound U = max_j |a_j - b_j|, accumulated per
-        # coordinate like the distance matrix whose diagonal it reads, so
-        # H(A, B) <= U holds exactly; U = inf where the counts differ
-        bound = np.full(start.size, np.inf)
-        same = count == base_count[of]
-        if same.any():
-            seg = np.repeat(np.arange(start.size), count)
-            rows = np.flatnonzero(same[seg])
-            a = base[base_start[of[seg[rows]]] + rows - start[seg[rows]]]
-            sq = squared_distances(a, children[rows])
-            bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
-        # exact distances in descending U, until no U can beat the best
         worst = 0.0
-        for i in np.argsort(-bound, kind="stable"):
-            if bound[i] <= worst:
-                break
-            b0, m0 = base_start[of[i]], start[i]
-            image = base[b0 : b0 + base_count[of[i]]]
-            worst = max(worst, hausdorff_distance(image, children[m0 : m0 + count[i]]))
+        for part in _chunks(pts.shape[0], dirs.shape[0]):
+            moved = (pts[part, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
+            children, parent, _ = _expand_rows(phi, moved)
+            start, count = _segments(parent)
+            of = part.start + parent[start] // dirs.shape[0]  # probe point of each moved image
+            # matched-branch bound U = max_j |a_j - b_j|, accumulated per
+            # coordinate like the distance matrix whose diagonal it reads,
+            # so H(A, B) <= U holds exactly; U = inf where the counts differ
+            bound = np.full(start.size, np.inf)
+            same = count == base_count[of]
+            if same.any():
+                seg = np.repeat(np.arange(start.size), count)
+                rows = np.flatnonzero(same[seg])
+                a = base[base_start[of[seg[rows]]] + rows - start[seg[rows]]]
+                sq = squared_distances(a, children[rows])
+                bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
+            # exact distances in descending U, until no U can beat the best
+            for i in np.argsort(-bound, kind="stable"):
+                if bound[i] <= worst:
+                    break
+                b0, m0 = base_start[of[i]], start[i]
+                image = base[b0 : b0 + base_count[of[i]]]
+                worst = max(worst, hausdorff_distance(image, children[m0 : m0 + count[i]]))
         rungs.append({"delta": float(delta), "max_ratio": worst / delta})
     return ContinuityReport(tuple(rungs), *_ladder_verdict(rungs, ladder))
 

@@ -60,22 +60,26 @@ def build_block_sequence(k_max: int) -> SequenceWindow:
     consecutive terms, and ramps back up to 1/2, for 2k - 1 + k! terms;
     the global sign alternates with the index. Every consecutive pair
     satisfies the interval dynamics x' in [-2x, -x/2], which the builder
-    asserts.
+    asserts. The blocks are written into one array and the check runs
+    over fixed-size spans, so no temporary scales with the length.
     """
     if not 2 <= k_max <= 12:
         raise ValueError("k_max must lie in [2, 12]; lengths blow up factorially")
-    parts = []
+    x = np.empty(block_sequence_length(k_max))
+    at = 0
     for k in range(1, k_max + 1):
-        down = 0.5 ** np.arange(0, k)
-        mid = np.full(math.factorial(k), 0.5**k)
-        up = 0.5 ** np.arange(k - 1, 0, -1)
-        parts.extend([down, mid, up])
-    z = np.concatenate(parts)
-    signs = np.where(np.arange(z.size) % 2 == 0, 1.0, -1.0)
-    x = signs * z
-    ratio = np.abs(x[1:]) / np.abs(x[:-1])
-    if not (np.all(x[1:] * x[:-1] < 0) and np.all(ratio >= 0.5) and np.all(ratio <= 2.0)):
-        raise AssertionError("block sequence violates the interval dynamics")
+        mid = at + k + math.factorial(k)  # end of the flat middle
+        x[at : at + k] = 0.5 ** np.arange(0, k)
+        x[at + k : mid] = 0.5**k
+        x[mid : mid + k - 1] = 0.5 ** np.arange(k - 1, 0, -1)
+        at = mid + k - 1
+    x[1::2] *= -1.0
+    step = 1 << 18
+    for c0 in range(0, x.size - 1, step):
+        a = x[c0 : c0 + step + 1]
+        ratio = np.abs(a[1:]) / np.abs(a[:-1])
+        if not (np.all(a[1:] * a[:-1] < 0) and np.all(ratio >= 0.5) and np.all(ratio <= 2.0)):
+            raise AssertionError("block sequence violates the interval dynamics")
     return SequenceWindow(x)
 
 

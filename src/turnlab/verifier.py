@@ -12,8 +12,9 @@ The six conditions checked here:
   upper level set F = {x : u(x) >= u(eta_star)}: sampled (x, y) pairs,
   with every would-be witness re-verified at 10x image resolution. The
   strong/weak separation variants are read off the same sample (with
-  eta_star prepended) and the same ``expand``; ``check_conditions``
-  keeps them on ``ConditionReport.separation``.
+  eta_star prepended), streamed through ``expand`` in chunks of
+  ``EXPAND_CHUNK`` states; ``check_conditions`` keeps them on
+  ``ConditionReport.separation``.
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star).
 
@@ -36,6 +37,7 @@ from turnlab.dynamics import (
     Path,
     SystemInstance,
     TruncatedL2,
+    _chunks,
     _point,
     _sample_box,
     continuity_probe,
@@ -90,10 +92,12 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
     if sys.separation is None:
         raise ValueError("system has no separation functional configured")
     pts = np.asarray(pts, dtype=float)
-    children, parent, _ = sys.phi.expand(pts)
-    ty = children @ sys.separation
-    bounds = np.searchsorted(parent, np.arange(pts.shape[0]))
-    best = np.maximum.reduceat(ty, bounds)
+    best = np.empty(pts.shape[0])
+    for rows in _chunks(pts.shape[0]):
+        chunk = pts[rows]
+        children, parent, _ = sys.phi.expand(chunk)
+        bounds = np.searchsorted(parent, np.arange(chunk.shape[0]))
+        best[rows] = np.maximum.reduceat(children @ sys.separation, bounds)
     return best - pts @ sys.separation
 
 
@@ -185,13 +189,16 @@ def _separation_audit(
 ) -> tuple[dict, SeparationVariantReport]:
     """A5 and the strong/weak separation variants from one sample.
 
-    Row 0 is eta_star, the rest are draws from F; the sample is expanded
-    once. Strong: T x <= T y forces x = y = eta_star. Weak: it only
-    forces x = eta_star. The variants evaluate the implication at
-    eta_star too, since that is where the two part ways. A5, a
-    randomized audit of the probe box, is the strong variant over the
-    draws alone, with its own scale. Only pairs meeting the premise
-    T x <= T y can violate either, so the eta_star tests run on those.
+    Row 0 is eta_star, the rest are draws from F. Strong: T x <= T y
+    forces x = y = eta_star. Weak: it only forces x = eta_star. The
+    variants evaluate the implication at eta_star too, since that is
+    where the two part ways. A5, a randomized audit of the probe box, is
+    the strong variant over the draws alone, with its own scale. Both
+    scales and T x come from the whole sample; the sample is then
+    expanded ``EXPAND_CHUNK`` states at a time. Only pairs meeting the
+    premise T x <= T y can violate either, so the eta_star tests run on
+    those. Chunks run in row order, so a kind whose witness is confirmed
+    searches no later chunk, and each witness is the first in row order.
     """
     if sys.separation is None or sys.eta_star is None:
         raise ValueError("separation variants need the functional and eta_star")
@@ -206,33 +213,44 @@ def _separation_audit(
         collected.append(draw[np.asarray(sys.utilities(draw), dtype=float).ravel() >= u_star])
         drawn += collected[-1].shape[0]
     pts = np.concatenate(collected, axis=0)[: 1 + plan.n_points]
-    children, parent, _ = sys.phi.expand(pts)
-    rows = np.nonzero((pts @ sys.separation)[parent] <= children @ sys.separation)[0]
-    xs, ys = pts[parent[rows]], children[rows]
-    dx = np.sqrt(((xs - sys.eta_star) ** 2).sum(axis=1))
-    dy = np.sqrt(((ys - sys.eta_star) ** 2).sum(axis=1))
+    tx = pts @ sys.separation
     scale = 1.0 + float(np.abs(pts).max())
     scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))
-    x_star = dx <= 1e-9 * scale
-    strong = ~(x_star & (dy <= 1e-9 * scale))
-    a5 = (parent[rows] > 0) & ~((dx <= 1e-9 * scale_a5) & (dy <= 1e-9 * scale_a5))
-    a5_witness = _first_witness(sys, xs[a5], ys[a5])
-    strong_witness = _first_witness(sys, xs[strong], ys[strong])
-    weak_witness = _first_witness(sys, xs[~x_star], ys[~x_star])
-    strong_holds, weak_holds = strong_witness is None, weak_witness is None
+    witness = {"a5": None, "strong": None, "weak": None}
+    pairs = pairs_a5 = 0
+    for chunk in _chunks(pts.shape[0]):
+        children, parent, _ = sys.phi.expand(pts[chunk])
+        parent = parent + chunk.start
+        pairs += children.shape[0]
+        pairs_a5 += int(np.count_nonzero(parent))
+        rows = np.nonzero(tx[parent] <= children @ sys.separation)[0]
+        xs, ys = pts[parent[rows]], children[rows]
+        dx = np.sqrt(((xs - sys.eta_star) ** 2).sum(axis=1))
+        dy = np.sqrt(((ys - sys.eta_star) ** 2).sum(axis=1))
+        x_star = dx <= 1e-9 * scale
+        candidates = {
+            "a5": (parent[rows] > 0)
+            & ~((dx <= 1e-9 * scale_a5) & (dy <= 1e-9 * scale_a5)),
+            "strong": ~(x_star & (dy <= 1e-9 * scale)),
+            "weak": ~x_star,
+        }
+        for kind, keep in candidates.items():
+            if witness[kind] is None:
+                witness[kind] = _first_witness(sys, xs[keep], ys[keep])
+    strong_holds, weak_holds = witness["strong"] is None, witness["weak"] is None
     return (
         {
-            "verdict": "pass" if a5_witness is None else "fail",
-            "pairs_checked": int(np.count_nonzero(parent)),
-            "witness": a5_witness,
+            "verdict": "pass" if witness["a5"] is None else "fail",
+            "pairs_checked": pairs_a5,
+            "witness": witness["a5"],
         },
         SeparationVariantReport(
             strong_holds=strong_holds,
             weak_holds=weak_holds,
             weak_without_strong=weak_holds and not strong_holds,
-            strong_witness=strong_witness,
-            weak_witness=weak_witness,
-            pairs_checked=int(children.shape[0]),
+            strong_witness=witness["strong"],
+            weak_witness=witness["weak"],
+            pairs_checked=pairs,
         ),
     )
 

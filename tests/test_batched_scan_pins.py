@@ -3,7 +3,7 @@
 The fixed-point scan solves child_j(x) = x by branch-wise Newton; the
 points below are the ones the earlier Nelder-Mead scan (seed 17)
 returned, and each must still be found, at no larger residual. The
-continuity probe expands each rung in one batch and computes exact
+continuity probe expands each rung in chunks and computes exact
 Hausdorff distances only where a matched-branch bound could beat the
 best so far; every rung must equal the all-pairs loop bit for bit.
 """

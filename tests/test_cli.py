@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from turnlab.cli import main
+from turnlab.cli import build_parser, main, resolve_config
 
 
 @pytest.fixture()
@@ -186,8 +186,9 @@ def test_missing_input_exit_2(tmp_path):
         ["verify", "--scenario", "ifs", "--branches", "1.5,0"],
         ["verify", "--scenario", "counterexample", "--ideal", "fin:abc"],
         ["reproduce", "blocks", "--k-max", "13"],
+        ["reproduce", "l2", "--horizon", "-3"],
     ],
-    ids=["dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13"],
+    ids=["dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3"],
 )
 def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
@@ -275,3 +276,8 @@ def test_horizon_below_translation_shifts_exit_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "shift" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_horizon_means_default():
+    args = build_parser().parse_args(["verify", "--scenario", "ifs", "--horizon", "0"])
+    assert resolve_config(args).resolved_horizon() == 200

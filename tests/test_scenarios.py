@@ -54,6 +54,25 @@ def test_block_feasibility_under_interval_dynamics():
     assert np.all(ratio >= 0.5) and np.all(ratio <= 2.0)
 
 
+def _concatenated_block_sequence(k_max):
+    """The block sequence as the concatenation of its parts, signed by
+    an alternating sign array (the earlier builder)."""
+    parts = []
+    for k in range(1, k_max + 1):
+        down = 0.5 ** np.arange(0, k)
+        mid = np.full(math.factorial(k), 0.5**k)
+        up = 0.5 ** np.arange(k - 1, 0, -1)
+        parts.extend([down, mid, up])
+    z = np.concatenate(parts)
+    return np.where(np.arange(z.size) % 2 == 0, 1.0, -1.0) * z
+
+
+@pytest.mark.parametrize("k_max", range(2, 11))
+def test_block_builder_matches_concatenation(k_max):
+    got = build_block_sequence(k_max).scalars()
+    assert np.array_equal(got, _concatenated_block_sequence(k_max))
+
+
 def test_block_range_guard():
     with pytest.raises(ValueError):
         build_block_sequence(1)

@@ -1,6 +1,7 @@
-"""A5 and the strong/weak separation variants come from one sample and
-one ``expand``: ``check_conditions`` carries the variant report, and
-both results reproduce the ones recorded before the audit was merged."""
+"""A5 and the strong/weak separation variants come from one sample,
+streamed through ``expand`` in chunks of ``EXPAND_CHUNK`` states:
+``check_conditions`` carries the variant report, and both results
+reproduce the ones recorded before the audit was merged."""
 
 import dataclasses
 
