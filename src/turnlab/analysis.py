@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, min_distance
+from turnlab.geometry import hausdorff_distance, min_distance, row_spans
 from turnlab.ideals import IdealModel, burn_in, is_small
 from turnlab.windows import SequenceWindow
 
@@ -55,35 +55,51 @@ def default_grid(window: SequenceWindow) -> float:
 # cluster detection
 
 
+def _counted_mask(model: IdealModel, n: int) -> np.ndarray:
+    """``model.counted`` over the window indices range(n), span by span."""
+    mask = np.empty(n, dtype=bool)
+    for rows in row_spans(n):
+        mask[rows] = model.counted(np.arange(rows.start, rows.stop))
+    return mask
+
+
 def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start: int):
+    """Cells of ``sv``, the sorted post-burn-in values. A cell counts the
+    counted values in its open ball by two searches in the sorted counted
+    values: ``sv`` itself when every post-burn-in index counts, else a
+    sorted copy of the counted subset."""
     vals = window.scalars()
     v = vals[start:]
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    si = np.add(order, start, out=order)  # window index of each sorted value
+    sv = np.sort(v)
+    counted = _counted_mask(model, window.horizon)[start:]
+    if counted.all():
+        cv = sv
+    else:
+        cv = v[counted]
+        cv.sort()
     lo = float(vals.min())
     n_cells = max(1, int(np.ceil((vals.max() - lo) / eps)))
     # cell indices of the sorted values never decrease, so the occupied
-    # cells are the run starts; truncation equals the int cast, as sv >= lo
-    cells = np.subtract(sv, lo)
-    cells /= eps
-    np.trunc(cells, out=cells)
-    np.clip(cells, 0, n_cells - 1, out=cells)
-    occupied = cells[_run_starts(cells[:, None])].astype(np.int64)
-    stats = {}
-    counted = model.counted(si)
-    for c in occupied:
-        center = lo + (float(c) + 0.5) * eps
-        a = int(np.searchsorted(sv, center - eps, side="right"))
-        b = int(np.searchsorted(sv, center + eps, side="left"))
-        if b <= a:
-            continue
-        stats[(int(c),)] = {
-            "center": np.array([center]),
-            "count": int(counted[a:b].sum()),
-            "slice": (a, b),
-        }
-    return stats, (sv, si, lo)
+    # cells are the run starts, taken span by span and joined at the
+    # seams; truncation equals the int cast, as sv >= lo
+    runs = []
+    for rows in row_spans(sv.size):
+        cells = np.clip(np.trunc((sv[rows] - lo) / eps), 0, n_cells - 1)
+        runs.append(cells[_run_starts(cells[:, None])])
+    cells = np.concatenate(runs)
+    cells = cells[_run_starts(cells[:, None])]
+    centers = lo + (cells + 0.5) * eps
+    a = np.searchsorted(sv, centers - eps, side="right")
+    b = np.searchsorted(sv, centers + eps, side="left")
+    counts = np.searchsorted(cv, centers + eps, side="left")
+    counts -= np.searchsorted(cv, centers - eps, side="right")
+    keys = cells.astype(np.int64).tolist()
+    stats = {
+        (c,): {"center": np.array([m]), "count": k, "slice": (i, j)}
+        for c, m, k, i, j in zip(keys, centers.tolist(), counts.tolist(), a.tolist(), b.tolist())
+        if j > i
+    }
+    return stats, (sv, lo)
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -106,7 +122,6 @@ def _cell_members(cells: np.ndarray) -> dict[tuple, np.ndarray]:
 
 def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start: int):
     pts = window.values[start:]
-    idx = np.arange(start, window.horizon, dtype=np.int64)
     lo = window.values.min(axis=0)
     members = _cell_members(((pts - lo) / eps).astype(np.int64))
     offsets = list(itertools.product((-1, 0, 1), repeat=window.dim))
@@ -130,7 +145,7 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
                 continue
             out[key] = {
                 "center": center,
-                "count": int(model.counted(idx[hit]).sum()),
+                "count": int(model.counted(hit + start).sum()),
                 "members": hit,
             }
         return out
@@ -175,9 +190,9 @@ def _merge_cells(
         centroid = member_pts.mean(axis=0)
         # a hollow component (ring) can drop its centroid outside every
         # cell; keep the reported point within eps of a real visit
-        if min_distance(centroid, member_pts) >= eps:
-            j = int(np.argmin(np.sqrt(((member_pts - centroid) ** 2).sum(axis=1))))
-            centroid = member_pts[j]
+        dist, nearest = min_distance(centroid, member_pts)
+        if dist >= eps:
+            centroid = member_pts[nearest]
         points.append(centroid)
     out = np.array(points, dtype=float).reshape(-1, d)
     return out[np.lexsort(out.T[::-1])]
@@ -185,20 +200,16 @@ def _merge_cells(
 
 def _component_points(component, stats, window, eps, aux):
     if window.dim == 1:
-        sv, si, lo = aux
-        chunks = []
-        for key in component:
-            c_lo = lo + key[0] * eps
-            c_hi = c_lo + eps
-            aa = int(np.searchsorted(sv, c_lo, side="left"))
-            bb = int(np.searchsorted(sv, c_hi, side="left"))
-            if bb > aa:
-                chunks.append(sv[aa:bb])
-        if not chunks:  # fall back to the qualifying balls themselves
-            for key in component:
-                a, b = stats[key]["slice"]
-                chunks.append(sv[a:b])
-        return np.concatenate(chunks)[:, None]
+        # a 1-D component's cells are consecutive: its members are one
+        # slice of the sorted values, from its first to its last cell
+        sv, lo = aux
+        keys = [key[0] for key in component]
+        a = int(np.searchsorted(sv, lo + min(keys) * eps, side="left"))
+        b = int(np.searchsorted(sv, lo + (max(keys) + 1) * eps, side="left"))
+        if b <= a:  # fall back to the qualifying balls themselves
+            a = min(stats[key]["slice"][0] for key in component)
+            b = max(stats[key]["slice"][1] for key in component)
+        return sv[a:b, None]
     pts, mark = aux
     rows = np.concatenate([stats[key]["members"] for key in component])
     # distinct rows in ascending order, as np.unique gives them, read off
@@ -271,23 +282,27 @@ def cluster_points(
 # liminf / limsup / limit
 
 
-def ideal_liminf(window: SequenceWindow, model: IdealModel) -> float:
+def ideal_liminf(window: SequenceWindow, model: IdealModel, _mirror: bool = False) -> float:
     """Smallest value r such that the sequence dips below r on a positive
     index set: inf{r : {n : x_n < r} is not small}.
 
     {n : x_n < r} is positive exactly when more than ``budget`` counted
     post-burn-in values lie below r, so the infimum is the counted value
-    of rank ``budget`` in ascending order.
+    of rank ``budget`` in ascending order. ``_mirror`` (from ``ideal_limsup``)
+    takes it on the counted copy negated in place: the liminf of (-x_n).
     """
+    name = "limsup" if _mirror else "liminf"
     if window.dim != 1:
-        raise ValueError("liminf needs a scalar window")
+        raise ValueError(f"{name} needs a scalar window")
     model = model.at_horizon(window.horizon)
     start = burn_in(window.horizon)
-    vals = window.scalars()[start:][model.counted(np.arange(start, window.horizon))]
+    vals = window.scalars()[start:][_counted_mask(model, window.horizon)[start:]]
+    if _mirror:
+        np.negative(vals, out=vals)
     k = model.budget()
     if vals.size <= k:
         raise UnboundedWindowError(
-            "no threshold r makes {n : x_n < r} positive; the window has no "
+            f"no threshold r makes {name} finite; the window has no "
             "essential mass under this model"
         )
     vals.partition(k)
@@ -295,8 +310,8 @@ def ideal_liminf(window: SequenceWindow, model: IdealModel) -> float:
 
 
 def ideal_limsup(window: SequenceWindow, model: IdealModel) -> float:
-    """Exact sign mirror of liminf."""
-    return -ideal_liminf(SequenceWindow(-window.values), model)
+    """Exact sign mirror of liminf: minus the liminf of (-x_n)."""
+    return -ideal_liminf(window, model, _mirror=True)
 
 
 def deviation_densities(
@@ -309,7 +324,9 @@ def deviation_densities(
     """Per-scale diagnostics of {n : ||x_n - target|| >= scale}."""
     model = model.at_horizon(window.horizon)
     target = np.asarray(target, dtype=float).ravel()
-    dist = np.sqrt(((window.values - target) ** 2).sum(axis=1))
+    dist = np.empty(window.horizon)
+    for rows in row_spans(window.horizon):  # the same bits as one whole-window pass
+        dist[rows] = np.sqrt(((window.values[rows] - target) ** 2).sum(axis=1))
     start = burn_in(window.horizon) if apply_burn_in else 0
     rungs = []
     for s in scales:
@@ -341,13 +358,16 @@ def ideal_limit(
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts = cluster_points(window, model, eps_grid=eps_grid, theta=theta)
+    return _limit_ladder(window, pts, model, eps)[1]
+
+
+def _limit_ladder(window, pts, model, eps) -> tuple[list[dict], Optional[np.ndarray]]:
+    """Deviation rungs at eps, eps/2 and eps/4 around a sole cluster
+    point, and that point when every rung is small."""
     if pts.shape[0] != 1:
-        return None
-    candidate = pts[0]
-    rungs = deviation_densities(window, candidate, model, (eps, eps / 2, eps / 4))
-    if all(r["small"] for r in rungs):
-        return candidate
-    return None
+        return [], None
+    ladder = deviation_densities(window, pts[0], model, (eps, eps / 2, eps / 4))
+    return ladder, pts[0] if all(r["small"] for r in ladder) else None
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +435,7 @@ def analyze_window(
         liminf = ideal_liminf(window, model_h)
         limsup = ideal_limsup(window, model_h)
     lim_eps = limit_eps if limit_eps is not None else max(10 * eps, 1e-9)
-    converges = None
-    ladder: list[dict] = []
-    if pts.shape[0] == 1:
-        ladder = deviation_densities(
-            window, pts[0], model_h, (lim_eps, lim_eps / 2, lim_eps / 4)
-        )
-        if all(r["small"] for r in ladder):
-            converges = pts[0]
+    ladder, converges = _limit_ladder(window, pts, model_h, lim_eps)
     return ClusterReport(
         cluster_points=pts,
         liminf=liminf,

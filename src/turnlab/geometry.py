@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _BRUTE_LIMIT = 4_000_000  # pairwise-matrix budget before switching to trees
+ROW_SPAN = 1 << 18  # rows per step of a streamed pass; bounds its temporaries
 
 
 def _as_points(a) -> np.ndarray:
@@ -68,8 +69,19 @@ def hausdorff_distance(a, b) -> float:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
-def min_distance(point, pts) -> float:
-    """Distance from one point to the nearest element of a finite set."""
+def row_spans(n: int) -> list[slice]:
+    """Consecutive slices of at most ``ROW_SPAN`` rows covering range(n)."""
+    return [slice(c0, min(c0 + ROW_SPAN, n)) for c0 in range(0, n, ROW_SPAN)]
+
+
+def min_distance(point, pts) -> tuple[float, int]:
+    """Distance from one point to the nearest element of a finite set,
+    and the first row at that distance, in one pass over row spans."""
     pts = _as_points(pts)
     p = np.asarray(point, dtype=float).ravel()
-    return float(np.sqrt(((pts - p) ** 2).sum(axis=1)).min())
+    best = []
+    for rows in row_spans(pts.shape[0]):
+        dist = np.sqrt(((pts[rows] - p) ** 2).sum(axis=1))
+        j = int(dist.argmin())
+        best.append((float(dist[j]), rows.start + j))
+    return min(best)

@@ -22,6 +22,7 @@ from turnlab.dynamics import (
     feasible_path,
     make_policy,
 )
+from turnlab.geometry import row_spans
 from turnlab.ideals import IdealModel
 from turnlab.windows import SequenceWindow
 
@@ -74,12 +75,12 @@ def build_block_sequence(k_max: int) -> SequenceWindow:
         x[mid : mid + k - 1] = 0.5 ** np.arange(k - 1, 0, -1)
         at = mid + k - 1
     x[1::2] *= -1.0
-    step = 1 << 18
-    for c0 in range(0, x.size - 1, step):
-        a = x[c0 : c0 + step + 1]
+    for rows in row_spans(x.size - 1):
+        a = x[rows.start : rows.stop + 1]
         ratio = np.abs(a[1:]) / np.abs(a[:-1])
         if not (np.all(a[1:] * a[:-1] < 0) and np.all(ratio >= 0.5) and np.all(ratio <= 2.0)):
             raise AssertionError("block sequence violates the interval dynamics")
+    x.setflags(write=False)  # handed over to the window, not copied
     return SequenceWindow(x)
 
 

@@ -14,7 +14,8 @@ class SequenceWindow:
     """A finite prefix (x_0, ..., x_{N-1}) of a vector-valued sequence.
 
     Values are stored as a read-only (N, d) float array; entries must be
-    finite. Scalar sequences live at d = 1.
+    finite. Scalar sequences live at d = 1. A read-only array that owns
+    its data is adopted; anything else (writable, a view) is copied.
     """
 
     values: np.ndarray
@@ -23,14 +24,15 @@ class SequenceWindow:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.values, dtype=float)
+        if a.flags.writeable or not a.flags.owndata:
+            a = a.copy()
+            a.setflags(write=False)
         if a.ndim == 1:
             a = a[:, None]
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("window needs shape (N, d) with N, d >= 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("window entries must be finite (no NaN/inf)")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "values", a)
         object.__setattr__(self, "horizon", int(a.shape[0]))
         object.__setattr__(self, "dim", int(a.shape[1]))
@@ -43,11 +45,10 @@ class SequenceWindow:
 
     def map(self, h: Callable[[np.ndarray], np.ndarray]) -> "SequenceWindow":
         """Apply a pointwise map; h takes (..., d) arrays, batched on axis 0."""
-        out = np.asarray(h(self.values), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
+        out = np.array(h(self.values), dtype=float)  # a fresh copy, handed over
         if out.shape[0] != self.horizon:
             raise ValueError("map must preserve the number of points")
+        out.setflags(write=False)
         return SequenceWindow(out)
 
     def bounding_box(self) -> np.ndarray:
@@ -64,6 +65,7 @@ class SequenceWindow:
             raise ValueError(f"unreadable sequence file {path}: {exc}") from exc
         if data.size == 0:
             raise ValueError(f"sequence file {path} holds no points")
+        data.setflags(write=False)
         return cls(data)
 
     def to_text(self, path: str | FilePath) -> None:
