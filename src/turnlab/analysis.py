@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, min_distance, row_spans
+from turnlab.geometry import hausdorff_distance, lipschitz_ratio, min_distance, row_spans
 from turnlab.ideals import IdealModel, burn_in, is_small
 from turnlab.windows import SequenceWindow
 
@@ -99,7 +99,7 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
         for c, m, k, i, j in zip(keys, centers.tolist(), counts.tolist(), a.tolist(), b.tolist())
         if j > i
     }
-    return stats, (sv, lo)
+    return stats, (sv, lo, n_cells)
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -201,11 +201,13 @@ def _merge_cells(
 def _component_points(component, stats, window, eps, aux):
     if window.dim == 1:
         # a 1-D component's cells are consecutive: its members are one
-        # slice of the sorted values, from its first to its last cell
-        sv, lo = aux
+        # slice of the sorted values, from its first to its last cell; the
+        # top cell also holds the maximum clipped into it
+        sv, lo, n_cells = aux
         keys = [key[0] for key in component]
         a = int(np.searchsorted(sv, lo + min(keys) * eps, side="left"))
-        b = int(np.searchsorted(sv, lo + (max(keys) + 1) * eps, side="left"))
+        top = max(keys) + 1
+        b = sv.size if top == n_cells else int(np.searchsorted(sv, lo + top * eps, side="left"))
         if b <= a:  # fall back to the qualifying balls themselves
             a = min(stats[key]["slice"][0] for key in component)
             b = max(stats[key]["slice"][1] for key in component)
@@ -469,17 +471,7 @@ def lipschitz_estimate(
     if ii.size > pairs:
         keep = np.linspace(0, ii.size - 1, pairs).astype(int)
         ii, jj = ii[keep], jj[keep]
-    a, b = sub[ii], sub[jj]
-    gap = np.sqrt(((a - b) ** 2).sum(axis=1))
-    ok = gap > 1e-12
-    if not ok.any():
-        return 0.0
-    ha = np.atleast_2d(np.asarray(h(a[ok]), dtype=float).T).T
-    hb = np.atleast_2d(np.asarray(h(b[ok]), dtype=float).T).T
-    if ha.ndim == 1:
-        ha, hb = ha[:, None], hb[:, None]
-    num = np.sqrt(((ha - hb) ** 2).reshape(ha.shape[0], -1).sum(axis=1))
-    return float((num / gap[ok]).max())
+    return lipschitz_ratio(h, sub[ii], sub[jj])
 
 
 @dataclass(frozen=True)

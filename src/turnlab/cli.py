@@ -365,10 +365,9 @@ def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool]:
 
 def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool]:
     horizon = config.resolved_horizon()
-    local = dataclasses.replace(config, horizon=horizon)
-    sys_inst = _build_system(local, horizon)
+    sys_inst = _build_system(config, horizon)
     pts = fixed_points(sys_inst.phi, sys_inst.box)
-    cfg = _search_config(local, horizon, grid=1e-6)
+    cfg = _search_config(config, horizon, grid=1e-6)
     opt = maxmin_search(sys_inst, cfg)
     final_gap = float(np.abs(opt.path.points[-1] - sys_inst.eta_star).max())
     verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3, 1e-4))

@@ -11,8 +11,8 @@ duplicate points change no minimum or Hausdorff distance.
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps, and
 the continuity probe expands each ladder rung in batches of at most
-``EXPAND_CHUNK`` moved points. Neither loads SciPy. A state whose image
-is empty is skipped by both.
+``EXPAND_CHUNK`` moved points. A state whose image is empty is skipped
+by both. The runtime needs NumPy alone; SciPy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, squared_distances
+from turnlab.geometry import hausdorff_distance, lipschitz_ratio, row_spans, squared_distances
 from turnlab.ideals import IdealModel
 from turnlab.windows import SequenceWindow
 
@@ -337,13 +337,6 @@ def _expand_rows(phi: Correspondence, states: np.ndarray):
     return children, parent, branch
 
 
-def _chunks(n: int, per_row: int = 1) -> list[slice]:
-    """Slices over n rows, each spanning at most ``EXPAND_CHUNK`` states
-    when one row expands to ``per_row`` states (and at least one row)."""
-    step = max(1, EXPAND_CHUNK // per_row)
-    return [slice(c0, c0 + step) for c0 in range(0, n, step)]
-
-
 def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a grouped parent
     array (one run per state that has children)."""
@@ -526,15 +519,7 @@ def branch_lipschitz(phi: FiniteBranch, box, seed: int = 0, pairs: int = 256) ->
     rng = np.random.default_rng(seed)
     a = _sample_box(box, pairs, rng)
     b = _sample_box(box, pairs, rng)
-    gap = np.sqrt(((a - b) ** 2).sum(axis=1))
-    ok = gap > 1e-12
-    out = []
-    for f in phi.maps:
-        fa = np.asarray(f(a[ok]), dtype=float).reshape(-1, box.shape[0])
-        fb = np.asarray(f(b[ok]), dtype=float).reshape(-1, box.shape[0])
-        num = np.sqrt(((fa - fb) ** 2).sum(axis=1))
-        out.append(float((num / gap[ok]).max()))
-    return tuple(out)
+    return tuple(lipschitz_ratio(f, a, b) for f in phi.maps)
 
 
 def hutchinson_iterate(
@@ -660,7 +645,7 @@ def continuity_probe(
     rungs = []
     for delta in ladder:
         worst = 0.0
-        for part in _chunks(pts.shape[0], dirs.shape[0]):
+        for part in row_spans(pts.shape[0], max(1, EXPAND_CHUNK // dirs.shape[0])):
             moved = (pts[part, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
             children, parent, _ = _expand_rows(phi, moved)
             start, count = _segments(parent)

@@ -1,38 +1,24 @@
-"""Distances between finite point sets.
-
-Below ``_BRUTE_LIMIT`` pairs the distance matrix is built in NumPy, with
-squared coordinate differences accumulated in coordinate order: the same
-bits as ``scipy.spatial.distance.cdist``. Only larger sets load SciPy,
-for a ``cKDTree`` query, imported on that path alone.
-"""
+"""Distances between finite point sets, in NumPy alone. SciPy is a test-only
+dependency: the tests check these bits against ``scipy.spatial.distance.cdist``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-_BRUTE_LIMIT = 4_000_000  # pairwise-matrix budget before switching to trees
 ROW_SPAN = 1 << 18  # rows per step of a streamed pass; bounds its temporaries
+_BLOCK_PAIRS = 4_000_000  # distance-matrix entries per block of ``_nearest``
 
 
 def _as_points(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
+    a = a[:, None] if a.ndim == 1 else a
     if a.ndim != 2 or a.shape[0] == 0:
         raise ValueError("point set must be a nonempty (m, d) array")
     return a
 
 
-def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _as_points(a), _as_points(b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("point sets must share a dimension")
-    return a, b
-
-
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k (a[..., k] - b[..., k])^2 over the broadcast leading axes,
-    accumulated over k in order (``.sum(axis=-1)`` rounds differently)."""
+    """sum_k (a[..., k] - b[..., k])^2, in order of k (``.sum(axis=-1)`` rounds differently)."""
     out = a[..., 0] - b[..., 0]
     out *= out
     term = np.empty_like(out)
@@ -48,35 +34,49 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_distances(a[:, None, :], b[None, :, :]))
 
 
+def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row minima of ``_distance_matrix(a, b)``, bit for bit, at any size. Rounded
+    subtraction, square and sqrt are monotone, so for d = 1 only a point's two neighbours
+    in sorted b compete; for d >= 2 the matrix comes in blocks of ``_BLOCK_PAIRS`` entries."""
+    if a.shape[1] == 1:
+        s, x = np.sort(b[:, 0]), a[:, 0]
+        near = s[np.clip(np.searchsorted(s, x)[:, None] + [-1, 0], 0, s.size - 1)]
+        return np.sqrt(((x[:, None] - near) ** 2).min(axis=1))
+    spans = row_spans(a.shape[0], max(1, _BLOCK_PAIRS // b.shape[0]))
+    return np.concatenate([_distance_matrix(a[rows], b).min(axis=1) for rows in spans])
+
+
 def directed_hausdorff(a, b) -> float:
     """max over a of the distance to the nearest point of b."""
-    a, b = _as_pair(a, b)
-    if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
-        return float(_distance_matrix(a, b).min(axis=1).max())
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(b).query(a, k=1)
-    return float(np.max(d))
+    a, b = _as_points(a), _as_points(b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("point sets must share a dimension")
+    return float(_nearest(a, b).max())
 
 
 def hausdorff_distance(a, b) -> float:
-    """Larger of the two directed distances; below the brute-force budget
-    one distance matrix serves both (row minima and column minima)."""
-    a, b = _as_pair(a, b)
-    if a.shape[0] * b.shape[0] <= _BRUTE_LIMIT:
-        d = _distance_matrix(a, b)
-        return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    """Larger of the two directed distances."""
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
-def row_spans(n: int) -> list[slice]:
-    """Consecutive slices of at most ``ROW_SPAN`` rows covering range(n)."""
-    return [slice(c0, min(c0 + ROW_SPAN, n)) for c0 in range(0, n, ROW_SPAN)]
+def lipschitz_ratio(h, a: np.ndarray, b: np.ndarray) -> float:
+    """max ||h(a_i) - h(b_i)|| / ||a_i - b_i|| over rows > 1e-12 apart, else 0."""
+    gap = np.sqrt(((a - b) ** 2).sum(axis=1))
+    ok = gap > 1e-12
+    if not ok.any():
+        return 0.0
+    ha, hb = (np.asarray(h(p[ok]), dtype=float).reshape(gap[ok].size, -1) for p in (a, b))
+    return float((np.sqrt(((ha - hb) ** 2).sum(axis=1)) / gap[ok]).max())
+
+
+def row_spans(n: int, span: int | None = None) -> list[slice]:
+    """Consecutive slices of at most ``span`` (``ROW_SPAN``) rows over range(n)."""
+    span = ROW_SPAN if span is None else span
+    return [slice(c0, min(c0 + span, n)) for c0 in range(0, n, span)]
 
 
 def min_distance(point, pts) -> tuple[float, int]:
-    """Distance from one point to the nearest element of a finite set,
-    and the first row at that distance, in one pass over row spans."""
+    """Distance from point to its nearest row of pts, and that row's first index, span by span."""
     pts = _as_points(pts)
     p = np.asarray(point, dtype=float).ravel()
     best = []

@@ -195,38 +195,17 @@ def is_dual(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
 
 
 def sample_small_set(model: IdealModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random set that the model classifies small.
-
-    Used by the translation-invariance probe; the construction mirrors
-    each kind's own notion of smallness.
-    """
-    n = model.horizon
-    if model.kind == "fin":
-        bound = max(1, model.cutoff)
-        size = int(rng.integers(0, bound + 1))
-        return as_index_set(rng.choice(bound, size=min(size, bound), replace=False), n)
-    if model.kind == "density":
-        target = rng.uniform(0.0, 0.9 * model.threshold)
-        size = int(target * n)
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        return as_index_set(rng.choice(n, size=size, replace=False), n)
-    # finite_trace: plenty of off-trace mass plus at most `cutoff` trace elements
-    idx = np.arange(n, dtype=np.int64)
-    on_trace = idx[model.trace_mask(idx)]
-    off_trace = idx[~model.trace_mask(idx)]
-    k_on = int(rng.integers(0, model.cutoff + 1))
-    k_on = min(k_on, on_trace.size)
-    frac_off = rng.uniform(0.1, 0.5)
-    k_off = int(frac_off * off_trace.size)
-    parts = []
-    if k_on:
-        parts.append(rng.choice(on_trace, size=k_on, replace=False))
-    if k_off:
-        parts.append(rng.choice(off_trace, size=k_off, replace=False))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return as_index_set(np.concatenate(parts), n)
+    """Draw a random set that the model classifies small: at most
+    ``budget()`` of the counted indices, plus a random share (10-50%) of
+    the uncounted ones. Used by the translation-invariance probe."""
+    idx = np.arange(model.horizon, dtype=np.int64)
+    counted = model.counted(idx)
+    pool = idx[counted]
+    mask = np.zeros(idx.size, dtype=bool)
+    mask[~counted] = rng.random(idx.size - pool.size) < rng.uniform(0.1, 0.5)
+    k = min(int(rng.integers(0, model.budget() + 1)), pool.size)
+    mask[rng.choice(pool, size=k, replace=False)] = True
+    return idx[mask]
 
 
 def _shifted_model(model: IdealModel, shift: int) -> IdealModel:

@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from turnlab import dynamics
 from turnlab.analysis import cluster_points, deviation_densities, ideal_liminf
 from turnlab.dynamics import (
     Correspondence,
@@ -37,7 +38,6 @@ from turnlab.dynamics import (
     Path,
     SystemInstance,
     TruncatedL2,
-    _chunks,
     _point,
     _sample_box,
     continuity_probe,
@@ -45,6 +45,7 @@ from turnlab.dynamics import (
     fixed_points,
     scalar_continuity,
 )
+from turnlab.geometry import row_spans
 from turnlab.ideals import IdealModel, check_translation_invariance
 from turnlab.windows import SequenceWindow
 
@@ -93,7 +94,7 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
         raise ValueError("system has no separation functional configured")
     pts = np.asarray(pts, dtype=float)
     best = np.empty(pts.shape[0])
-    for rows in _chunks(pts.shape[0]):
+    for rows in row_spans(pts.shape[0], dynamics.EXPAND_CHUNK):
         chunk = pts[rows]
         children, parent, _ = sys.phi.expand(chunk)
         bounds = np.searchsorted(parent, np.arange(chunk.shape[0]))
@@ -218,7 +219,7 @@ def _separation_audit(
     scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))
     witness = {"a5": None, "strong": None, "weak": None}
     pairs = pairs_a5 = 0
-    for chunk in _chunks(pts.shape[0]):
+    for chunk in row_spans(pts.shape[0], dynamics.EXPAND_CHUNK):
         children, parent, _ = sys.phi.expand(pts[chunk])
         parent = parent + chunk.start
         pairs += children.shape[0]

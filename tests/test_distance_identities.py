@@ -3,8 +3,12 @@ that the results are the same bits as through the deduplicated
 ``images()`` path, and that the batched band expansion of the l2
 truncation reproduces the per-state construction exactly."""
 
+import itertools
+
 import numpy as np
 import pytest
+
+import turnlab.geometry as geometry
 
 from turnlab.dynamics import (
     FiniteBranch,
@@ -14,7 +18,13 @@ from turnlab.dynamics import (
     continuity_probe,
     fixed_points,
 )
-from turnlab.geometry import directed_hausdorff, hausdorff_distance, min_distance
+from turnlab.geometry import (
+    _distance_matrix,
+    _nearest,
+    directed_hausdorff,
+    hausdorff_distance,
+    min_distance,
+)
 from turnlab.ideals import IdealModel
 from turnlab.scenarios import build_counterexample_system, build_ifs_system, build_l2_truncation
 
@@ -84,13 +94,28 @@ def test_residual_equals_dedup_min_distance(phi, points):
         assert _child_gaps(phi, x[None, :], x[None, :])[0] == min_distance(x, phi.images(x))[0]
 
 
-def test_hausdorff_is_larger_directed_distance():
+def test_hausdorff_is_larger_directed_distance(monkeypatch):
+    # the nearest-point kernel gives the bits of the full distance matrix:
+    # sorted neighbours for d = 1, row blocks for d >= 2 (a 50-pair budget
+    # puts block seams every few rows); rounding makes ties, and squared
+    # differences go subnormal at the 1e-161 scale and to zero at 1e-170
     rng = np.random.default_rng(5)
-    for m, n, d in [(1, 1, 1), (3, 17, 1), (33, 9, 2), (129, 129, 8), (40, 5, 3)]:
+    shapes = [(1, 1, 1), (3, 17, 1), (33, 9, 2), (129, 129, 8), (40, 5, 3), (200, 90, 1)]
+    for block, (m, n, d), scale, ties in itertools.product(
+        (geometry._BLOCK_PAIRS, 50), shapes, (1.0, 1e-161, 1e-170), (False, True)
+    ):
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block)
         a = rng.normal(size=(m, d))
         b = rng.normal(size=(n, d))
+        if ties:
+            a, b = np.round(4.0 * a) / 4.0, np.round(4.0 * b) / 4.0
+        a, b = scale * a, scale * b
         b[: min(m, n) // 2] = a[: min(m, n) // 2]  # shared and duplicate rows
+        full = _distance_matrix(a, b)
+        assert np.array_equal(_nearest(a, b), full.min(axis=1))
+        assert np.array_equal(_nearest(b, a), full.min(axis=0))
         want = max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+        assert want == max(full.min(axis=1).max(), full.min(axis=0).max())
         assert hausdorff_distance(a, b) == want
         assert hausdorff_distance(b, a) == want
         dup = np.concatenate([a, a[::2]])

@@ -135,6 +135,8 @@ def test_budgeted_union_closure():
 def test_translation_invariance_density_and_fin():
     assert check_translation_invariance(IdealModel("density", 10**5), samples=100).invariant
     assert check_translation_invariance(IdealModel("fin", 10**5), samples=100).invariant
+    # under fin:0 every index counts, so only the empty set is small
+    assert check_translation_invariance(IdealModel("fin", 1000, cutoff=0)).invariant
 
 
 def test_translation_invariance_trace_fails_odd_shift():

@@ -1,9 +1,8 @@
 """SciPy stays off the CLI import path, and beam paths stay feasible.
 
-SciPy is loaded only by the code that calls it: the k-d tree of a
-Hausdorff distance above the brute-force budget and the
-``dynamics.minimize`` wrapper, which no command calls. So ``analyze``,
-``optimize`` and ``verify`` never import it.
+SciPy is a test-only dependency. The runtime needs NumPy alone: only the
+``dynamics.minimize`` wrapper, which no command calls, would load SciPy.
+So ``analyze``, ``optimize`` and ``verify`` never import it.
 """
 
 import json

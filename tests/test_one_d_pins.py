@@ -251,6 +251,14 @@ def test_span_seams_leave_results_unchanged(span, spec, monkeypatch):
 # cell seams
 
 
+def test_top_cell_members_keep_the_clipped_maximum():
+    # the maximum 1.0 lies on the top cell's upper seam and is clipped
+    # into cell 3, whose ball counts it; the members must hold it too
+    window = SequenceWindow(np.tile([0.0, 0.75, 1.0], 100))
+    model = parse_ideal_spec("density", window.horizon)
+    assert cluster_points(window, model, eps_grid=0.25).ravel().tolist() == [0.0, 0.875]
+
+
 def test_component_counts_each_seam_visit_once():
     # 201 evenly spaced levels, 0.01 apart, so visits sit on cell seams;
     # summing a cell's width onto its start can round past the next
