@@ -148,17 +148,20 @@ def _jsonify(obj):
     return obj
 
 
-def write_report(config: RunConfig, results: dict, name: str) -> FilePath:
+def write_report(
+    config: RunConfig, results: dict, name: str, counters: dict | None = None
+) -> FilePath:
+    """Write ``{name}.json``: resolved config, results, and a ``meta``
+    field with the timestamp and, when given, the run's work counters."""
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = config.to_dict()
     resolved["ideal"] = config.resolved_ideal()
     resolved["horizon"] = config.resolved_horizon()
-    report = {
-        "config": _jsonify(resolved),
-        "results": _jsonify(results),
-        "meta": {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__},
-    }
+    meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
+    if counters:
+        meta["counters"] = dict(counters)
+    report = {"config": _jsonify(resolved), "results": _jsonify(results), "meta": meta}
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -282,7 +285,7 @@ def cmd_optimize(config: RunConfig) -> int:
         report.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
     )
     results = {"optimizer": report.to_dict(), "turnpike": verdict.to_dict()}
-    out = write_report(config, results, f"optimize-{config.scenario}")
+    out = write_report(config, results, f"optimize-{config.scenario}", report.counters)
     print(
         f"optimize {config.scenario}: objective {report.objective:.6g}, "
         f"liminf {report.revalidated_liminf:.6g}, turnpike {verdict.verdict}"
@@ -315,7 +318,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if conditions.all_pass else 1
 
 
-def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool]:
+def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, None]:
     window = _checked("scenario blocks", build_block_sequence, config.k_max)
     model = _parse_ideal(config, window.horizon)
     report = analyze_window(window, model, limit_eps=0.1)
@@ -332,10 +335,10 @@ def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool]:
         reproduced = bool(extremes_ok and limit_ok)
     else:
         reproduced = bool(extremes_ok and report.converges_to is None)
-    return results, reproduced
+    return results, reproduced, None
 
 
-def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool]:
+def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool, dict]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
     cfg = _search_config(config, horizon)
@@ -360,10 +363,10 @@ def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool]:
         reproduced = (
             opt.objective <= 1e-3 and verdict.verdict and conditions.all_pass
         )
-    return results, bool(reproduced)
+    return results, bool(reproduced), opt.counters
 
 
-def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool]:
+def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool, dict]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
     pts = fixed_points(sys_inst.phi, sys_inst.box)
@@ -379,10 +382,10 @@ def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool]:
         "turnpike": verdict.to_dict(),
     }
     reproduced = final_gap <= 1e-6 and verdict.verdict
-    return results, bool(reproduced)
+    return results, bool(reproduced), opt.counters
 
 
-def _reproduce_l2(config: RunConfig) -> tuple[dict, bool]:
+def _reproduce_l2(config: RunConfig) -> tuple[dict, bool, dict]:
     horizon = config.resolved_horizon()
     sys_inst = _build_system(config, horizon)
     plan = _sampling_plan(config)
@@ -409,7 +412,7 @@ def _reproduce_l2(config: RunConfig) -> tuple[dict, bool]:
         and float(gains.max()) < 0.0
         and verdict.verdict
     )
-    return results, bool(reproduced)
+    return results, bool(reproduced), opt.counters
 
 
 def cmd_reproduce(config: RunConfig) -> int:
@@ -423,9 +426,9 @@ def cmd_reproduce(config: RunConfig) -> int:
         raise ConfigError(
             f"unknown scenario {config.scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
         )
-    results, reproduced = handlers[config.scenario](config)
+    results, reproduced, counters = handlers[config.scenario](config)
     results["reproduced"] = reproduced
-    out = write_report(config, results, f"reproduce-{config.scenario}")
+    out = write_report(config, results, f"reproduce-{config.scenario}", counters)
     print(f"reproduce {config.scenario}: {'ok' if reproduced else 'MISMATCH'}")
     print(f"  report: {out}")
     return 0 if reproduced else 1

@@ -31,6 +31,7 @@ from turnlab.windows import SequenceWindow
 FIXED_POINT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
 HUTCHINSON_RESOLUTION = 1e-6
+REFERENCE_LENGTH = 512  # points of a system's reference orbit (A6)
 # states per ``expand`` call when a sample-sized batch is streamed: the
 # condition battery's temporaries then scale with this, not the sample
 EXPAND_CHUNK = 1024
@@ -733,7 +734,7 @@ class SystemInstance:
     box: np.ndarray
     separation: Optional[np.ndarray] = None  # linear functional coefficients
     eta_star: Optional[np.ndarray] = None
-    reference_path: Optional[Path] = None
+    reference_branch: Optional[int] = None  # branch of the A6 reference orbit
     name: str = ""
     notes: tuple[str, ...] = ()
     stationarity_tol: float = FIXED_POINT_TOL
@@ -757,6 +758,18 @@ class SystemInstance:
                     f"tolerance {self.stationarity_tol:.1e}"
                 )
             object.__setattr__(self, "eta_star", eta)
+        if self.reference_branch is not None and not isinstance(self.constraint, StartAt):
+            raise ValueError("a reference orbit needs a pinned start point")
+
+    @functools.cached_property
+    def reference_path(self) -> Optional[Path]:
+        """The first REFERENCE_LENGTH points of the orbit that always
+        takes branch ``reference_branch`` from the pinned start, or None
+        without one. Built on first use: only the A6 check reads it."""
+        if self.reference_branch is None:
+            return None
+        policy = make_policy("index", index=self.reference_branch)
+        return feasible_path(self.phi, self.constraint.x0, policy, REFERENCE_LENGTH)
 
     def utilities(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.utility(np.asarray(pts, dtype=float)), dtype=float)

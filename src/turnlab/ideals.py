@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -194,18 +194,24 @@ def is_dual(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
     return is_small(comp, model)
 
 
-def sample_small_set(model: IdealModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random set that the model classifies small: at most
+def small_set_sampler(model: IdealModel) -> Callable[[np.random.Generator], np.ndarray]:
+    """A drawer of random sets that the model classifies small: at most
     ``budget()`` of the counted indices, plus a random share (10-50%) of
-    the uncounted ones. Used by the translation-invariance probe."""
+    the uncounted ones. The index pools are built here once, so the
+    translation-invariance probe pays for them once, not per draw."""
     idx = np.arange(model.horizon, dtype=np.int64)
     counted = model.counted(idx)
-    pool = idx[counted]
-    mask = np.zeros(idx.size, dtype=bool)
-    mask[~counted] = rng.random(idx.size - pool.size) < rng.uniform(0.1, 0.5)
-    k = min(int(rng.integers(0, model.budget() + 1)), pool.size)
-    mask[rng.choice(pool, size=k, replace=False)] = True
-    return idx[mask]
+    pool, free = idx[counted], idx[~counted]
+    budget = model.budget()
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        mask = np.zeros(model.horizon, dtype=bool)
+        mask[free] = rng.random(free.size) < rng.uniform(0.1, 0.5)
+        k = min(int(rng.integers(0, budget + 1)), pool.size)
+        mask[rng.choice(pool, size=k, replace=False)] = True
+        return np.flatnonzero(mask)
+
+    return draw
 
 
 def _shifted_model(model: IdealModel, shift: int) -> IdealModel:
@@ -255,13 +261,14 @@ def check_translation_invariance(
         if abs(k) >= model.horizon / 2:
             raise ValueError(f"|shift| must stay below horizon/2, got {k}")
     rng = np.random.default_rng(seed)
+    draw = small_set_sampler(model)
     fractions: dict[int, float] = {}
     witness = None
     for k in shifts:
         ok = 0
         target = _shifted_model(model, k)
         for _ in range(samples):
-            small = sample_small_set(model, rng)
+            small = draw(rng)
             shifted = small + k
             shifted = shifted[(shifted >= 0) & (shifted < model.horizon)]
             if is_small(shifted, target):

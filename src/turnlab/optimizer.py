@@ -39,12 +39,23 @@ enters a profile and so breaks the monotonicity: a step with one ranks
 every child, as does a step where no parent has more than
 ``beam_width`` children. ``frontier_sizes`` counts the children from
 before the selection.
+
+A step is a function of its input beam (the bytes of the states and the
+profile rows) and two flags: whether its index counts toward the window,
+and whether it lies in the tail. Expansion, utilities, selection, ranking
+and dedup are deterministic, and Phi does not depend on time. So once the
+beam settles into a fixed point or a 2-cycle, a step whose input repeats
+the input of one of the last two steps replays that step's outputs, the
+same read-only arrays, instead of computing them again. Inputs are
+compared as raw bytes, so 0.0 and -0.0, or two NaN states, never stand in
+for each other. ``OptimReport.counters`` counts expanded and replayed
+steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -216,6 +227,8 @@ class OptimReport:
     config: dict
     model: dict
     notes: tuple[str, ...] = ()
+    # work counts for the report's ``meta``; not part of the result
+    counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -246,6 +259,7 @@ def _finalize(
     certificate: bool,
     collapsed: bool,
     notes: tuple[str, ...] = (),
+    counters: Optional[dict] = None,
 ) -> OptimReport:
     path = Path(SequenceWindow(states), trace, truncated=collapsed)
     values = path.utilities(sys.utility)
@@ -269,6 +283,7 @@ def _finalize(
         config=cfg_dict,
         model=model.describe(),
         notes=notes,
+        counters=counters or {},
     )
 
 
@@ -284,6 +299,62 @@ def _initial_states(sys: SystemInstance, cfg: SearchConfig) -> np.ndarray:
     return _box_lattice(box, per_axis)[: cfg.beam_width]
 
 
+def _beam_step(
+    sys: SystemInstance,
+    cfg: SearchConfig,
+    states: np.ndarray,
+    prof: np.ndarray,
+    k_tail: int,
+    relevant: bool,
+    in_tail: bool,
+) -> Optional[tuple]:
+    """One beam step: the next states and profile rows, the kept
+    children's parent and branch indices, and the frontier pair (children
+    before selection, kept); None when the beam collapses. The arrays are
+    read-only, since a replayed step hands the same objects out again."""
+    try:
+        children, parent, branch = sys.phi.expand(states)
+    except InfeasibleImageError:
+        return None
+    if children.shape[0] == 0:
+        return None
+    tail, full = slice(0, k_tail + 1), slice(k_tail + 1, None)
+    vals = sys.utilities(children).reshape(-1)
+    size = vals.size
+    cells = np.round(children / cfg.state_grid).astype(np.int64)
+    rows = _survivors(parent, vals, cells, cfg.beam_width)
+    if rows is not None:
+        children, parent, branch, vals, cells = (
+            a[rows] for a in (children, parent, branch, vals, cells)
+        )
+    c_prof = prof[parent]
+    if relevant:
+        _profile_insert(c_prof[:, full], vals)
+        if in_tail:
+            _profile_insert(c_prof[:, tail], vals)
+    # pruning rank: current utility between profile and trace order
+    # keeps climbing lineages alive through the otherwise
+    # objective-blind transient
+    order = _rank(c_prof[:, full], c_prof[:, k_tail], utility=vals)
+    kept: list[int] = []
+    seen: set[bytes] = set()
+    for i in order:
+        child_key = cells[i].tobytes() + c_prof[i].tobytes()
+        if child_key in seen:
+            continue
+        seen.add(child_key)
+        kept.append(i)
+        if len(kept) >= cfg.beam_width:
+            break
+    # ``expand`` lists children by parent, then branch: with the beam
+    # in trace order, ascending child indices are in trace order too
+    kept_arr = np.sort(np.array(kept, dtype=np.int64))
+    out = (children[kept_arr], c_prof[kept_arr], parent[kept_arr], branch[kept_arr])
+    for a in out:
+        a.setflags(write=False)
+    return (*out, (size, int(kept_arr.size)))
+
+
 def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     """Beam search over branch choices for the maxmin path.
 
@@ -297,7 +368,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     relevant = np.zeros(n, dtype=bool)
     relevant[full_idx] = True
     # one profile row per candidate: the tail profile, then the full one
-    tail, full = slice(0, k_tail + 1), slice(k_tail + 1, None)
+    full = slice(k_tail + 1, None)
 
     states = _initial_states(sys, cfg)
     if isinstance(sys.constraint, StartAt):
@@ -311,52 +382,29 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     branches_log: list[np.ndarray] = []
     frontier_sizes: list[tuple[int, int]] = [(m0, m0)]
     collapsed = False
+    # the last two steps as (input key, outputs); a beam that has settled
+    # into a fixed point or a 2-cycle repeats one of their inputs
+    recent: list[tuple[tuple, tuple]] = []
+    counters = {"beam_steps_expanded": 0, "beam_steps_replayed": 0}
 
     for j in range(1, n):
-        try:
-            children, parent, branch = sys.phi.expand(states)
-        except InfeasibleImageError:
-            collapsed = True
-            break
-        if children.shape[0] == 0:
-            collapsed = True
-            break
-        vals = sys.utilities(children).reshape(-1)
-        size = vals.size
-        cells = np.round(children / cfg.state_grid).astype(np.int64)
-        rows = _survivors(parent, vals, cells, cfg.beam_width)
-        if rows is not None:
-            children, parent, branch, vals, cells = (
-                a[rows] for a in (children, parent, branch, vals, cells)
-            )
-        c_prof = prof[parent]
-        if relevant[j]:
-            _profile_insert(c_prof[:, full], vals)
-            if j >= n // 2:
-                _profile_insert(c_prof[:, tail], vals)
-        # pruning rank: current utility between profile and trace order
-        # keeps climbing lineages alive through the otherwise
-        # objective-blind transient
-        order = _rank(c_prof[:, full], c_prof[:, k_tail], utility=vals)
-        kept: list[int] = []
-        seen: set[bytes] = set()
-        for i in order:
-            key = cells[i].tobytes() + c_prof[i].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(i)
-            if len(kept) >= cfg.beam_width:
+        flags = (bool(relevant[j]), j >= n // 2)
+        beam_key = (*flags, states.tobytes(), prof.tobytes())
+        step = next((out for past, out in recent if past == beam_key), None)
+        if step is None:
+            counters["beam_steps_expanded"] += 1
+            step = _beam_step(sys, cfg, states, prof, k_tail, *flags)
+            if step is None:
+                collapsed = True
                 break
-        # ``expand`` lists children by parent, then branch: with the beam
-        # in trace order, ascending child indices are in trace order too
-        kept_arr = np.sort(np.array(kept, dtype=np.int64))
-        states = children[kept_arr]
-        prof = c_prof[kept_arr]
+        else:
+            counters["beam_steps_replayed"] += 1
+        recent = [*recent[-1:], (beam_key, step)]
+        states, prof, parents, branches, sizes = step
         states_log.append(states)
-        parents_log.append(parent[kept_arr])
-        branches_log.append(branch[kept_arr])
-        frontier_sizes.append((size, int(kept_arr.size)))
+        parents_log.append(parents)
+        branches_log.append(branches)
+        frontier_sizes.append(sizes)
 
     # final selection drops the utility component so the comparator
     # matches the exhaustive oracle: objective, profile, trace order
@@ -378,6 +426,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         tuple(frontier_sizes),
         certificate=False,
         collapsed=collapsed,
+        counters=counters,
     )
 
 

@@ -19,14 +19,10 @@ from turnlab.dynamics import (
     StartAt,
     SystemInstance,
     TruncatedL2,
-    feasible_path,
-    make_policy,
 )
 from turnlab.geometry import row_spans
 from turnlab.ideals import IdealModel
 from turnlab.windows import SequenceWindow
-
-REFERENCE_LENGTH = 512
 
 
 def build_counterexample_system(ideal: IdealModel) -> SystemInstance:
@@ -38,18 +34,16 @@ def build_counterexample_system(ideal: IdealModel) -> SystemInstance:
     branch is a losing move; under the evens-trace model the alternating
     path is optimal and never settles.
     """
-    phi = FiniteBranch((lambda x: -x, lambda x: x / 2.0), dim=1)
-    ref = feasible_path(phi, [1.0], make_policy("index", index=1), REFERENCE_LENGTH)
     return SystemInstance(
         dim=1,
-        phi=phi,
+        phi=FiniteBranch((lambda x: -x, lambda x: x / 2.0), dim=1),
         utility=lambda pts: pts[..., 0] ** 3,
         ideal=ideal,
         constraint=StartAt([1.0]),
         box=np.array([[-2.0, 2.0]]),
         separation=np.array([1.0]),
         eta_star=np.array([0.0]),
-        reference_path=ref,
+        reference_branch=1,
         name="counterexample",
     )
 
@@ -113,7 +107,6 @@ def build_ifs_system(
     j_star = int(np.argmax(fixed))
     lo = float(min(fixed.min(), x0)) - 1.0
     hi = float(max(fixed.max(), x0)) + 1.0
-    ref = feasible_path(phi, [x0], make_policy("index", index=j_star), REFERENCE_LENGTH)
     return SystemInstance(
         dim=1,
         phi=phi,
@@ -123,7 +116,7 @@ def build_ifs_system(
         box=np.array([[lo, hi]]),
         separation=np.array([1.0]),
         eta_star=np.array([eta_star]),
-        reference_path=ref,
+        reference_branch=j_star,
         name="ifs",
     )
 
@@ -143,7 +136,6 @@ def build_l2_truncation(d: int, x_star, ideal: IdealModel) -> SystemInstance:
     if start.size != d:
         raise ValueError(f"start point must have dimension {d}")
     phi = TruncatedL2(dim=d)
-    ref = feasible_path(phi, start, make_policy("index", index=0), REFERENCE_LENGTH)
     # Probe box kept clear of the band-emptiness boundary x_i = 1/i, where
     # the image set collapses to the halving point and Hausdorff
     # continuity genuinely fails; the margin exceeds the default probe
@@ -163,7 +155,7 @@ def build_l2_truncation(d: int, x_star, ideal: IdealModel) -> SystemInstance:
         box=box,
         separation=np.concatenate([[1.0], np.zeros(d - 1)]),
         eta_star=np.zeros(d),
-        reference_path=ref,
+        reference_branch=0,
         name="l2",
         notes=(note,),
     )

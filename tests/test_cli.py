@@ -281,3 +281,18 @@ def test_horizon_below_translation_shifts_exit_2(argv, tmp_path, capsys):
 def test_zero_horizon_means_default():
     args = build_parser().parse_args(["verify", "--scenario", "ifs", "--horizon", "0"])
     assert resolve_config(args).resolved_horizon() == 200
+
+
+def test_beam_step_counters_go_to_meta(tmp_path):
+    out = tmp_path / "out"
+    opt = ["optimize", "--scenario", "counterexample", "--horizon", "256", "--beam", "16"]
+    assert main([*opt, "--out-dir", str(out)]) == 0
+    assert main(["reproduce", "ifs", "--out-dir", str(out)]) == 0
+    for name in ("optimize-counterexample.json", "reproduce-ifs.json"):
+        rep = _load(out / name)
+        counters = rep["meta"]["counters"]
+        assert sorted(counters) == ["beam_steps_expanded", "beam_steps_replayed"]
+        assert sum(counters.values()) == rep["results"]["optimizer"]["path_length"] - 1
+        assert "counters" not in json.dumps(rep["results"])
+    # the ifs beam settles on the fixed point 1 long before its 200 steps end
+    assert counters["beam_steps_replayed"] > 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from turnlab.ideals import (
     is_positive,
     is_small,
     parse_ideal_spec,
-    sample_small_set,
+    small_set_sampler,
     upper_density,
 )
 
@@ -97,7 +99,7 @@ def test_finite_sets_small_under_every_model():
 def test_downward_closure(seed, kind):
     model = IdealModel(kind, 2000, trace="evens" if kind == "finite_trace" else "")
     rng = np.random.default_rng(seed)
-    a = sample_small_set(model, rng)
+    a = small_set_sampler(model)(rng)
     assert is_small(a, model)
     if a.size:
         sub = a[rng.random(a.size) < 0.5]
@@ -110,8 +112,9 @@ def test_fin_union_closure(seed):
     # the max-element rendering is exactly union closed
     model = IdealModel("fin", 2000)
     rng = np.random.default_rng(seed)
-    a = sample_small_set(model, rng)
-    b = sample_small_set(model, rng)
+    draw = small_set_sampler(model)
+    a = draw(rng)
+    b = draw(rng)
     assert is_small(np.union1d(a, b), model)
 
 
@@ -130,6 +133,33 @@ def test_budgeted_union_closure():
     b = np.arange(100, 160, 2)  # 30 more
     assert is_small(a, ft) and is_small(b, ft)
     assert is_small(np.union1d(a, b), ft)
+
+
+# sizes and SHA-256 of five draws from default_rng(7) at horizon 300,
+# recorded when every draw rebuilt its index pools
+SMALL_SET_DRAWS = {
+    "fin": ([18, 17, 9, 15, 28], "9ee9e6a4d8aee5205e42329a6e6fca2215a8a65705d30b45816df0b8cfe14273"),
+    "fin:0": ([0, 0, 0, 0, 0], "45ca31c3315a5978f40438aab46040d75e99c9b125c2fd01db6e10ac80bef906"),
+    "density:0.2": (
+        [41, 56, 24, 13, 53],
+        "a72c4d2d031f5fafb4ba49cee8e5a3c9eed33f0c0534bc81bbc46576f27bef6d",
+    ),
+    "finite-trace:odds": (
+        [79, 80, 56, 113, 69],
+        "95c3c1571513287522ec9814ffcd3f208804556987cf9d8de97f445501f71b05",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SMALL_SET_DRAWS))
+def test_small_set_draws_are_pinned(spec):
+    model = parse_ideal_spec(spec, 300)
+    draw = small_set_sampler(model)
+    rng = np.random.default_rng(7)
+    draws = [draw(rng) for _ in range(5)]
+    sizes, digest = SMALL_SET_DRAWS[spec]
+    assert [d.size for d in draws] == sizes
+    assert hashlib.sha256(b"|".join(d.tobytes() for d in draws)).hexdigest() == digest
 
 
 def test_translation_invariance_density_and_fin():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from turnlab.dynamics import feasibility_check, fixed_points
+from turnlab import dynamics
+from turnlab.dynamics import feasibility_check, feasible_path, fixed_points, make_policy
 from turnlab.ideals import IdealModel
 from turnlab.scenarios import (
     block_sequence_length,
@@ -23,6 +24,24 @@ def test_counterexample_profile():
     # claimed stationary point was validated at construction
     assert sys_inst.eta_star[0] == 0.0
     assert feasibility_check(sys_inst.reference_path, sys_inst.phi)["feasible"]
+
+
+def test_reference_path_is_built_on_first_use(monkeypatch):
+    built = []
+    eager = dynamics.feasible_path
+
+    def counting(*args):
+        built.append(args)
+        return eager(*args)
+
+    monkeypatch.setattr(dynamics, "feasible_path", counting)
+    sys_inst = build_ifs_system([(0.5, 0.0), (0.3, 0.7)], IdealModel("fin", 256))
+    assert built == []
+    ref = sys_inst.reference_path
+    assert sys_inst.reference_path is ref and len(built) == 1
+    # the orbit of the branch with the largest fixed point, 512 points long
+    want = feasible_path(sys_inst.phi, [0.0], make_policy("index", index=1), 512)
+    assert ref.points.tobytes() == want.points.tobytes() and ref.trace == want.trace
 
 
 def test_block_lengths():
