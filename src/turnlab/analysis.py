@@ -1,11 +1,14 @@
 """Empirical cluster points, liminf/limsup, and convergence verdicts.
 
 Cluster detection quantifies over an epsilon-net instead of arbitrary
-open sets: the bounding box is covered by a grid of spacing ``eps_grid``
-and a cell center counts as a cluster point when the indices visiting
-its eps-ball form a positive (not small) set under the ideal model. For
-the density ideal, positivity of visit sets uses a separate threshold
-``theta`` (default 0.05), well above the smallness threshold.
+open sets: candidates are the centers of the occupied cells of a grid of
+side eps/m (eps = ``eps_grid``, m = floor(sqrt(d)/2) + 1, so m = 1 up to
+d = 3), each within eps of every visit in its cell, and one counts as a
+cluster point when the indices visiting its eps-ball form a positive (not
+small) set under the ideal model. One occupied-cell neighbour index finds
+both the rows near each candidate and the adjacent qualifying cells that
+merge. For the density ideal, positivity of visit sets uses a separate
+threshold ``theta`` (default 0.05), well above the smallness threshold.
 
 A visit set is positive when its ``IdealModel.counted`` indices exceed
 the model's ``budget`` (at theta, for cluster cells).
@@ -24,8 +27,7 @@ deliberately not estimated or tested here.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +38,7 @@ from turnlab.windows import SequenceWindow
 
 DEFAULT_POSITIVITY = 0.05
 GRID_CELLS_PER_RANGE = 200
+PAIR_SPAN = 1 << 16  # (candidate, row) pairs per step of the n-D ball gather
 # identity-check tolerance floor per unit of value scale (float rounding)
 FLOAT_TOL = 64 * np.finfo(float).eps
 
@@ -93,13 +96,8 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     b = np.searchsorted(sv, centers + eps, side="left")
     counts = np.searchsorted(cv, centers + eps, side="left")
     counts -= np.searchsorted(cv, centers - eps, side="right")
-    keys = cells.astype(np.int64).tolist()
-    stats = {
-        (c,): {"center": np.array([m]), "count": k, "slice": (i, j)}
-        for c, m, k, i, j in zip(keys, centers.tolist(), counts.tolist(), a.tolist(), b.tolist())
-        if j > i
-    }
-    return stats, (sv, lo, n_cells)
+    hit = b > a
+    return cells[hit, None].astype(np.int64), counts[hit], (sv, lo, n_cells, a[hit], b[hit])
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -110,83 +108,105 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _cell_members(cells: np.ndarray) -> dict[tuple, np.ndarray]:
-    """Row positions of each distinct (n, d) cell row, keyed in lexicographic
-    order; within a cell the positions ascend (the lexsort is stable)."""
+def _group_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row positions sorted stably by their (n, d) cell row, so a cell's
+    positions ascend; the bounds of each cell's run in them; the cells."""
     order = np.lexsort(cells.T[::-1])
     starts = _run_starts(cells[order])
-    ends = np.append(starts[1:], len(order))
-    keys = cells[order[starts]].tolist()
-    return {tuple(k): order[a:b] for k, a, b in zip(keys, starts.tolist(), ends.tolist())}
+    return order, np.append(starts, len(order)), cells[order[starts]]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [s, s + c) of every (start, count) pair, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
+def _neighbours(keys: np.ndarray, reach: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of the sorted, distinct integer rows ``keys`` at
+    Chebyshev distance <= reach, (i, i) included, ordered by i then j. The
+    leading k <= 3 columns are coded as one mixed-radix integer, sorted as the
+    keys are, so each of the (2 reach + 1)^k prefix offsets finds its neighbours'
+    range by ``searchsorted``; one step filters the other columns. The cost
+    follows the prefix neighbour pairs, not 3^d."""
+    d = keys.shape[1]
+    rel = keys - keys.min(axis=0) + reach  # a digit stays in [0, width) under any offset
+    width = rel.max(axis=0) + reach + 1
+    k = 1
+    while k < min(d, 3) and np.prod(width[: k + 1], dtype=float) < 2.0**62:
+        k += 1
+    weight = np.cumprod(np.append(1, width[k - 1 : 0 : -1]))[::-1]
+    code = rel[:, :k] @ weight
+    offsets = np.indices((2 * reach + 1,) * k).reshape(k, -1).T - reach
+    parts = []
+    for shift in offsets @ weight:
+        a = np.searchsorted(code, code + shift, side="left")
+        count = np.searchsorted(code, code + shift, side="right") - a
+        i = np.flatnonzero(count)
+        parts.append((i, a[i], count[i]))
+    i, a, count = (np.concatenate(p) for p in zip(*parts))
+    # ascending shifts give ascending j, so a stable sort on i orders (i, j)
+    by_i = np.argsort(i, kind="stable")
+    i, j = np.repeat(i[by_i], count[by_i]), _ranges(a[by_i], count[by_i])
+    if d > k:
+        near = (np.abs(keys[i, k:] - keys[j, k:]) <= reach).all(axis=1)
+        i, j = i[near], j[near]
+    return i, j
 
 
 def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start: int):
+    """Candidate cells of side eps/m. A candidate's eps-ball lies within m
+    cells of its own, so it takes the rows of the occupied cells at Chebyshev
+    distance <= m nearer than eps, streaming (candidate, row) pairs in spans."""
     pts = window.values[start:]
     lo = window.values.min(axis=0)
-    members = _cell_members(((pts - lo) / eps).astype(np.int64))
-    offsets = list(itertools.product((-1, 0, 1), repeat=window.dim))
-
-    def gather(key: tuple, center: np.ndarray):
-        got = []
-        for off in offsets:
-            nb = tuple(k + o for k, o in zip(key, off))
-            if nb in members:
-                got.append(members[nb])
-        pos = np.concatenate(got)
-        near = np.sqrt(((pts[pos] - center) ** 2).sum(axis=1)) < eps
-        return pos[near]
-
-    def build(center_of) -> dict:
-        out = {}
-        for key, rows in members.items():
-            center = center_of(key, rows)
-            hit = gather(key, center)
-            if hit.size == 0:
-                continue
-            out[key] = {
-                "center": center,
-                "count": int(model.counted(hit + start).sum()),
-                "members": hit,
-            }
-        return out
-
-    stats = build(lambda key, rows: lo + (np.array(key, dtype=float) + 0.5) * eps)
-    if not stats:
-        # above dimension three a lone corner point can sit farther than
-        # eps from every cell center; anchor candidates on visited points
-        stats = build(lambda key, rows: pts[rows[0]])
+    m = int(np.sqrt(window.dim) / 2) + 1
+    side = eps / m
+    order, bounds, keys = _group_rows(((pts - lo) / side).astype(np.int64))
+    centers = lo + (keys + 0.5) * side
+    cand, nb = _neighbours(keys, m)
+    size = bounds[nb + 1] - bounds[nb]
+    ends = np.cumsum(size)
+    counted = _counted_mask(model, window.horizon)[start:]
+    hits, counts = np.zeros((2, len(keys)), dtype=np.int64)
+    hit_rows = []  # by candidate, as the pairs come
+    for span in row_spans(int(ends[-1]), PAIR_SPAN):
+        pos = np.arange(span.start, span.stop)
+        p = np.searchsorted(ends, pos, side="right")
+        rows, c = order[bounds[nb[p]] + pos - ends[p] + size[p]], cand[p]
+        dist2 = np.zeros(len(rows))
+        for k in range(window.dim):  # 1-D gathers; terms add in a row sum's order
+            dist2 += (pts[rows, k] - centers[c, k]) ** 2
+        near = np.sqrt(dist2) < eps
+        rows, c = rows[near], c[near]
+        hits += np.bincount(c, minlength=len(keys))
+        counts += np.bincount(c[counted[rows]], minlength=len(keys))
+        hit_rows.append(rows)
+    first = np.append(0, np.cumsum(hits))
     # all-False scratch marks over the rows, for _component_points
-    return stats, (pts, np.zeros(pts.shape[0], dtype=bool))
+    return keys, counts, (pts, np.concatenate(hit_rows), first, np.zeros(len(pts), dtype=bool))
 
 
-def _merge_cells(
-    qualifying: list[tuple],
-    stats: dict,
-    window: SequenceWindow,
-    eps: float,
-    aux,
-) -> np.ndarray:
+def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Component labels of n nodes from symmetric edges (i, j) sorted by i, with
+    each (v, v): nodes take their neighbours' least label, then its label, until fixed."""
+    label = np.arange(n)
+    firsts = np.searchsorted(i, label)
+    while True:
+        low = np.minimum.reduceat(label[j], firsts)
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _merge_cells(keys: np.ndarray, qualifying: np.ndarray, window, eps: float, aux) -> np.ndarray:
     """Merge Chebyshev-adjacent qualifying cells to visit-weighted centroids."""
-    qual = set(qualifying)
-    seen: set[tuple] = set()
+    label = _components(*_neighbours(keys[qualifying]), qualifying.size)
+    by_label = np.argsort(label, kind="stable")
     points = []
-    d = window.dim
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d) if any(o)]
-    for key in sorted(qualifying):
-        if key in seen:
-            continue
-        component = []
-        frontier = [key]
-        seen.add(key)
-        while frontier:
-            cur = frontier.pop()
-            component.append(cur)
-            for off in offsets:
-                nb = tuple(c + o for c, o in zip(cur, off))
-                if nb in qual and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        member_pts = _component_points(component, stats, window, eps, aux)
+    for component in np.split(qualifying[by_label], _run_starts(label[by_label, None])[1:]):
+        member_pts = _component_points(keys[component], component, window, eps, aux)
         centroid = member_pts.mean(axis=0)
         # a hollow component (ring) can drop its centroid outside every
         # cell; keep the reported point within eps of a real visit
@@ -194,26 +214,24 @@ def _merge_cells(
         if dist >= eps:
             centroid = member_pts[nearest]
         points.append(centroid)
-    out = np.array(points, dtype=float).reshape(-1, d)
+    out = np.array(points, dtype=float).reshape(-1, window.dim)
     return out[np.lexsort(out.T[::-1])]
 
 
-def _component_points(component, stats, window, eps, aux):
+def _component_points(keys, component, window, eps, aux):
     if window.dim == 1:
         # a 1-D component's cells are consecutive: its members are one
         # slice of the sorted values, from its first to its last cell; the
         # top cell also holds the maximum clipped into it
-        sv, lo, n_cells = aux
-        keys = [key[0] for key in component]
-        a = int(np.searchsorted(sv, lo + min(keys) * eps, side="left"))
-        top = max(keys) + 1
+        sv, lo, n_cells, ball_a, ball_b = aux
+        a = int(np.searchsorted(sv, lo + int(keys.min()) * eps, side="left"))
+        top = int(keys.max()) + 1
         b = sv.size if top == n_cells else int(np.searchsorted(sv, lo + top * eps, side="left"))
         if b <= a:  # fall back to the qualifying balls themselves
-            a = min(stats[key]["slice"][0] for key in component)
-            b = max(stats[key]["slice"][1] for key in component)
+            a, b = int(ball_a[component].min()), int(ball_b[component].max())
         return sv[a:b, None]
-    pts, mark = aux
-    rows = np.concatenate([stats[key]["members"] for key in component])
+    pts, hit_rows, first, mark = aux
+    rows = hit_rows[_ranges(first[component], first[component + 1] - first[component])]
     # distinct rows in ascending order, as np.unique gives them, read off
     # the marks; clearing through rows leaves the marks all False again
     mark[rows] = True
@@ -229,37 +247,23 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     model = model.at_horizon(window.horizon)
     vals = window.values
     span = float((vals.max(axis=0) - vals.min(axis=0)).max())
-    diag = {
-        "eps_grid": eps,
-        "theta": theta,
-        "burn_in": burn_in(window.horizon),
-        "model": model.describe(),
-        "theta_effective": None,
-        "fallback": False,
-        "degenerate": False,
-    }
-    if span <= 1e-12:
-        diag["degenerate"] = True
+    diag = {"theta_effective": None, "fallback": False, "degenerate": span <= 1e-12}
+    if diag["degenerate"]:
         return vals[:1].copy(), diag
     if eps <= 0:
         raise ValueError("eps_grid must be positive")
-    start = burn_in(window.horizon)
-    if window.dim == 1:
-        stats, aux = _cell_stats_1d(window, model, eps, start)
-    else:
-        stats, aux = _cell_stats_nd(window, model, eps, start)
-    budget = model.budget(theta)
-    qualifying = [k for k, s in stats.items() if s["count"] > budget]
-    if not qualifying:
+    cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
+    keys, counts, aux = cell_stats(window, model, eps, burn_in(window.horizon))
+    qualifying = np.flatnonzero(counts > model.budget(theta))
+    if not qualifying.size:
         # Positivity never clears theta when visits spread thin (a window
         # dense in an interval, say); every bounded window still has a
         # cluster point, so fall back to the maximally visited cells.
-        top = max(s["count"] for s in stats.values())
-        qualifying = [k for k, s in stats.items() if s["count"] == top]
+        top = int(counts.max())
+        qualifying = np.flatnonzero(counts == top)
         diag["theta_effective"] = top / model.horizon if model.kind == "density" else None
         diag["fallback"] = True
-    pts = _merge_cells(qualifying, stats, window, eps, aux)
-    return pts, diag
+    return _merge_cells(keys, qualifying, window, eps, aux), diag
 
 
 def cluster_points(
@@ -393,23 +397,10 @@ class ClusterReport:
     theta_effective: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "cluster_points": [[float(v) for v in p] for p in self.cluster_points],
-            "liminf": self.liminf,
-            "limsup": self.limsup,
-            "converges_to": None
-            if self.converges_to is None
-            else [float(v) for v in self.converges_to],
-            "eps_grid": self.eps_grid,
-            "theta": self.theta,
-            "limit_eps": self.limit_eps,
-            "ladder": self.ladder,
-            "model": self.model,
-            "burn_in": self.burn_in,
-            "degenerate": self.degenerate,
-            "fallback": self.fallback,
-            "theta_effective": self.theta_effective,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["cluster_points"] = self.cluster_points.tolist()
+        out["converges_to"] = None if self.converges_to is None else self.converges_to.tolist()
+        return out
 
 
 def analyze_window(
@@ -448,7 +439,7 @@ def analyze_window(
         limit_eps=lim_eps,
         ladder=ladder,
         model=model_h.describe(),
-        burn_in=diag["burn_in"],
+        burn_in=burn_in(window.horizon),
         degenerate=diag["degenerate"],
         fallback=diag["fallback"],
         theta_effective=diag["theta_effective"],

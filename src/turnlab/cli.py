@@ -214,7 +214,8 @@ def _build_system(config: RunConfig, horizon: int):
         return _checked(what, build_ifs_system, pairs, ideal)
     if config.scenario == "l2":
         rng = np.random.default_rng(config.seed)
-        x_star = rng.uniform(-1.0, 1.0, config.dim)
+        # a negative --dim draws nothing and is left to the builder to reject
+        x_star = rng.uniform(-1.0, 1.0, max(config.dim, 0))
         x_star *= 0.9 / max(1.0, float(np.sqrt((x_star**2).sum())))
         return _checked(what, build_l2_truncation, config.dim, x_star, ideal)
     raise ConfigError(
@@ -321,7 +322,10 @@ def cmd_verify(config: RunConfig) -> int:
 def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, None]:
     window = _checked("scenario blocks", build_block_sequence, config.k_max)
     model = _parse_ideal(config, window.horizon)
-    report = analyze_window(window, model, limit_eps=0.1)
+    report = _checked(
+        "analyze", analyze_window, window, model,
+        eps_grid=config.grid or None, theta=config.theta, limit_eps=0.1,
+    )
     vals = window.scalars()
     results = {
         "length": window.horizon,

@@ -155,11 +155,13 @@ class IdealModel:
 
 
 def as_index_set(indices: Iterable[int] | np.ndarray, horizon: int) -> np.ndarray:
-    """Validate and normalize an index set: sorted, distinct, in [0, horizon)."""
+    """Validate and normalize an index set: sorted, distinct, in [0, horizon).
+    An input already strictly ascending is returned without a sort."""
     a = np.asarray(indices, dtype=np.int64).ravel()
     if a.size == 0:
         return a
-    a = np.unique(a)
+    if not (a[1:] > a[:-1]).all():
+        a = np.unique(a)
     if a[0] < 0 or a[-1] >= horizon:
         raise ValueError(
             f"index set must lie in [0, {horizon}); got range [{a[0]}, {a[-1]}]"

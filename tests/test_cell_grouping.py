@@ -1,31 +1,31 @@
-"""Grid-cell grouping of the cluster detector.
+"""Grid-cell grouping, the neighbour index and the candidate grid of the
+cluster detector.
 
 The n-D path groups window rows into cells with one stable lexsort and
 the 1-D path reads its occupied cells off the sorted values. Both must
 agree with the structured ``np.unique`` grouping they replace: the same
 cell keys in the same lexicographic order, and the members of each cell
-in ascending row order, which the d >= 4 anchor fallback reads through
-``rows[0]``. Cluster points recorded before the change pin a 3-D levels
-window and a 5-D window where that fallback decides."""
+in ascending row order. A brute-force detector, every occupied candidate
+against every point, must give the cluster points bit for bit in d = 1..6.
+Cluster points recorded earlier pin a 3-D levels window and a 5-D window
+whose candidates are sub-cells of side eps/2."""
+
+import time
 
 import numpy as np
 import pytest
 
 import turnlab.analysis as analysis
-from turnlab.analysis import cluster_points, default_grid
-from turnlab.ideals import IdealModel, burn_in
+from turnlab.analysis import DEFAULT_POSITIVITY, cluster_points, default_grid
+from turnlab.ideals import IdealModel, burn_in, parse_ideal_spec
 from turnlab.windows import SequenceWindow
 
 
-def _reference_members(cells):
+def _reference_groups(cells):
     keys, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(keys) + 1))
-    return {
-        tuple(int(c) for c in keys[k]): order[bounds[k] : bounds[k + 1]]
-        for k in range(len(keys))
-    }
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    bounds = np.searchsorted(inverse.reshape(-1)[order], np.arange(len(keys) + 1))
+    return order, bounds, keys
 
 
 def _lattice_window(seed):
@@ -40,21 +40,16 @@ def _model(n):
     return IdealModel("density", n, threshold=0.01).at_horizon(n)
 
 
-def _assert_same_groups(got, want):
-    assert list(got) == list(want)
-    for key in want:
-        assert np.array_equal(got[key], want[key])
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_cell_members_match_structured_unique(seed):
     window = _lattice_window(seed)
     start = burn_in(window.horizon)
     assert start > 0
     cells = (window.values[start:] - window.values.min(axis=0)).astype(np.int64)
-    want = _reference_members(cells)
-    assert max(len(rows) for rows in want.values()) > 1
-    _assert_same_groups(analysis._cell_members(cells), want)
+    got, want = analysis._group_rows(cells), _reference_groups(cells)
+    assert np.diff(want[1]).max() > 1
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -62,14 +57,31 @@ def test_cell_stats_nd_match_structured_unique(seed, monkeypatch):
     window = _lattice_window(seed)
     model = _model(window.horizon)
     start = burn_in(window.horizon)
-    got, _ = analysis._cell_stats_nd(window, model, 1.0, start)
-    monkeypatch.setattr(analysis, "_cell_members", _reference_members)
-    want, _ = analysis._cell_stats_nd(window, model, 1.0, start)
-    assert got and list(got) == list(want)
-    for key in want:
-        assert np.array_equal(got[key]["center"], want[key]["center"])
-        assert got[key]["count"] == want[key]["count"]
-        assert np.array_equal(got[key]["members"], want[key]["members"])
+    got = analysis._cell_stats_nd(window, model, 1.0, start)
+    monkeypatch.setattr(analysis, "_group_rows", _reference_groups)
+    want = analysis._cell_stats_nd(window, model, 1.0, start)
+    assert len(got[0]) and np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for g, w in zip(got[2][1:3], want[2][1:3]):  # hit rows and their bounds
+        assert np.array_equal(g, w)
+
+
+def _key_rows(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return np.unique(rng.integers(-5, 6, (n, d)), axis=0)
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["box", "far-row"])
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("reach", [1, 2])
+def test_neighbours_match_all_pairs(d, reach, far):
+    keys = _key_rows(300, d, d + 10 * reach)
+    if far:  # key spans whose mixed-radix code would overflow int64 past one column
+        keys = np.unique(np.vstack([keys, np.full((1, d), 2**40)]), axis=0)
+    i, j = analysis._neighbours(keys, reach)
+    far = np.abs(keys[:, None] - keys[None]).max(axis=2)
+    want_i, want_j = np.nonzero(far <= reach)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
 
 def _occupied_reference(window, eps):
@@ -95,10 +107,10 @@ def _one_d_windows():
 def test_one_d_occupied_cells_match_unique(window, eps):
     eps = default_grid(window) if eps is None else eps
     want = _occupied_reference(window, eps)
-    stats, _ = analysis._cell_stats_1d(
+    keys, _, _ = analysis._cell_stats_1d(
         window, _model(window.horizon), eps, burn_in(window.horizon)
     )
-    assert list(stats) == [(int(c),) for c in want]
+    assert keys.tolist() == [[int(c)] for c in want]
 
 
 def test_top_edge_window_reaches_clipped_cell():
@@ -119,9 +131,10 @@ def _pinned_windows():
     p[noisy] = rng.uniform(-1, 1, (4, 3))
     yield "levels_3d", SequenceWindow(p), None
     # In five dimensions a point near a cell corner lies farther than eps
-    # from every cell center, so candidates are anchored on each cell's
-    # earliest post-burn-in visit. Cell 0 holds visits near two opposite
-    # corners: the near-(1,1,1,1,1) visits come first and win the anchor.
+    # from every cell center, so candidates are sub-cells of side eps/2.
+    # Cell 0 holds visits near two opposite corners, which fall in
+    # adjacent sub-cells and merge under fin and density; under
+    # finite_trace the near-(1,1,1,1,1) corner carries odd indices only.
     n = 3001
     k = np.arange(n)
     rng = np.random.default_rng(17)
@@ -146,12 +159,19 @@ _LEVELS_3D = [
     ["0x1.222800c5bf756p-16", "-0x1.6661db41caf5ap-1", "0x1.9997eb88de2c0p-1"],
     ["0x1.332d045754f1ep-1", "0x1.9987f833352e2p-3", "-0x1.999567721cb3cp-2"],
 ]
-_CORNER_1 = [
-    "0x1.f35961042e74dp-3",
-    "0x1.f3612e19dff64p-3",
-    "0x1.f3672dabca86ap-3",
-    "0x1.f35424fe7e0a4p-3",
-    "0x1.f330c1d69ebadp-3",
+_CORNERS_01 = [
+    "0x1.510cff3f0423ep-3",
+    "0x1.5117524d2d5c5p-3",
+    "0x1.51248afae1a15p-3",
+    "0x1.512828d9aeebep-3",
+    "0x1.50e31f4712927p-3",
+]
+_CORNER_0 = [
+    "0x1.959376a99d541p-8",
+    "0x1.977f3a808499ep-8",
+    "0x1.9af446e005863p-8",
+    "0x1.a110a9fb58fb5p-8",
+    "0x1.90075300a6bdap-8",
 ]
 _CORNER_2 = [
     "0x1.01a808b4ed273p+0",
@@ -171,10 +191,9 @@ RECORDED = {
     ],
     ("levels_3d", "density"): _LEVELS_3D,
     ("levels_3d", "finite_trace"): _LEVELS_3D,
-    ("corners_5d", "fin"): [_CORNER_1, _CORNER_2],
-    ("corners_5d", "density"): [_CORNER_1, _CORNER_2],
-    # the anchored corner of cell 0 carries odd indices only
-    ("corners_5d", "finite_trace"): [_CORNER_2],
+    ("corners_5d", "fin"): [_CORNERS_01, _CORNER_2],
+    ("corners_5d", "density"): [_CORNERS_01, _CORNER_2],
+    ("corners_5d", "finite_trace"): [_CORNER_0, _CORNER_2],
 }
 
 WINDOWS = {name: (w, eps) for name, w, eps in _pinned_windows()}
@@ -189,10 +208,105 @@ def test_cluster_points_reproduce_recorded_values(name, kind):
     assert np.array_equal(pts, want)
 
 
-def test_corner_window_takes_the_anchor_fallback():
-    window, eps = WINDOWS["corners_5d"]
-    model = _models(window.horizon)["density"].at_horizon(window.horizon)
-    stats, _ = analysis._cell_stats_nd(window, model, eps, burn_in(window.horizon))
-    assert stats
-    for s in stats.values():
-        assert (window.values == s["center"]).all(axis=1).any()
+def test_five_d_vertex_clusters_are_both_reported():
+    # each point sits within 1e-3 of a grid vertex (0.5 or 3 per axis,
+    # lo = 0, eps = 1), farther than eps from every eps-cell center; the
+    # sub-cell centers of side 1/2 lie within 0.56 of it
+    n = 2001
+    rng = np.random.default_rng(3)
+    q = np.where(np.arange(n)[:, None] % 2 == 0, 0.5, 3.0) + rng.uniform(-1e-3, 1e-3, (n, 5))
+    q[0] = 0.0
+    window = SequenceWindow(q)
+    for kind in ("fin", "density"):
+        pts = cluster_points(window, _models(n)[kind], eps_grid=1.0)
+        assert pts.shape == (2, 5)
+        assert np.abs(pts - [[0.5] * 5, [3.0] * 5]).max() < 1e-3
+
+
+def _brute_force_clusters(window, model, eps, theta=DEFAULT_POSITIVITY):
+    """Every occupied candidate against every post-burn-in point: the
+    counted points nearer than eps to its centre (1-D: strictly between
+    centre -/+ eps), components of Chebyshev-adjacent qualifying keys, and
+    each component's members (1-D: the sorted values of its cells; n-D:
+    the union of its balls in row order) averaged."""
+    n, d = window.values.shape
+    model = model.at_horizon(n)
+    start = burn_in(n)
+    pts, lo = window.values[start:], window.values.min(axis=0)
+    side = eps / (int(np.sqrt(d) / 2) + 1)
+    if d == 1:
+        n_cells = max(1, int(np.ceil((window.values.max() - lo[0]) / eps)))
+        cells = np.clip(np.trunc((pts - lo) / eps), 0, n_cells - 1).astype(np.int64)
+    else:
+        cells = ((pts - lo) / side).astype(np.int64)
+    keys = np.unique(cells, axis=0)
+    centers = lo + (keys + 0.5) * side
+    if d == 1:
+        c, v = centers, pts[:, 0]
+        near = (v > c - eps) & (v < c + eps)
+    else:
+        near = np.sqrt(((centers[:, None] - pts[None]) ** 2).sum(axis=2)) < eps
+    counts = (near & model.counted(np.arange(start, n))).sum(axis=1)
+    qual = np.flatnonzero(counts > model.budget(theta))
+    if not qual.size:
+        qual = np.flatnonzero(counts == counts.max())
+    linked = np.abs(keys[qual][:, None] - keys[qual][None]).max(axis=2) <= 1
+    while True:
+        wider = (linked.astype(int) @ linked.astype(int)) > 0
+        if np.array_equal(wider, linked):
+            break
+        linked = wider
+    out = []
+    for first in np.unique(linked.argmax(axis=1)):
+        comp = qual[linked[first]]
+        if d == 1:
+            sv = np.sort(pts, axis=0)
+            top = keys[comp].max() + 1
+            inside = sv[:, 0] >= lo[0] + keys[comp].min() * eps
+            if top < n_cells:
+                inside &= sv[:, 0] < lo[0] + top * eps
+            members = sv[inside]
+        else:
+            members = pts[near[comp].any(axis=0)]
+        centroid = members.mean(axis=0)
+        dist = np.sqrt(((members - centroid) ** 2).sum(axis=1))
+        out.append(centroid if dist.min() < eps else members[dist.argmin()])
+    out = np.array(out)
+    return out[np.lexsort(out.T[::-1])]
+
+
+def _brute_force_windows():
+    """(name, window, eps_grid) in d = 1..6: noisy levels, lattices on
+    cell corners and uniform scatter."""
+    for d in range(1, 7):
+        rng = np.random.default_rng(40 + d)
+        n = 900
+        levels = rng.uniform(-1, 1, (4, d))
+        p = levels[np.arange(n) % 4] + rng.normal(0, 0.02, (n, d))
+        p[rng.choice(n, 30, replace=False)] = rng.uniform(-1, 1, (30, d))
+        yield f"levels-{d}d", SequenceWindow(p), 0.1
+        yield f"lattice-{d}d", SequenceWindow(rng.integers(-1, 2, (n, d)).astype(float)), 1.0
+        yield f"scatter-{d}d", SequenceWindow(rng.uniform(-1, 1, (600, d))), None
+
+
+@pytest.mark.parametrize("name, window, eps", list(_brute_force_windows()))
+def test_cluster_points_match_brute_force(name, window, eps):
+    eps = default_grid(window) if eps is None else eps
+    for model in _models(window.horizon).values():
+        got = cluster_points(window, model, eps_grid=eps)
+        want = _brute_force_clusters(window, model, eps)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_high_dim_lattice_windows_are_fast():
+    # integer lattices at eps 1 put every point on a cell corner, and a cell
+    # has 3^d neighbour offsets in d = 6..8, few of them occupied
+    windows = [
+        SequenceWindow(np.random.default_rng(d).integers(-1, 2, (n, d)).astype(float))
+        for d, n in ((6, 1000), (7, 300), (8, 200))
+    ]
+    start = time.perf_counter()
+    for window in windows:
+        assert len(cluster_points(window, parse_ideal_spec("fin", window.horizon), eps_grid=1.0))
+    assert time.perf_counter() - start < 0.5

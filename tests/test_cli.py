@@ -187,8 +187,13 @@ def test_missing_input_exit_2(tmp_path):
         ["verify", "--scenario", "counterexample", "--ideal", "fin:abc"],
         ["reproduce", "blocks", "--k-max", "13"],
         ["reproduce", "l2", "--horizon", "-3"],
+        ["optimize", "--scenario", "l2", "--dim", "-1"],
+        ["reproduce", "blocks", "--theta", "2"],
     ],
-    ids=["dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3"],
+    ids=[
+        "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
+        "dim-neg-1", "blocks-theta-2",
+    ],
 )
 def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from turnlab.ideals import (
     IdealModel,
     IdealSpecError,
+    as_index_set,
     burn_in,
     check_translation_invariance,
     is_dual,
@@ -20,6 +21,23 @@ from turnlab.ideals import (
 
 EVENS_1K = np.arange(0, 1000, 2)
 SQUARES = np.arange(0, 1000) ** 2
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[], [3], [0, 2, 5, 9], [9, 2, 5, 0], [2, 2, 5, 5, 9], [5, 5], np.arange(1000)[::-3]],
+    ids=["empty", "single", "sorted", "unsorted", "duplicated", "repeated", "descending"],
+)
+def test_as_index_set_equals_unique(indices):
+    got = as_index_set(indices, 1000)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(np.asarray(indices, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("indices", [[-1, 3], [3, 1000], [1000], [5, -2, 5]])
+def test_as_index_set_rejects_out_of_range(indices):
+    with pytest.raises(ValueError):
+        as_index_set(indices, 1000)
 
 
 def test_upper_density_evens():
