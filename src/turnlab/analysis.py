@@ -27,7 +27,7 @@ deliberately not estimated or tested here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from turnlab.windows import SequenceWindow
 
 DEFAULT_POSITIVITY = 0.05
 GRID_CELLS_PER_RANGE = 200
-PAIR_SPAN = 1 << 16  # (candidate, row) pairs per step of the n-D ball gather
+PAIR_SPAN = 1 << 16  # index pairs per batch of the neighbour index and ball gather
 # identity-check tolerance floor per unit of value scale (float rounding)
 FLOAT_TOL = 64 * np.finfo(float).eps
 
@@ -97,7 +97,22 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     counts = np.searchsorted(cv, centers + eps, side="left")
     counts -= np.searchsorted(cv, centers - eps, side="right")
     hit = b > a
-    return cells[hit, None].astype(np.int64), counts[hit], (sv, lo, n_cells, a[hit], b[hit])
+    keys, a, b = cells[hit, None].astype(np.int64), a[hit], b[hit]
+
+    def members(qualifying: np.ndarray, label: np.ndarray):
+        # a 1-D component's cells are consecutive: its members are one
+        # slice of the sorted values, from its first to its last cell; the
+        # top cell also holds the maximum clipped into it
+        by_label = np.argsort(label, kind="stable")
+        for part in np.split(qualifying[by_label], _run_starts(label[by_label, None])[1:]):
+            i = int(np.searchsorted(sv, lo + int(keys[part].min()) * eps, side="left"))
+            top = int(keys[part].max()) + 1
+            j = sv.size if top == n_cells else int(np.searchsorted(sv, lo + top * eps, side="left"))
+            if j <= i:  # fall back to the qualifying balls themselves
+                i, j = int(a[part].min()), int(b[part].max())
+            yield sv[i:j, None]
+
+    return keys, counts[hit], members
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -106,6 +121,12 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     new[:1] = True
     np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
     return np.flatnonzero(new)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: ``np.unique`` by a sort."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
 def _group_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,91 +143,153 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
 
 
-def _neighbours(keys: np.ndarray, reach: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of the sorted, distinct integer rows ``keys`` at
-    Chebyshev distance <= reach, (i, i) included, ordered by i then j. The
-    leading k <= 3 columns are coded as one mixed-radix integer, sorted as the
-    keys are, so each of the (2 reach + 1)^k prefix offsets finds its neighbours'
-    range by ``searchsorted``; one step filters the other columns. The cost
-    follows the prefix neighbour pairs, not 3^d."""
-    d = keys.shape[1]
+def _batches(counts: np.ndarray) -> list[slice]:
+    """Runs of consecutive ``counts``, cut where their running total passes a
+    multiple of PAIR_SPAN: a run sums to less than PAIR_SPAN plus its first count."""
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(PAIR_SPAN, ends[-1:].sum(), PAIR_SPAN), side="right")
+    bounds = np.unique(np.r_[0, cuts, len(counts)]).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _neighbours(keys: np.ndarray, reach: int = 1, rows: np.ndarray | None = None, limit=np.inf):
+    """Batches of the index pairs (i, j) at Chebyshev distance <= reach between
+    ``keys[rows]`` (all keys by default) and the distinct integer rows ``keys``,
+    with sum((2 |key_i - key_j| - 1)+^2) <= limit over the columns (cell j comes
+    within sqrt(limit)/2 cells of cell i's center), ordered by i across the
+    batches; i indexes ``rows``, j ``keys``. The k <= 3 columns with the most
+    distinct values (all of them up to d = 3, fewer if their code would pass
+    2^62) are coded as one mixed-radix integer, so each offset on them finds
+    its neighbours' code range by ``searchsorted``; the other columns filter
+    each batch. The work follows the pairs within reach on those k columns,
+    and the memory one batch."""
     rel = keys - keys.min(axis=0) + reach  # a digit stays in [0, width) under any offset
     width = rel.max(axis=0) + reach + 1
-    k = 1
-    while k < min(d, 3) and np.prod(width[: k + 1], dtype=float) < 2.0**62:
-        k += 1
-    weight = np.cumprod(np.append(1, width[k - 1 : 0 : -1]))[::-1]
-    code = rel[:, :k] @ weight
-    offsets = np.indices((2 * reach + 1,) * k).reshape(k, -1).T - reach
-    parts = []
-    for shift in offsets @ weight:
-        a = np.searchsorted(code, code + shift, side="left")
-        count = np.searchsorted(code, code + shift, side="right") - a
+    cols = []
+    for c in np.argsort([-len(_distinct(col)) for col in keys.T], kind="stable"):
+        if len(cols) < 3 and np.prod(width[cols + [c]], dtype=float) < 2.0**62:
+            cols.append(int(c))
+    cols.sort()
+    rest = np.setdiff1d(np.arange(keys.shape[1]), cols)
+    weight = np.cumprod(np.append(1, width[cols[:0:-1]]))[::-1]
+    code = rel[:, cols] @ weight
+    perm = np.argsort(code, kind="stable")
+    sorted_code = code[perm]
+    offsets = np.indices((2 * reach + 1,) * len(cols)).reshape(len(cols), -1).T - reach
+    spent = (np.maximum(2 * np.abs(offsets) - 1, 0) ** 2).sum(axis=1)  # of the limit
+    offsets, spent = offsets[spent <= limit], spent[spent <= limit]
+    shifts = offsets @ weight
+    rows = np.arange(len(keys)) if rows is None else rows
+    columns = np.ascontiguousarray(keys.T)
+    for block in row_spans(len(rows), max(1, PAIR_SPAN // len(shifts))):
+        target = code[rows[block], None] + shifts
+        a = np.searchsorted(sorted_code, target, side="left").ravel()
+        count = np.searchsorted(sorted_code, target, side="right").ravel() - a
         i = np.flatnonzero(count)
-        parts.append((i, a[i], count[i]))
-    i, a, count = (np.concatenate(p) for p in zip(*parts))
-    # ascending shifts give ascending j, so a stable sort on i orders (i, j)
-    by_i = np.argsort(i, kind="stable")
-    i, j = np.repeat(i[by_i], count[by_i]), _ranges(a[by_i], count[by_i])
-    if d > k:
-        near = (np.abs(keys[i, k:] - keys[j, k:]) <= reach).all(axis=1)
-        i, j = i[near], j[near]
-    return i, j
+        i, used, a, count = block.start + i // len(shifts), spent[i % len(shifts)], a[i], count[i]
+        for s in _batches(count):
+            bi, bj = np.repeat(i[s], count[s]), perm[_ranges(a[s], count[s])]
+            near, total = np.ones(len(bi), dtype=bool), np.repeat(used[s], count[s])
+            for col in columns[rest]:
+                step = np.abs(col[rows[bi]] - col[bj])
+                near &= step <= reach
+                total += np.maximum(2 * step - 1, 0) ** 2
+            near &= total <= limit
+            yield bi[near], bj[near]
 
 
 def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start: int):
     """Candidate cells of side eps/m. A candidate's eps-ball lies within m
-    cells of its own, so it takes the rows of the occupied cells at Chebyshev
-    distance <= m nearer than eps, streaming (candidate, row) pairs in spans."""
+    cells of its own, so it takes the rows nearer than eps of the occupied
+    cells within m of its own that come within eps of its center, in batches
+    of (candidate, row) pairs. Counting keeps no rows; ``members`` takes the
+    qualifying cells' rows whole and gathers the other cells' rows again."""
     pts = window.values[start:]
     lo = window.values.min(axis=0)
     m = int(np.sqrt(window.dim) / 2) + 1
     side = eps / m
     order, bounds, keys = _group_rows(((pts - lo) / side).astype(np.int64))
-    centers = lo + (keys + 0.5) * side
-    cand, nb = _neighbours(keys, m)
-    size = bounds[nb + 1] - bounds[nb]
-    ends = np.cumsum(size)
-    counted = _counted_mask(model, window.horizon)[start:]
-    hits, counts = np.zeros((2, len(keys)), dtype=np.int64)
-    hit_rows = []  # by candidate, as the pairs come
-    for span in row_spans(int(ends[-1]), PAIR_SPAN):
-        pos = np.arange(span.start, span.stop)
-        p = np.searchsorted(ends, pos, side="right")
-        rows, c = order[bounds[nb[p]] + pos - ends[p] + size[p]], cand[p]
-        dist2 = np.zeros(len(rows))
-        for k in range(window.dim):  # 1-D gathers; terms add in a row sum's order
-            dist2 += (pts[rows, k] - centers[c, k]) ** 2
-        near = np.sqrt(dist2) < eps
-        rows, c = rows[near], c[near]
-        hits += np.bincount(c, minlength=len(keys))
-        counts += np.bincount(c[counted[rows]], minlength=len(keys))
-        hit_rows.append(rows)
-    first = np.append(0, np.cumsum(hits))
-    # all-False scratch marks over the rows, for _component_points
-    return keys, counts, (pts, np.concatenate(hit_rows), first, np.zeros(len(pts), dtype=bool))
+    # coordinate columns for 1-D gathers; the points' are in cell order, so
+    # cell c's rows sit at the positions bounds[c]:bounds[c + 1]
+    pt_cols, center_cols = np.ascontiguousarray(pts[order].T), lo[:, None] + (keys.T + 0.5) * side
+
+    def ball_hits(which: np.ndarray | None = None, component: np.ndarray | None = None):
+        for cand, nb in _neighbours(keys, m, which, limit=4 * m * m):
+            own = cand if which is None else which[cand]
+            if component is not None:  # skip the cells of the candidate's own component
+                other = component[nb] != component[own]
+                cand, nb, own = cand[other], nb[other], own[other]
+            size = bounds[nb + 1] - bounds[nb]
+            for s in _batches(size):
+                at = _ranges(bounds[nb[s]], size[s])  # positions in cell order
+                c = np.repeat(cand[s], size[s])
+                own_at = c if which is None else np.repeat(own[s], size[s])
+                dist2 = np.zeros(len(at))
+                for p, q in zip(pt_cols, center_cols):  # for d < 8 in a row sum's order
+                    dist2 += (p[at] - q[own_at]) ** 2
+                near = np.sqrt(dist2) < eps
+                yield c[near], at[near]
+
+    counted = _counted_mask(model, window.horizon)[start:][order]
+    counts = np.zeros(len(keys), dtype=np.int64)
+    for c, at in ball_hits():
+        counts += np.bincount(c[counted[at]], minlength=len(keys))
+
+    def members(qualifying: np.ndarray, label: np.ndarray):
+        # every row of a qualifying cell lies in its own ball, so a component
+        # takes its cells' rows whole and the other cells' rows through its
+        # balls. Distinct (component, row) codes, kept distinct every 64
+        # batches, give each component's rows in ascending order
+        n, component = len(pts), np.full(len(keys), -1)  # -1 off the qualifying cells
+        component[qualifying] = label
+        size = bounds[qualifying + 1] - bounds[qualifying]
+        codes = [np.repeat(label * n, size) + order[_ranges(bounds[qualifying], size)]]
+        for c, at in ball_hits(qualifying, component):
+            codes.append(_distinct(label[c] * n + order[at]))
+            if len(codes) == 64:
+                codes = [_distinct(np.concatenate(codes))]
+        owner, rows = np.divmod(_distinct(np.concatenate(codes)), n)
+        for part in np.split(rows, np.flatnonzero(np.diff(owner)) + 1):
+            yield pts[part]
+
+    return keys, counts, members
 
 
-def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Component labels of n nodes from symmetric edges (i, j) sorted by i, with
-    each (v, v): nodes take their neighbours' least label, then its label, until fixed."""
+def _components(edges, n: int) -> np.ndarray:
+    """Component labels of n nodes, each its component's least node, from
+    batches of edges (i, j). The edges join in chunks of at least n: the larger
+    of two joined roots hooks onto the smaller until no edge spans two roots,
+    and pointer jumping keeps every node on its root."""
     label = np.arange(n)
-    firsts = np.searchsorted(i, label)
-    while True:
-        low = np.minimum.reduceat(label[j], firsts)
-        low = low[low]
-        if np.array_equal(low, label):
-            return label
-        label = low
+
+    def join(pairs):
+        i, j = map(np.concatenate, zip(*pairs))
+        while True:
+            a, b = label[i], label[j]
+            apart = a != b
+            if not apart.any():
+                return
+            np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+            while not np.array_equal(up := label[label], label):
+                label[:] = up
+
+    held, size = [], 0
+    for i, j in edges:
+        held.append((i, j))
+        size += len(i)
+        if size >= n:
+            join(held)
+            held, size = [], 0
+    if held:
+        join(held)
+    return label
 
 
-def _merge_cells(keys: np.ndarray, qualifying: np.ndarray, window, eps: float, aux) -> np.ndarray:
+def _merge_cells(keys: np.ndarray, qualifying: np.ndarray, window, eps: float, members):
     """Merge Chebyshev-adjacent qualifying cells to visit-weighted centroids."""
-    label = _components(*_neighbours(keys[qualifying]), qualifying.size)
-    by_label = np.argsort(label, kind="stable")
+    label = _components(_neighbours(keys[qualifying]), qualifying.size)
     points = []
-    for component in np.split(qualifying[by_label], _run_starts(label[by_label, None])[1:]):
-        member_pts = _component_points(keys[component], component, window, eps, aux)
+    for member_pts in members(qualifying, label):
         centroid = member_pts.mean(axis=0)
         # a hollow component (ring) can drop its centroid outside every
         # cell; keep the reported point within eps of a real visit
@@ -218,42 +301,28 @@ def _merge_cells(keys: np.ndarray, qualifying: np.ndarray, window, eps: float, a
     return out[np.lexsort(out.T[::-1])]
 
 
-def _component_points(keys, component, window, eps, aux):
-    if window.dim == 1:
-        # a 1-D component's cells are consecutive: its members are one
-        # slice of the sorted values, from its first to its last cell; the
-        # top cell also holds the maximum clipped into it
-        sv, lo, n_cells, ball_a, ball_b = aux
-        a = int(np.searchsorted(sv, lo + int(keys.min()) * eps, side="left"))
-        top = int(keys.max()) + 1
-        b = sv.size if top == n_cells else int(np.searchsorted(sv, lo + top * eps, side="left"))
-        if b <= a:  # fall back to the qualifying balls themselves
-            a, b = int(ball_a[component].min()), int(ball_b[component].max())
-        return sv[a:b, None]
-    pts, hit_rows, first, mark = aux
-    rows = hit_rows[_ranges(first[component], first[component + 1] - first[component])]
-    # distinct rows in ascending order, as np.unique gives them, read off
-    # the marks; clearing through rows leaves the marks all False again
-    mark[rows] = True
-    lo, hi = int(rows.min()), int(rows.max()) + 1
-    picked = lo + np.flatnonzero(mark[lo:hi])
-    mark[rows] = False
-    return pts[picked]
-
-
 def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float):
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     model = model.at_horizon(window.horizon)
     vals = window.values
     span = float((vals.max(axis=0) - vals.min(axis=0)).max())
-    diag = {"theta_effective": None, "fallback": False, "degenerate": span <= 1e-12}
-    if diag["degenerate"]:
+    diag = {
+        "eps_grid": eps,
+        "theta": theta,
+        "burn_in": burn_in(window.horizon),
+        "model": model.describe(),
+        "theta_effective": None,
+        "fallback": False,
+        "degenerate": False,
+    }
+    if span <= 1e-12:
+        diag["degenerate"] = True
         return vals[:1].copy(), diag
     if eps <= 0:
         raise ValueError("eps_grid must be positive")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
-    keys, counts, aux = cell_stats(window, model, eps, burn_in(window.horizon))
+    keys, counts, members = cell_stats(window, model, eps, burn_in(window.horizon))
     qualifying = np.flatnonzero(counts > model.budget(theta))
     if not qualifying.size:
         # Positivity never clears theta when visits spread thin (a window
@@ -263,7 +332,7 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
         qualifying = np.flatnonzero(counts == top)
         diag["theta_effective"] = top / model.horizon if model.kind == "density" else None
         diag["fallback"] = True
-    return _merge_cells(keys, qualifying, window, eps, aux), diag
+    return _merge_cells(keys, qualifying, window, eps, members), diag
 
 
 def cluster_points(
@@ -397,10 +466,23 @@ class ClusterReport:
     theta_effective: Optional[float]
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["cluster_points"] = self.cluster_points.tolist()
-        out["converges_to"] = None if self.converges_to is None else self.converges_to.tolist()
-        return out
+        return {
+            "cluster_points": [[float(v) for v in p] for p in self.cluster_points],
+            "liminf": self.liminf,
+            "limsup": self.limsup,
+            "converges_to": None
+            if self.converges_to is None
+            else [float(v) for v in self.converges_to],
+            "eps_grid": self.eps_grid,
+            "theta": self.theta,
+            "limit_eps": self.limit_eps,
+            "ladder": self.ladder,
+            "model": self.model,
+            "burn_in": self.burn_in,
+            "degenerate": self.degenerate,
+            "fallback": self.fallback,
+            "theta_effective": self.theta_effective,
+        }
 
 
 def analyze_window(
@@ -439,7 +521,7 @@ def analyze_window(
         limit_eps=lim_eps,
         ladder=ladder,
         model=model_h.describe(),
-        burn_in=burn_in(window.horizon),
+        burn_in=diag["burn_in"],
         degenerate=diag["degenerate"],
         fallback=diag["fallback"],
         theta_effective=diag["theta_effective"],

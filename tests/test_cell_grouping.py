@@ -62,8 +62,9 @@ def test_cell_stats_nd_match_structured_unique(seed, monkeypatch):
     want = analysis._cell_stats_nd(window, model, 1.0, start)
     assert len(got[0]) and np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    for g, w in zip(got[2][1:3], want[2][1:3]):  # hit rows and their bounds
-        assert np.array_equal(g, w)
+    every = np.arange(len(got[0]))  # each cell its own component: its ball's rows
+    balls = zip(got[2](every, every), want[2](every, every), strict=True)
+    assert all(np.array_equal(g, w) for g, w in balls)
 
 
 def _key_rows(n, d, seed):
@@ -71,17 +72,55 @@ def _key_rows(n, d, seed):
     return np.unique(rng.integers(-5, 6, (n, d)), axis=0)
 
 
+def _all_neighbours(keys, reach, limit=np.inf):
+    batches = list(analysis._neighbours(keys, reach, limit=limit))
+    return [np.concatenate(side) for side in zip(*batches)]
+
+
+@pytest.mark.parametrize("span", [1 << 16, 7], ids=["one-batch", "batches-of-7"])
 @pytest.mark.parametrize("far", [False, True], ids=["box", "far-row"])
 @pytest.mark.parametrize("d", range(1, 7))
 @pytest.mark.parametrize("reach", [1, 2])
-def test_neighbours_match_all_pairs(d, reach, far):
+def test_neighbours_match_all_pairs(d, reach, far, span, monkeypatch):
+    monkeypatch.setattr(analysis, "PAIR_SPAN", span)
     keys = _key_rows(300, d, d + 10 * reach)
     if far:  # key spans whose mixed-radix code would overflow int64 past one column
         keys = np.unique(np.vstack([keys, np.full((1, d), 2**40)]), axis=0)
-    i, j = analysis._neighbours(keys, reach)
-    far = np.abs(keys[:, None] - keys[None]).max(axis=2)
-    want_i, want_j = np.nonzero(far <= reach)
-    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    gap = np.abs(keys[:, None] - keys[None])
+    # the gather's limit keeps the cells that come within reach cells of the
+    # key cell's centre
+    spent = (np.maximum(2 * gap - 1, 0) ** 2).sum(axis=2)
+    for limit in (np.inf, 4 * reach * reach):
+        i, j = _all_neighbours(keys, reach, limit)
+        assert (np.diff(i) >= 0).all()
+        by_pair = np.lexsort((j, i))
+        want_i, want_j = np.nonzero((gap.max(axis=2) <= reach) & (spent <= limit))
+        assert np.array_equal(i[by_pair], want_i) and np.array_equal(j[by_pair], want_j)
+
+
+def _linked_least(n, i, j):
+    """Each node's least linked node, by transitive closure of the edges."""
+    linked = np.eye(n, dtype=int)
+    linked[i, j] = linked[j, i] = 1
+    while not np.array_equal(wider := (linked @ linked > 0).astype(int), linked):
+        linked = wider
+    return linked.argmax(axis=1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_components_match_transitive_closure(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+    batches = [(i[k : k + 7], j[k : k + 7]) for k in range(0, len(i), 7)]
+    assert np.array_equal(analysis._components(batches, n), _linked_least(n, i, j))
+
+
+def test_components_of_a_long_path():
+    # one batch hooks every node onto its predecessor: a chain of depth n
+    n = 5000
+    steps = np.arange(n - 1)
+    assert not analysis._components([(steps + 1, steps)], n).any()
 
 
 def _occupied_reference(window, eps):
@@ -275,9 +314,17 @@ def _brute_force_clusters(window, model, eps, theta=DEFAULT_POSITIVITY):
     return out[np.lexsort(out.T[::-1])]
 
 
+def _anisotropic_window(n, d, seed):
+    """Uniform in [0, 1]^(d-1) x [0, 100]: at eps 0.5 the sub-cell keys take
+    four values in the leading columns and 400 in the last."""
+    p = np.random.default_rng(seed).uniform(0, 1, (n, d))
+    p[:, -1] *= 100
+    return SequenceWindow(p)
+
+
 def _brute_force_windows():
     """(name, window, eps_grid) in d = 1..6: noisy levels, lattices on
-    cell corners and uniform scatter."""
+    cell corners, uniform scatter and, from d = 4, anisotropic scatter."""
     for d in range(1, 7):
         rng = np.random.default_rng(40 + d)
         n = 900
@@ -287,6 +334,8 @@ def _brute_force_windows():
         yield f"levels-{d}d", SequenceWindow(p), 0.1
         yield f"lattice-{d}d", SequenceWindow(rng.integers(-1, 2, (n, d)).astype(float)), 1.0
         yield f"scatter-{d}d", SequenceWindow(rng.uniform(-1, 1, (600, d))), None
+        if d >= 4:
+            yield f"anisotropic-{d}d", _anisotropic_window(600, d, 40 + d), 0.5
 
 
 @pytest.mark.parametrize("name, window, eps", list(_brute_force_windows()))
@@ -310,3 +359,14 @@ def test_high_dim_lattice_windows_are_fast():
     for window in windows:
         assert len(cluster_points(window, parse_ideal_spec("fin", window.horizon), eps_grid=1.0))
     assert time.perf_counter() - start < 0.5
+
+
+def test_anisotropic_windows_are_fast():
+    # narrow leading coordinates share few key values; a neighbour index keyed
+    # on them would pair most of the ~10^4-10^5 candidates with each other
+    start = time.perf_counter()
+    for d in (4, 5):
+        window = _anisotropic_window(20_000, d, d)
+        pts = cluster_points(window, parse_ideal_spec("density:0.01", window.horizon))
+        assert len(pts) and (pts >= 0).all() and (pts[:, -1] <= 100).all()
+    assert time.perf_counter() - start < 3.0

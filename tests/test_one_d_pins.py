@@ -222,14 +222,16 @@ def test_analysis_matches_recorded(name):
 def _span_summary(window, spec, grid):
     model = parse_ideal_spec(spec, window.horizon)
     eps = analysis.default_grid(window) if grid is None else grid
-    keys, counts, (_, _, _, a, b) = analysis._cell_stats_1d(
+    keys, counts, members = analysis._cell_stats_1d(
         window, model.at_horizon(window.horizon), eps, burn_in(window.horizon)
     )
+    every = np.arange(len(keys))  # each cell its own component: its cell's values
+    cells = [v.ravel().tolist() for v in members(every, every)]
     pts = cluster_points(window, model, eps_grid=eps)
     target = pts[0]
     rungs = deviation_densities(window, target, model, (0.5, 0.1, 0.02))
     return (
-        [keys.tolist(), counts.tolist(), a.tolist(), b.tolist()],
+        [keys.tolist(), counts.tolist(), cells],
         pts.tolist(),
         rungs,
         ideal_liminf(window, model),
