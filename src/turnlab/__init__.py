@@ -57,7 +57,6 @@ from turnlab.verifier import (
     check_conditions,
     check_separation_variants,
     turnpike_verdict,
-    path_separation_diagnostic,
 )
 from turnlab.scenarios import (
     build_counterexample_system,
@@ -111,7 +110,6 @@ __all__ = [
     "check_conditions",
     "check_separation_variants",
     "turnpike_verdict",
-    "path_separation_diagnostic",
     "build_counterexample_system",
     "build_block_sequence",
     "build_ifs_system",

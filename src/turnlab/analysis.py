@@ -306,7 +306,8 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     model = model.at_horizon(window.horizon)
     vals = window.values
-    span = float((vals.max(axis=0) - vals.min(axis=0)).max())
+    top, bottom = vals.max(axis=0), vals.min(axis=0)
+    span = float((top - bottom).max())
     diag = {
         "eps_grid": eps,
         "theta": theta,
@@ -321,6 +322,8 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
         return vals[:1].copy(), diag
     if eps <= 0:
         raise ValueError("eps_grid must be positive")
+    if eps <= FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())):
+        raise ValueError(f"eps_grid {eps!r} is below the float resolution of the window's values")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
     keys, counts, members = cell_stats(window, model, eps, burn_in(window.horizon))
     qualifying = np.flatnonzero(counts > model.budget(theta))
@@ -346,7 +349,9 @@ def cluster_points(
     A grid cell center qualifies when the post-burn-in indices visiting
     its eps-ball form a positive set; adjacent qualifying cells merge to
     their visit-weighted centroid. Every reported point lies within
-    eps_grid of some window point. Raises ValueError unless 0 < theta < 1.
+    eps_grid of some window point. Raises ValueError unless 0 < theta < 1
+    and eps_grid exceeds FLOAT_TOL * (1 + max |x|), the values' float
+    resolution.
     """
     eps = default_grid(window) if eps_grid is None else eps_grid
     pts, _ = _cluster(window, model, eps, theta)

@@ -507,6 +507,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 setattr(base, key, value)
     if base.horizon < 0:
         raise ConfigError(f"--horizon must be positive, or 0 for the default; got {base.horizon}")
+    if base.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {base.seed}")
     return base
 
 

@@ -11,8 +11,13 @@ duplicate points change no minimum or Hausdorff distance.
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps, and
 the continuity probe expands each ladder rung in batches of at most
-``EXPAND_CHUNK`` moved points. A state whose image is empty is skipped
-by both. The runtime needs NumPy alone; SciPy is a test-only dependency.
+``EXPAND_CHUNK`` moved points.
+
+A state whose image is empty has no children: ``expand`` emits none for
+it and carries on with the rest of the batch, so its ``parent`` array
+may skip rows. Such a state ends its own feasible path and no other;
+the fixed-point scan, the probe and the beam search pass over it. The
+runtime needs NumPy alone; SciPy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ EXPAND_CHUNK = 1024
 
 
 class InfeasibleImageError(RuntimeError):
-    """An image sample came out empty (lower bound above upper bound)."""
+    """A search was pinned to a start point whose image is empty."""
 
 
 class NonContractiveError(RuntimeError):
@@ -90,6 +95,8 @@ class Correspondence:
         each child. Children are grouped by parent in input order, and
         within each parent the branch indices run 0, 1, ...; the beam
         search, ``_child_gaps`` and the batched audits rely on this order.
+        A state whose image is empty gets no children and never raises,
+        so parent_index may skip it.
         """
         raise NotImplementedError
 
@@ -130,7 +137,10 @@ class FiniteBranch(Correspondence):
 
 @dataclass(frozen=True)
 class Interval1D(Correspondence):
-    """Phi(x) = [a(x), b(x)] sampled at m equispaced points, endpoints included."""
+    """Phi(x) = [a(x), b(x)] sampled at m equispaced points, endpoints included.
+
+    The image is empty where a(x) > b(x); such a state has no children.
+    """
 
     lower: Callable[[np.ndarray], np.ndarray]
     upper: Callable[[np.ndarray], np.ndarray]
@@ -143,18 +153,15 @@ class Interval1D(Correspondence):
 
     def expand(self, states: np.ndarray):
         x = states[:, 0]
-        lo = np.asarray(self.lower(x), dtype=float).reshape(-1)
-        hi = np.asarray(self.upper(x), dtype=float).reshape(-1)
-        if np.any(lo > hi):
-            bad = float(x[np.argmax(lo > hi)])
-            raise InfeasibleImageError(
-                f"empty interval image at x = {bad}: lower bound exceeds upper bound"
-            )
+        lo = np.broadcast_to(np.asarray(self.lower(x), dtype=float).reshape(-1), x.shape)
+        hi = np.broadcast_to(np.asarray(self.upper(x), dtype=float).reshape(-1), x.shape)
+        live = np.flatnonzero(~(lo > hi))  # NaN bounds are not an empty image
+        lo, hi = lo[live], hi[live]
         t = np.linspace(0.0, 1.0, self.samples)
         pts = lo[:, None] + t[None, :] * (hi - lo)[:, None]  # (B, m)
         children = pts.reshape(-1, 1)
-        parents = np.repeat(np.arange(states.shape[0]), self.samples)
-        branches = np.tile(np.arange(self.samples), states.shape[0])
+        parents = np.repeat(live, self.samples)
+        branches = np.tile(np.arange(self.samples), live.size)
         return children, parents, branches
 
 
@@ -287,11 +294,10 @@ def feasible_path(
     truncated = False
     note = ""
     for step in range(n - 1):
-        try:
-            imgs = phi.images(x)
-        except InfeasibleImageError as exc:
+        imgs = phi.images(x)
+        if imgs.shape[0] == 0:
             truncated = True
-            note = str(exc)
+            note = f"empty image at x = {x.tolist()}"
             break
         j = int(policy(step, x, imgs))
         if not 0 <= j < imgs.shape[0]:
@@ -316,28 +322,6 @@ def feasibility_check(path: Path, phi: Correspondence, tol: float = FEASIBILITY_
 # fixed points
 
 
-def _expand_rows(phi: Correspondence, states: np.ndarray):
-    """``expand`` of a batch in which some images may be empty.
-
-    One batched call; when it raises ``InfeasibleImageError`` the states
-    are expanded one by one and those with an empty image contribute no
-    children, so ``parent`` may skip rows.
-    """
-    try:
-        return phi.expand(states)
-    except InfeasibleImageError:
-        none = np.empty(0, dtype=np.int64)
-        parts = [(np.empty((0, states.shape[1])), none, none)]
-    for i in range(states.shape[0]):
-        try:
-            children, _, branch = phi.expand(states[i : i + 1])
-        except InfeasibleImageError:
-            continue
-        parts.append((children, np.full(branch.size, i), branch))
-    children, parent, branch = (np.concatenate(z) for z in zip(*parts))
-    return children, parent, branch
-
-
 def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a grouped parent
     array (one run per state that has children)."""
@@ -352,12 +336,11 @@ def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) ->
     arithmetic per row as ``min_distance`` on a single point. A state
     with an empty image is at distance inf.
     """
-    children, parent, _ = _expand_rows(phi, states)
+    children, parent, _ = phi.expand(states)
     gaps = np.sqrt(((children - targets[parent]) ** 2).sum(axis=1))
     out = np.full(states.shape[0], np.inf)
     start, _ = _segments(parent)
-    if start.size:
-        out[parent[start]] = np.minimum.reduceat(gaps, start)
+    out[parent[start]] = np.minimum.reduceat(gaps, start)
     return out
 
 
@@ -375,9 +358,8 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     x = center.copy()
     orbit = []
     for _ in range(128):
-        try:
-            imgs = phi.expand(x[None, :])[0]
-        except InfeasibleImageError:
+        imgs = phi.expand(x[None, :])[0]
+        if imgs.shape[0] == 0:
             break
         x = imgs[int(np.argmin(np.sqrt(((imgs - x) ** 2).sum(axis=1))))]
         orbit.append(x)
@@ -411,7 +393,7 @@ _ROUNDING_STEP = 16 * np.finfo(float).eps
 def _branch_children(phi: Correspondence, states: np.ndarray, branch: np.ndarray) -> np.ndarray:
     """Child ``branch[i]`` of ``states[i]`` per row; NaN where the image
     is empty or has no such branch."""
-    children, parent, b = _expand_rows(phi, states)
+    children, parent, b = phi.expand(states)
     out = np.full(states.shape, np.nan)
     hit = b == branch[parent]
     out[parent[hit]] = children[hit]
@@ -473,7 +455,7 @@ def fixed_points(
     if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
         raise ValueError("box must be a (d, 2) array of [lo, hi] rows")
     seeds = _seed_points(phi, box, seed)
-    children, parent, branch = _expand_rows(phi, seeds)
+    children, parent, branch = phi.expand(seeds)
     gaps = np.sqrt(((children - seeds[parent]) ** 2).sum(axis=1))
     pick = np.argsort(gaps, kind="stable")[:NEWTON_PAIRS]
     x = _branch_newton(phi, seeds[parent[pick]], branch[pick])
@@ -640,7 +622,7 @@ def continuity_probe(
         rnd = rng.normal(size=(2, d))
         rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
         dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
-    base, base_parent, _ = _expand_rows(phi, pts)
+    base, base_parent, _ = phi.expand(pts)
     base_start, base_count = _segments(base_parent)
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
     rungs = []
@@ -648,7 +630,7 @@ def continuity_probe(
         worst = 0.0
         for part in row_spans(pts.shape[0], max(1, EXPAND_CHUNK // dirs.shape[0])):
             moved = (pts[part, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
-            children, parent, _ = _expand_rows(phi, moved)
+            children, parent, _ = phi.expand(moved)
             start, count = _segments(parent)
             of = part.start + parent[start] // dirs.shape[0]  # probe point of each moved image
             # matched-branch bound U = max_j |a_j - b_j|, accumulated per

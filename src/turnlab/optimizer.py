@@ -311,11 +311,9 @@ def _beam_step(
     """One beam step: the next states and profile rows, the kept
     children's parent and branch indices, and the frontier pair (children
     before selection, kept); None when the beam collapses. The arrays are
-    read-only, since a replayed step hands the same objects out again."""
-    try:
-        children, parent, branch = sys.phi.expand(states)
-    except InfeasibleImageError:
-        return None
+    read-only, since a replayed step hands the same objects out again.
+    The beam collapses only when no state in it has a child."""
+    children, parent, branch = sys.phi.expand(states)
     if children.shape[0] == 0:
         return None
     tail, full = slice(0, k_tail + 1), slice(k_tail + 1, None)
@@ -371,8 +369,8 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     full = slice(k_tail + 1, None)
 
     states = _initial_states(sys, cfg)
-    if isinstance(sys.constraint, StartAt):
-        sys.phi.images(sys.constraint.x0)  # infeasible start raises here
+    if isinstance(sys.constraint, StartAt) and not sys.phi.images(sys.constraint.x0).size:
+        raise InfeasibleImageError(f"empty image at the pinned start {sys.constraint.x0.tolist()}")
     m0 = states.shape[0]
     prof = np.full((m0, k_tail + k_full + 2), np.inf)
     if relevant[0]:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from turnlab import dynamics
-from turnlab.analysis import cluster_points, deviation_densities, ideal_liminf
+from turnlab.analysis import deviation_densities, ideal_liminf
 from turnlab.dynamics import (
     Correspondence,
     Interval1D,
@@ -93,12 +93,11 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
     if sys.separation is None:
         raise ValueError("system has no separation functional configured")
     pts = np.asarray(pts, dtype=float)
-    best = np.empty(pts.shape[0])
+    best = np.full(pts.shape[0], -np.inf)  # a state without children gains -inf
     for rows in row_spans(pts.shape[0], dynamics.EXPAND_CHUNK):
-        chunk = pts[rows]
-        children, parent, _ = sys.phi.expand(chunk)
-        bounds = np.searchsorted(parent, np.arange(chunk.shape[0]))
-        best[rows] = np.maximum.reduceat(children @ sys.separation, bounds)
+        children, parent, _ = sys.phi.expand(pts[rows])
+        start, _ = dynamics._segments(parent)
+        best[rows.start + parent[start]] = np.maximum.reduceat(children @ sys.separation, start)
     return best - pts @ sys.separation
 
 
@@ -391,36 +390,3 @@ def turnpike_verdict(
         verdict=all(r["small"] for r in rungs),
         model=model.describe(),
     )
-
-
-def path_separation_diagnostic(
-    sys: SystemInstance, path: Path, eps_grid: float | None = None
-) -> dict:
-    """Path-local separation check on the realized cluster set.
-
-    Evaluates the one-step implication only at the path's own cluster
-    points: for x there and y in Phi(x), T x <= T y must force
-    x = y = eta_star. Diagnostic output; it cannot upgrade a system-wide
-    verdict because it depends on the path that was found.
-    """
-    if sys.separation is None or sys.eta_star is None:
-        raise ValueError("diagnostic needs the separation functional and eta_star")
-    clusters = cluster_points(path.window, sys.ideal, eps_grid=eps_grid)
-    scale = 1.0 + float(np.abs(path.points).max())
-    witnesses = []
-    for x in clusters:
-        tx = float(x @ sys.separation)
-        for y in sys.phi.images(x):
-            ty = float(y @ sys.separation)
-            if tx <= ty:
-                x_star = np.sqrt(((x - sys.eta_star) ** 2).sum()) <= 1e-6 * scale
-                y_star = np.sqrt(((y - sys.eta_star) ** 2).sum()) <= 1e-6 * scale
-                if not (x_star and y_star):
-                    witnesses.append(
-                        {"x": [float(v) for v in x], "y": [float(v) for v in y]}
-                    )
-    return {
-        "holds_on_path_clusters": not witnesses,
-        "cluster_count": int(clusters.shape[0]),
-        "witnesses": witnesses[:8],
-    }

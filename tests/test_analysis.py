@@ -244,3 +244,16 @@ def test_theta_outside_unit_interval_rejected(theta):
         cluster_points(w, DENS, theta=theta)
     with pytest.raises(ValueError, match="theta"):
         analyze_window(w, DENS, theta=theta)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_below_float_resolution_rejected(dim):
+    # the default grid (1e-14) is below the float spacing near 1000 (1.1e-13),
+    # so no grid cell holds a float of its own
+    vals = np.repeat((1000.0 + np.linspace(0.0, 2e-12, 400))[:, None], dim, axis=1)
+    w = SequenceWindow(vals)
+    with pytest.raises(ValueError, match="eps_grid"):
+        cluster_points(w, IdealModel("fin", 400))
+    small = SequenceWindow(np.repeat(np.array([[1.0], [2.0], [3.0]]), dim, axis=1))
+    with pytest.raises(ValueError, match="eps_grid"):
+        analyze_window(small, IdealModel("fin", 3, cutoff=1), eps_grid=1e-17)

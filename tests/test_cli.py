@@ -189,10 +189,12 @@ def test_missing_input_exit_2(tmp_path):
         ["reproduce", "l2", "--horizon", "-3"],
         ["optimize", "--scenario", "l2", "--dim", "-1"],
         ["reproduce", "blocks", "--theta", "2"],
+        ["optimize", "--scenario", "l2", "--seed", "-1"],
+        ["reproduce", "l2", "--seed", "-1"],
     ],
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
-        "dim-neg-1", "blocks-theta-2",
+        "dim-neg-1", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
     ],
 )
 def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
@@ -200,6 +202,15 @@ def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_below_float_resolution_exit_2(tmp_path, capsys):
+    values = tmp_path / "values.txt"
+    values.write_text("1\n2\n3\n")
+    argv = ["analyze", "--input", str(values), "--grid", "1e-17"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps_grid" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pytest
 import turnlab
 from turnlab.dynamics import (
     FiniteBranch,
-    InfeasibleImageError,
     Interval1D,
     NonContractiveError,
     Singleton,
@@ -47,11 +46,17 @@ def test_images_branch_order_and_dedup():
     [
         (FLIP_OR_HALVE, [[1.0], [-0.5], [0.25]], [2, 2, 2]),
         (Interval1D(lambda x: x - 1.0, lambda x: x + 1.0, samples=4), [[0.0], [2.0]], [4, 4]),
+        # [x, 0] is empty for x > 0; a NaN bound is not an empty image
+        (
+            Interval1D(lambda x: x, lambda x: 0.0, samples=3),
+            [[-1.0], [1.0], [0.0], [2.0], [np.nan]],
+            [3, 0, 3, 0, 3],
+        ),
         (Singleton(lambda x: 0.5 * x), [[1.0], [2.0], [3.0]], [1, 1, 1]),
         # the middle state has x_1 > 1/1, so its band set is empty
         (TruncatedL2(3), [[0.1, 0.2, 0.1], [0.0, 1.5, 0.0], [0.3, -0.2, 0.4]], [26, 1, 26]),
     ],
-    ids=["finite-branch", "interval", "singleton", "truncated-l2"],
+    ids=["finite-branch", "interval", "interval-empty", "singleton", "truncated-l2"],
 )
 def test_expand_groups_children_by_parent_then_branch(phi, states, counts):
     states = np.array(states)
@@ -69,10 +74,9 @@ def test_interval_images_equispaced():
     )
 
 
-def test_interval_empty_image_raises():
+def test_interval_empty_image_has_no_points():
     iv = Interval1D(lambda x: x, lambda x: -x, samples=5)
-    with pytest.raises(InfeasibleImageError):
-        iv.images([1.0])
+    assert iv.images([1.0]).shape == (0, 1)
 
 
 def test_fixed_point_is_in_own_image():

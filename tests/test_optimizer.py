@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_two_branch_system
-from turnlab.dynamics import FiniteBranch, InfeasibleImageError, Interval1D, StartAt, SystemInstance
+from turnlab.dynamics import (
+    FiniteBranch,
+    InfeasibleImageError,
+    Interval1D,
+    StartAt,
+    SystemInstance,
+    feasibility_check,
+)
 from turnlab.ideals import IdealModel
 from turnlab.optimizer import (
     SearchBudgetError,
@@ -164,6 +171,23 @@ def test_frontier_collapse_flags_partial_report():
     rep = maxmin_search(sys_inst, SearchConfig(horizon=8, beam_width=4))
     assert rep.collapsed and rep.path.truncated
     assert rep.path.window.horizon < 8
+
+
+def test_beam_keeps_states_with_children_beside_a_childless_one():
+    # x = 2 has the empty image [1, 0]; the other kept states carry the beam
+    iv = Interval1D(lambda x: x - 1.0, lambda x: 2.0 - x, samples=3)
+    sys_inst = SystemInstance(
+        dim=1,
+        phi=iv,
+        utility=lambda p: p[..., 0],
+        ideal=_fin(8, cutoff=2),
+        constraint=StartAt([0.0]),
+        box=np.array([[-4.0, 4.0]]),
+    )
+    rep = maxmin_search(sys_inst, SearchConfig(horizon=8, beam_width=4))
+    assert not rep.collapsed and not rep.path.truncated
+    assert rep.path.window.horizon == 8
+    assert feasibility_check(rep.path, iv)["feasible"]
 
 
 def test_exhaustive_budget_guards():

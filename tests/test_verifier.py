@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from turnlab.dynamics import Singleton, StartAt, SystemInstance, feasible_path, make_policy
+from turnlab import dynamics
+from turnlab.dynamics import (
+    Interval1D,
+    Singleton,
+    StartAt,
+    SystemInstance,
+    feasible_path,
+    make_policy,
+)
 from turnlab.ideals import IdealModel
 from turnlab.scenarios import (
     build_block_sequence,
@@ -13,7 +21,6 @@ from turnlab.verifier import (
     SamplingPlan,
     check_conditions,
     check_separation_variants,
-    path_separation_diagnostic,
     t_hat,
     t_hat_batch,
     turnpike_verdict,
@@ -31,6 +38,23 @@ def test_t_hat_flip_or_halve():
     sys_inst = build_counterexample_system(_dens())
     assert t_hat(sys_inst, [1.0]) == -0.5
     assert t_hat(sys_inst, [0.0]) == 0.0
+
+
+@pytest.mark.parametrize("chunk", [1024, 2])
+def test_t_hat_batch_childless_state_gains_minus_inf(chunk, monkeypatch):
+    # [x - 1, 2 - x] is empty at x = 2 and x = 3; x = 0.5 and x = 0 keep their gains
+    monkeypatch.setattr(dynamics, "EXPAND_CHUNK", chunk)
+    sys_inst = SystemInstance(
+        dim=1,
+        phi=Interval1D(lambda x: x - 1.0, lambda x: 2.0 - x, samples=3),
+        utility=lambda p: p[..., 0],
+        ideal=_dens(),
+        constraint=StartAt([0.0]),
+        box=np.array([[-4.0, 4.0]]),
+        separation=np.array([1.0]),
+    )
+    gains = t_hat_batch(sys_inst, np.array([[0.0], [2.0], [0.5], [3.0], [1.5]]))
+    assert gains.tolist() == [2.0, -np.inf, 1.0, -np.inf, -1.0]
 
 
 def test_t_hat_singleton():
@@ -166,9 +190,3 @@ def test_turnpike_ladder_densities_reported():
     verdict = turnpike_verdict(Path(w, ()), [0.0], IdealModel("density", 1000), (0.5,))
     assert verdict.rungs[0]["upper_density"] == pytest.approx(0.05)
 
-
-def test_path_separation_diagnostic_on_halving():
-    sys_inst = build_counterexample_system(_dens(512))
-    path = feasible_path(sys_inst.phi, [1.0], make_policy("index", index=1), 512)
-    diag = path_separation_diagnostic(sys_inst, path)
-    assert diag["holds_on_path_clusters"]
