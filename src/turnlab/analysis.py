@@ -34,6 +34,7 @@ import numpy as np
 
 from turnlab.geometry import hausdorff_distance, lipschitz_ratio, min_distance, row_spans
 from turnlab.ideals import IdealModel, burn_in, is_small
+from turnlab.report import Report
 from turnlab.windows import SequenceWindow
 
 DEFAULT_POSITIVITY = 0.05
@@ -455,7 +456,7 @@ def _limit_ladder(window, pts, model, eps) -> tuple[list[dict], Optional[np.ndar
 
 
 @dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(Report):
     cluster_points: np.ndarray
     liminf: Optional[float]
     limsup: Optional[float]
@@ -469,25 +470,6 @@ class ClusterReport:
     degenerate: bool
     fallback: bool
     theta_effective: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster_points": [[float(v) for v in p] for p in self.cluster_points],
-            "liminf": self.liminf,
-            "limsup": self.limsup,
-            "converges_to": None
-            if self.converges_to is None
-            else [float(v) for v in self.converges_to],
-            "eps_grid": self.eps_grid,
-            "theta": self.theta,
-            "limit_eps": self.limit_eps,
-            "ladder": self.ladder,
-            "model": self.model,
-            "burn_in": self.burn_in,
-            "degenerate": self.degenerate,
-            "fallback": self.fallback,
-            "theta_effective": self.theta_effective,
-        }
 
 
 def analyze_window(
@@ -553,23 +535,13 @@ def lipschitz_estimate(
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Report):
     passed: bool
     distance: float
     tolerance: float
     lipschitz: float
     lhs: np.ndarray
     rhs: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "distance": self.distance,
-            "tolerance": self.tolerance,
-            "lipschitz": self.lipschitz,
-            "lhs": [[float(v) for v in p] for p in np.atleast_2d(self.lhs)],
-            "rhs": [[float(v) for v in p] for p in np.atleast_2d(self.rhs)],
-        }
 
 
 def check_image_cluster_identity(
@@ -606,21 +578,12 @@ def check_image_cluster_identity(
 
 
 @dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(Report):
     passed: bool
     tolerance: float
     lipschitz: float
     liminf_values: dict
     limsup_values: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "lipschitz": self.lipschitz,
-            "liminf_values": self.liminf_values,
-            "limsup_values": self.limsup_values,
-        }
 
 
 def check_representation_identity(

@@ -34,6 +34,7 @@ from turnlab.analysis import analyze_window
 from turnlab.dynamics import Path, fixed_points
 from turnlab.ideals import IdealSpecError, parse_ideal_spec
 from turnlab.optimizer import SearchConfig, maxmin_search
+from turnlab.report import Report, plain
 from turnlab.scenarios import (
     SCENARIO_NAMES,
     build_block_sequence,
@@ -55,6 +56,9 @@ class ConfigError(ValueError):
     pass
 
 
+OUTPUTS = ("json", "csv", "both")
+
+
 def _checked(what: str, build, *args, **kwargs):
     """Call a library builder on command-line values.
 
@@ -71,7 +75,7 @@ def _checked(what: str, build, *args, **kwargs):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Report):
     command: str
     scenario: str = ""
     input: str = ""
@@ -88,9 +92,6 @@ class RunConfig:
     probes: int = 10000
     output: str = "json"
     out_dir: str = "."
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def resolved_ideal(self) -> str:
         if self.ideal:
@@ -111,6 +112,8 @@ def _load_config_file(path: str) -> dict:
         text = FilePath(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.reason}") from exc
     data: dict
     try:
         data = json.loads(text)
@@ -118,34 +121,18 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"config file {path} must hold a JSON object")
     except json.JSONDecodeError:
         parser = configparser.ConfigParser()
+        data = {}
         try:
             parser.read_string(text)
+            for section in parser.sections():
+                data.update(dict(parser.items(section)))
         except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from exc
-        data = {}
-        for section in parser.sections():
-            data.update(dict(parser.items(section)))
+            message = " ".join(str(exc).split())  # configparser's span lines
+            raise ConfigError(f"malformed config file {path}: {message}") from exc
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {sorted(unknown)}")
     return data
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def write_report(
@@ -155,13 +142,13 @@ def write_report(
     field with the timestamp and, when given, the run's work counters."""
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = config.to_dict()
-    resolved["ideal"] = config.resolved_ideal()
-    resolved["horizon"] = config.resolved_horizon()
+    resolved = dataclasses.replace(
+        config, ideal=config.resolved_ideal(), horizon=config.resolved_horizon()
+    )
     meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
     if counters:
         meta["counters"] = dict(counters)
-    report = {"config": _jsonify(resolved), "results": _jsonify(results), "meta": meta}
+    report = {"config": plain(resolved), "results": plain(results), "meta": meta}
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -285,7 +272,7 @@ def cmd_optimize(config: RunConfig) -> int:
     verdict = turnpike_verdict(
         report.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
     )
-    results = {"optimizer": report.to_dict(), "turnpike": verdict.to_dict()}
+    results = {"optimizer": report, "turnpike": verdict}
     out = write_report(config, results, f"optimize-{config.scenario}", report.counters)
     print(
         f"optimize {config.scenario}: objective {report.objective:.6g}, "
@@ -308,7 +295,7 @@ def cmd_verify(config: RunConfig) -> int:
     plan = _sampling_plan(config)
     conditions = _checked("condition battery", check_conditions, sys_inst, plan)
     separation = conditions.separation
-    results = {"conditions": conditions.to_dict(), "separation": separation.to_dict()}
+    results = {"conditions": conditions, "separation": separation}
     out = write_report(config, results, f"verify-{config.scenario}")
     for name in sorted(conditions.conditions):
         print(f"  {name}: {conditions.conditions[name]['verdict']}")
@@ -329,9 +316,9 @@ def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, None]:
     vals = window.scalars()
     results = {
         "length": window.horizon,
-        "classical_min": float(vals.min()),
-        "classical_max": float(vals.max()),
-        "analysis": report.to_dict(),
+        "classical_min": vals.min(),
+        "classical_max": vals.max(),
+        "analysis": report,
     }
     extremes_ok = vals.min() == -1.0 and vals.max() == 1.0
     if model.kind == "density":
@@ -353,9 +340,9 @@ def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool, dict]:
     )
     conditions = _checked("condition battery", check_conditions, sys_inst, plan)
     results = {
-        "optimizer": opt.to_dict(),
-        "turnpike": verdict.to_dict(),
-        "conditions": conditions.to_dict(),
+        "optimizer": opt,
+        "turnpike": verdict,
+        "conditions": conditions,
     }
     if sys_inst.ideal.kind == "finite_trace":
         reproduced = (
@@ -379,11 +366,11 @@ def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool, dict]:
     final_gap = float(np.abs(opt.path.points[-1] - sys_inst.eta_star).max())
     verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3, 1e-4))
     results = {
-        "fixed_points": [[float(v) for v in p] for p in pts],
-        "eta_star": [float(v) for v in sys_inst.eta_star],
-        "optimizer": opt.to_dict(),
+        "fixed_points": pts,
+        "eta_star": sys_inst.eta_star,
+        "optimizer": opt,
         "final_gap": final_gap,
-        "turnpike": verdict.to_dict(),
+        "turnpike": verdict,
     }
     reproduced = final_gap <= 1e-6 and verdict.verdict
     return results, bool(reproduced), opt.counters
@@ -403,11 +390,11 @@ def _reproduce_l2(config: RunConfig) -> tuple[dict, bool, dict]:
     opt = maxmin_search(sys_inst, cfg)
     verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3,))
     results = {
-        "conditions": conditions.to_dict(),
+        "conditions": conditions,
         "t_hat_origin": origin_gain,
-        "t_hat_max_on_F": float(gains.max()) if gains.size else None,
-        "optimizer": opt.to_dict(),
-        "turnpike": verdict.to_dict(),
+        "t_hat_max_on_F": gains.max() if gains.size else None,
+        "optimizer": opt,
+        "turnpike": verdict,
     }
     reproduced = (
         conditions.all_pass
@@ -452,7 +439,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--probes", type=int, default=None)
-    p.add_argument("--output", choices=("json", "csv", "both"), default=None)
+    p.add_argument("--output", choices=OUTPUTS, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
 
 
@@ -489,17 +476,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(key: str, value, kind: type):
+    """``value`` as ``kind``: strings (every INI value) are parsed and an
+    int may be a float; nothing else converts, so 2.7 and true are no int."""
+    bad = ConfigError(f"bad value for config key {key}: {value!r}")
+    if isinstance(value, str) and kind is not str:
+        try:
+            return kind(value)
+        except ValueError:
+            raise bad from None
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise bad
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     base = RunConfig(command=args.command)
     if getattr(args, "config", ""):
-        file_values = _load_config_file(args.config)
-        for key, value in file_values.items():
-            current = getattr(base, key)
-            cast = type(current) if current is not None else str
-            try:
-                setattr(base, key, cast(value) if not isinstance(value, cast) else value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for config key {key}: {value!r}") from exc
+        for key, value in _load_config_file(args.config).items():
+            setattr(base, key, _config_value(key, value, type(getattr(base, key))))
     for key in _CONFIG_FIELDS:
         if hasattr(args, key):
             value = getattr(args, key)
@@ -509,6 +506,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--horizon must be positive, or 0 for the default; got {base.horizon}")
     if base.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {base.seed}")
+    if base.output not in OUTPUTS:
+        raise ConfigError(f"output must be one of {', '.join(OUTPUTS)}; got {base.output!r}")
     return base
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from turnlab.geometry import hausdorff_distance, lipschitz_ratio, row_spans, squared_distances
 from turnlab.ideals import IdealModel
+from turnlab.report import Report
 from turnlab.windows import SequenceWindow
 
 FIXED_POINT_TOL = 1e-8
@@ -487,15 +488,6 @@ class HutchinsonResult:
     step_distances: tuple[float, ...]
     lipschitz: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "set_size": int(self.points.shape[0]),
-            "min": [float(v) for v in self.points.min(axis=0)],
-            "max": [float(v) for v in self.points.max(axis=0)],
-            "step_distances": list(self.step_distances),
-            "lipschitz": list(self.lipschitz),
-        }
-
 
 def branch_lipschitz(phi: FiniteBranch, box, seed: int = 0, pairs: int = 256) -> tuple[float, ...]:
     box = np.atleast_2d(np.asarray(box, dtype=float))
@@ -544,20 +536,20 @@ def hutchinson_iterate(
 
 
 @dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(Report):
     rungs: tuple[dict, ...]
     growth: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"rungs": list(self.rungs), "growth": self.growth, "passed": self.passed}
-
 
 def _ladder(box: np.ndarray, ladder: Sequence[float] | None) -> Sequence[float]:
-    """The probe scales: ``ladder``, else span / k for k in (20, 40, 80, 160)."""
+    """The probe scales: ``ladder`` (at least one, each positive and
+    finite), else span / k for k in (20, 40, 80, 160)."""
     span = float((box[:, 1] - box[:, 0]).max())
     if span <= 0:
         raise ValueError("probe box must have positive extent")
+    if ladder is not None and (len(ladder) == 0 or not all(0 < s < np.inf for s in ladder)):
+        raise ValueError(f"probe ladder must hold positive finite scales, got {ladder!r}")
     return tuple(span / k for k in (20, 40, 80, 160)) if ladder is None else ladder
 
 

@@ -30,6 +30,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from turnlab.report import Report
+
 _KINDS = ("fin", "density", "finite_trace")
 _TRACES = ("evens", "odds")
 
@@ -226,23 +228,13 @@ def _shifted_model(model: IdealModel, shift: int) -> IdealModel:
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Report):
     model: dict
     shifts: tuple[int, ...]
     samples: int
     fractions: dict[int, float]
     invariant: bool
     witness: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "shifts": list(self.shifts),
-            "samples": self.samples,
-            "fractions": {str(k): v for k, v in self.fractions.items()},
-            "invariant": self.invariant,
-            "witness": self.witness,
-        }
 
 
 def check_translation_invariance(

@@ -70,6 +70,7 @@ from turnlab.dynamics import (
     _box_lattice,
 )
 from turnlab.ideals import IdealModel
+from turnlab.report import Report, plain
 from turnlab.windows import SequenceWindow
 
 EXHAUSTIVE_BUDGET = 10**7
@@ -82,7 +83,7 @@ class SearchBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Report):
     horizon: int
     beam_width: int = 64
     state_grid: float = 1e-3
@@ -97,14 +98,6 @@ class SearchConfig:
             raise ValueError(f"state grid must be positive and finite, got {self.state_grid!r}")
         if not 0.0 <= self.trim_fraction < 0.5:
             raise ValueError("trim fraction must lie in [0, 0.5)")
-
-    def describe(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "beam_width": self.beam_width,
-            "state_grid": self.state_grid,
-            "trim_fraction": self.trim_fraction,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,7 @@ def _rank(
 
 
 @dataclass(frozen=True)
-class OptimReport:
+class OptimReport(Report):
     path: Path
     objective: float
     revalidated_liminf: float
@@ -231,21 +224,21 @@ class OptimReport:
     counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
+        return plain({
             "objective": self.objective,
             "revalidated_liminf": self.revalidated_liminf,
             "consistency_gap": self.consistency_gap,
             "consistent": self.consistent,
-            "trace_head": list(self.path.trace[:32]),
+            "trace_head": self.path.trace[:32],
             "path_length": self.path.window.horizon,
-            "final_point": [float(v) for v in self.path.points[-1]],
-            "frontier_sizes": [list(t) for t in self.frontier_sizes[:64]],
+            "final_point": self.path.points[-1],
+            "frontier_sizes": self.frontier_sizes[:64],
             "certificate": self.certificate,
             "collapsed": self.collapsed,
             "config": self.config,
             "model": self.model,
-            "notes": list(self.notes),
-        }
+            "notes": self.notes,
+        })
 
 
 def _finalize(
@@ -419,7 +412,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         states_path,
         tuple(trace),
         model,
-        cfg.describe(),
+        cfg.to_dict(),
         cfg.trim_fraction,
         tuple(frontier_sizes),
         certificate=False,

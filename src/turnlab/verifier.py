@@ -47,6 +47,7 @@ from turnlab.dynamics import (
 )
 from turnlab.geometry import row_spans
 from turnlab.ideals import IdealModel, check_translation_invariance
+from turnlab.report import Report, plain
 from turnlab.windows import SequenceWindow
 
 UNIQUENESS_MARGIN = 1e-6
@@ -54,7 +55,7 @@ A6_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(Report):
     """Reproducible probe configuration for the condition checks."""
 
     n_points: int = 10_000
@@ -67,16 +68,6 @@ class SamplingPlan:
     def __post_init__(self) -> None:
         if self.n_points < 1:
             raise ValueError(f"probe count must be positive, got {self.n_points}")
-
-    def describe(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "continuity_samples": self.continuity_samples,
-            "translation_samples": self.translation_samples,
-            "translation_shifts": list(self.translation_shifts),
-            "delta_ladder": list(self.delta_ladder) if self.delta_ladder else None,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +108,7 @@ def _refined_images(phi: Correspondence, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Report):
     conditions: dict
     plan: dict
     model: dict
@@ -133,7 +124,7 @@ class ConditionReport:
         return self.conditions[name]["verdict"]
 
     def to_dict(self) -> dict:
-        return {"conditions": self.conditions, "plan": self.plan, "model": self.model}
+        return plain({"conditions": self.conditions, "plan": self.plan, "model": self.model})
 
 
 def _check_a4(sys: SystemInstance) -> dict:
@@ -307,7 +298,7 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
         }
 
     return ConditionReport(
-        conditions=out, plan=plan.describe(), model=sys.ideal.describe(), separation=separation
+        conditions=out, plan=plan.to_dict(), model=sys.ideal.describe(), separation=separation
     )
 
 
@@ -316,23 +307,13 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
 
 
 @dataclass(frozen=True)
-class SeparationVariantReport:
+class SeparationVariantReport(Report):
     strong_holds: bool
     weak_holds: bool
     weak_without_strong: bool
     strong_witness: Optional[dict]
     weak_witness: Optional[dict]
     pairs_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "strong_holds": self.strong_holds,
-            "weak_holds": self.weak_holds,
-            "weak_without_strong": self.weak_without_strong,
-            "strong_witness": self.strong_witness,
-            "weak_witness": self.weak_witness,
-            "pairs_checked": self.pairs_checked,
-        }
 
 
 def check_separation_variants(
@@ -353,19 +334,11 @@ def check_separation_variants(
 
 
 @dataclass(frozen=True)
-class TurnpikeVerdict:
+class TurnpikeVerdict(Report):
     eta_star: np.ndarray
     rungs: tuple[dict, ...]
     verdict: bool
     model: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "eta_star": [float(v) for v in np.atleast_1d(self.eta_star)],
-            "rungs": list(self.rungs),
-            "verdict": self.verdict,
-            "model": self.model,
-        }
 
 
 def turnpike_verdict(
@@ -385,7 +358,7 @@ def turnpike_verdict(
         path.window, np.asarray(eta_star, dtype=float), model, tuple(ladder), apply_burn_in=False
     )
     return TurnpikeVerdict(
-        eta_star=np.asarray(eta_star, dtype=float),
+        eta_star=np.atleast_1d(np.asarray(eta_star, dtype=float)),
         rungs=tuple(rungs),
         verdict=all(r["small"] for r in rungs),
         model=model.describe(),

@@ -178,26 +178,42 @@ def test_missing_input_exit_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.txt")]) == 2
 
 
+OPT = ["optimize", "--scenario", "counterexample"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config",
     [
-        ["verify", "--scenario", "l2", "--dim", "9"],
-        ["optimize", "--scenario", "l2", "--beam", "0"],
-        ["verify", "--scenario", "ifs", "--branches", "1.5,0"],
-        ["verify", "--scenario", "counterexample", "--ideal", "fin:abc"],
-        ["reproduce", "blocks", "--k-max", "13"],
-        ["reproduce", "l2", "--horizon", "-3"],
-        ["optimize", "--scenario", "l2", "--dim", "-1"],
-        ["reproduce", "blocks", "--theta", "2"],
-        ["optimize", "--scenario", "l2", "--seed", "-1"],
-        ["reproduce", "l2", "--seed", "-1"],
+        (["verify", "--scenario", "l2", "--dim", "9"], None),
+        (["optimize", "--scenario", "l2", "--beam", "0"], None),
+        (["verify", "--scenario", "ifs", "--branches", "1.5,0"], None),
+        (["verify", "--scenario", "counterexample", "--ideal", "fin:abc"], None),
+        (["reproduce", "blocks", "--k-max", "13"], None),
+        (["reproduce", "l2", "--horizon", "-3"], None),
+        (["optimize", "--scenario", "l2", "--dim", "-1"], None),
+        (["reproduce", "blocks", "--theta", "2"], None),
+        (["optimize", "--scenario", "l2", "--seed", "-1"], None),
+        (["reproduce", "l2", "--seed", "-1"], None),
+        (OPT, b'{"beam": 2.7}'),
+        (OPT, b'{"beam": true}'),
+        (OPT, b'{"output": "xml"}'),
+        (OPT, b"[run]\nbeam = 2.7\n"),
+        (OPT, b"[run]\noutput = xml\n"),
+        (OPT, b"beam = 3\n"),
+        (OPT, b"[run]\nbeam = 3\n  garbage\nnot an option line\n"),
+        (OPT, b"\x80\xff"),
     ],
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
         "dim-neg-1", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
+        "json-beam-2.7", "json-beam-true", "json-output-xml",
+        "ini-beam-2.7", "ini-output-xml", "ini-no-section", "ini-parse-error", "config-not-text",
     ],
 )
-def test_bad_setting_exit_2_one_line_error(argv, tmp_path, capsys):
+def test_bad_setting_exit_2_one_line_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.cfg").write_bytes(config)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -22,6 +22,7 @@ from turnlab.dynamics import (
     fixed_points,
     hutchinson_iterate,
     make_policy,
+    scalar_continuity,
 )
 from turnlab.geometry import _distance_matrix, hausdorff_distance
 from turnlab.ideals import IdealModel
@@ -199,6 +200,17 @@ def test_continuity_probe_flags_jump():
     step = Singleton(lambda x: np.where(x >= 0, 1.0, -1.0), dim=1)
     rep = continuity_probe(step, [[-1.0, 1.0]])
     assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "ladder", [(), (0.0,), (-0.1, 0.05), (0.1, np.inf), (0.1, np.nan)],
+    ids=["empty", "zero", "negative", "inf", "nan"],
+)
+def test_probe_ladder_rejected_unless_positive_finite(ladder):
+    with pytest.raises(ValueError, match="probe ladder"):
+        continuity_probe(FLIP_OR_HALVE, [[-2.0, 2.0]], ladder=ladder)
+    with pytest.raises(ValueError, match="probe ladder"):
+        scalar_continuity(lambda x: x[..., 0], [[-2.0, 2.0]], ladder=ladder)
 
 
 def test_feasible_path_policies():

@@ -190,3 +190,12 @@ def test_turnpike_ladder_densities_reported():
     verdict = turnpike_verdict(Path(w, ()), [0.0], IdealModel("density", 1000), (0.5,))
     assert verdict.rungs[0]["upper_density"] == pytest.approx(0.05)
 
+
+
+def test_turnpike_scalar_eta_star_renders_as_list():
+    w = SequenceWindow(np.zeros(100))
+    from turnlab.dynamics import Path
+
+    verdict = turnpike_verdict(Path(w, ()), 0.0, IdealModel("fin", 100, cutoff=5), (0.1,))
+    assert verdict.eta_star.shape == (1,)
+    assert verdict.to_dict()["eta_star"] == [0.0]
