@@ -10,8 +10,10 @@ Four commands:
   documented expected profile.
 
 Reports are JSON (deterministic for a fixed config and seed; timestamps
-live in a separate ``meta`` field) plus optional CSV path tables with
-columns ``n, x_0..x_{d-1}, u, dist_to_eta_star``. Exit status: 0 for
+live in a separate ``meta`` field) plus, with ``--output csv|both``, a
+CSV path table with columns ``n, x_0..x_{d-1}, u, dist_to_eta_star``:
+the window for ``analyze`` and ``reproduce blocks``, the optimizer path
+for the other commands that search, none for ``verify``. Exit status: 0 for
 pass verdicts, 1 for fail verdicts, 2 for configuration errors.
 """
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from turnlab import __version__
 from turnlab.analysis import analyze_window
-from turnlab.dynamics import Path, fixed_points
+from turnlab.dynamics import fixed_points
 from turnlab.ideals import IdealSpecError, parse_ideal_spec
 from turnlab.optimizer import SearchConfig, maxmin_search
 from turnlab.report import Report, plain
@@ -62,11 +64,13 @@ OUTPUTS = ("json", "csv", "both")
 def _checked(what: str, build, *args, **kwargs):
     """Call a library builder on command-line values.
 
-    The scenario builders, ``SearchConfig``, ``analyze_window``,
-    ``check_conditions`` (whose translation probe needs a horizon above
-    twice its largest shift) and ideal-spec parsing raise ValueError on
-    values they cannot use; at this boundary that is a configuration
-    error (exit 2), reported with ``what`` as its subject.
+    The scenario builders, ``SearchConfig``, ``maxmin_search`` (whose
+    state grid must keep every child's cell within int64),
+    ``analyze_window``, ``check_conditions`` (whose translation probe
+    needs a horizon above twice its largest shift) and ideal-spec
+    parsing raise ValueError on values they cannot use; at this boundary
+    that is a configuration error (exit 2), reported with ``what`` as
+    its subject.
     """
     try:
         return build(*args, **kwargs)
@@ -155,11 +159,10 @@ def write_report(
 
 
 def write_path_csv(
-    config: RunConfig, path: Path, u_values: np.ndarray, eta_star, name: str
+    config: RunConfig, pts: np.ndarray, u_values: np.ndarray, eta_star, name: str
 ) -> FilePath:
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pts = path.points
     d = pts.shape[1]
     target = None if eta_star is None else np.asarray(eta_star, dtype=float).ravel()
     file = out_dir / f"{name}.csv"
@@ -185,8 +188,8 @@ def _parse_ideal(config: RunConfig, horizon: int):
     return _checked(f"--ideal {spec!r}", parse_ideal_spec, spec, horizon)
 
 
-def _build_system(config: RunConfig, horizon: int):
-    ideal = _parse_ideal(config, horizon)
+def _build_system(config: RunConfig):
+    ideal = _parse_ideal(config, config.resolved_horizon())
     what = f"scenario {config.scenario}"
     if config.scenario == "counterexample":
         return _checked(what, build_counterexample_system, ideal)
@@ -210,29 +213,56 @@ def _build_system(config: RunConfig, horizon: int):
     )
 
 
-def _search_config(
-    config: RunConfig, horizon: int, beam: int | None = None, grid: float = 1e-3
-) -> SearchConfig:
-    """Search settings from the run config; ``grid`` is the default state
-    grid and ``beam`` overrides the configured beam width."""
-    return _checked(
+# ---------------------------------------------------------------------------
+# stages: each returns its results and, where it has one, its path table
+# ``(points, u values, target)`` for the CSV
+
+
+def _analysis(config: RunConfig, window: SequenceWindow, **kw):
+    """Cluster/limit report of ``window``; its table is the window with
+    the first coordinate as u and the limit as target."""
+    model = _parse_ideal(config, window.horizon)
+    report = _checked(
+        "analyze", analyze_window, window, model,
+        eps_grid=config.grid or None, theta=config.theta, **kw,
+    )
+    return report, (window.values, window.values[:, 0], report.converges_to)
+
+
+def _search(config: RunConfig, sys_inst, ladder=None, beam: int | None = None, grid=1e-3):
+    """Maxmin search and turnpike verdict; its table is the optimizer's
+    path. ``grid`` is the default state grid, ``beam`` overrides the
+    configured beam width and ``ladder`` the default turnpike ladder."""
+    cfg = _checked(
         "search settings",
         SearchConfig,
-        horizon=horizon,
+        horizon=config.resolved_horizon(),
         beam_width=config.beam if beam is None else beam,
         state_grid=config.grid or grid,
         trim_fraction=config.trim,
     )
+    opt = _checked("search", maxmin_search, sys_inst, cfg)
+    ladder = ladder or ((1e-3,) if config.scenario == "l2" else (1e-1, 1e-2, 1e-3))
+    verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, ladder)
+    table = (opt.path.points, opt.path.utilities(sys_inst.utility), sys_inst.eta_star)
+    return {"optimizer": opt, "turnpike": verdict}, table
 
 
-def _sampling_plan(config: RunConfig) -> SamplingPlan:
-    return _checked("--probes", SamplingPlan, n_points=config.probes, seed=config.seed)
+def _conditions(config: RunConfig, sys_inst):
+    plan = _checked("--probes", SamplingPlan, n_points=config.probes, seed=config.seed)
+    return _checked("condition battery", check_conditions, sys_inst, plan)
 
 
-def _turnpike_ladder(config: RunConfig) -> tuple[float, ...]:
-    if config.scenario == "l2":
-        return (1e-3,)
-    return (1e-1, 1e-2, 1e-3)
+def _finish(config: RunConfig, name: str, results: dict, table=None, passed=True) -> int:
+    """Write ``{name}.json`` (with the optimizer's work counters in
+    ``meta``) and, when ``--output`` asks for it and the run has a path
+    table, ``{name}.csv``; print the report line; return the exit code."""
+    opt = results.get("optimizer")
+    out = write_report(config, results, name, opt.counters if opt else None)
+    if table is not None and config.output in ("csv", "both"):
+        write_path_csv(config, *table, name)
+    print(f"  report: {out}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,73 +276,46 @@ def cmd_analyze(config: RunConfig) -> int:
         window = SequenceWindow.from_text(config.input)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model = _parse_ideal(config, window.horizon)
-    eps = config.grid or None
-    report = _checked("analyze", analyze_window, window, model, eps_grid=eps, theta=config.theta)
+    report, table = _analysis(config, window)
     results = report.to_dict()
-    out = write_report(config, results, "analyze")
     print(f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.resolved_ideal()}")
     print(f"  cluster points: {results['cluster_points']}")
     if report.liminf is not None:
         print(f"  liminf {report.liminf:.6g}  limsup {report.limsup:.6g}")
     print(f"  converges_to: {results['converges_to']}")
-    if config.output in ("csv", "both"):
-        u_vals = window.values[:, 0]
-        target = report.converges_to
-        write_path_csv(config, Path(window, ()), u_vals, target, "analyze")
-    print(f"  report: {out}")
-    return 0
+    return _finish(config, "analyze", results, table)
 
 
 def cmd_optimize(config: RunConfig) -> int:
-    horizon = config.resolved_horizon()
-    sys_inst = _build_system(config, horizon)
-    cfg = _search_config(config, horizon)
-    report = maxmin_search(sys_inst, cfg)
-    verdict = turnpike_verdict(
-        report.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
-    )
-    results = {"optimizer": report, "turnpike": verdict}
-    out = write_report(config, results, f"optimize-{config.scenario}", report.counters)
+    results, table = _search(config, _build_system(config))
+    opt = results["optimizer"]
     print(
-        f"optimize {config.scenario}: objective {report.objective:.6g}, "
-        f"liminf {report.revalidated_liminf:.6g}, turnpike {verdict.verdict}"
+        f"optimize {config.scenario}: objective {opt.objective:.6g}, "
+        f"liminf {opt.revalidated_liminf:.6g}, turnpike {results['turnpike'].verdict}"
     )
-    if config.output in ("csv", "both"):
-        write_path_csv(
-            config,
-            report.path,
-            report.path.utilities(sys_inst.utility),
-            sys_inst.eta_star,
-            f"optimize-{config.scenario}",
-        )
-    print(f"  report: {out}")
-    return 0 if (report.consistent and not report.collapsed) else 1
+    passed = opt.consistent and not opt.collapsed
+    return _finish(config, f"optimize-{config.scenario}", results, table, passed)
 
 
 def cmd_verify(config: RunConfig) -> int:
-    sys_inst = _build_system(config, config.resolved_horizon())
-    plan = _sampling_plan(config)
-    conditions = _checked("condition battery", check_conditions, sys_inst, plan)
+    conditions = _conditions(config, _build_system(config))
     separation = conditions.separation
-    results = {"conditions": conditions, "separation": separation}
-    out = write_report(config, results, f"verify-{config.scenario}")
     for name in sorted(conditions.conditions):
         print(f"  {name}: {conditions.conditions[name]['verdict']}")
     print(
         f"  separation: strong={separation.strong_holds} weak={separation.weak_holds}"
     )
-    print(f"  report: {out}")
-    return 0 if conditions.all_pass else 1
+    results = {"conditions": conditions, "separation": separation}
+    return _finish(config, f"verify-{config.scenario}", results, passed=conditions.all_pass)
 
 
-def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, None]:
+# each ``reproduce`` scenario runs its stages and checks the documented
+# claim: (results, reproduced, path table)
+
+
+def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, tuple]:
     window = _checked("scenario blocks", build_block_sequence, config.k_max)
-    model = _parse_ideal(config, window.horizon)
-    report = _checked(
-        "analyze", analyze_window, window, model,
-        eps_grid=config.grid or None, theta=config.theta, limit_eps=0.1,
-    )
+    report, table = _analysis(config, window, limit_eps=0.1)
     vals = window.scalars()
     results = {
         "length": window.horizon,
@@ -321,29 +324,18 @@ def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, None]:
         "analysis": report,
     }
     extremes_ok = vals.min() == -1.0 and vals.max() == 1.0
-    if model.kind == "density":
+    if report.model["kind"] == "density":
         limit_ok = report.converges_to is not None and abs(report.converges_to[0]) <= 0.1
-        reproduced = bool(extremes_ok and limit_ok)
     else:
-        reproduced = bool(extremes_ok and report.converges_to is None)
-    return results, reproduced, None
+        limit_ok = report.converges_to is None
+    return results, extremes_ok and limit_ok, table
 
 
-def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool, dict]:
-    horizon = config.resolved_horizon()
-    sys_inst = _build_system(config, horizon)
-    cfg = _search_config(config, horizon)
-    plan = _sampling_plan(config)
-    opt = maxmin_search(sys_inst, cfg)
-    verdict = turnpike_verdict(
-        opt.path, sys_inst.eta_star, sys_inst.ideal, _turnpike_ladder(config)
-    )
-    conditions = _checked("condition battery", check_conditions, sys_inst, plan)
-    results = {
-        "optimizer": opt,
-        "turnpike": verdict,
-        "conditions": conditions,
-    }
+def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool, tuple]:
+    sys_inst = _build_system(config)
+    results, table = _search(config, sys_inst)
+    opt, verdict = results["optimizer"], results["turnpike"]
+    conditions = results["conditions"] = _conditions(config, sys_inst)
     if sys_inst.ideal.kind == "finite_trace":
         reproduced = (
             opt.objective >= 1.0 - 1e-9
@@ -354,75 +346,63 @@ def _reproduce_counterexample(config: RunConfig) -> tuple[dict, bool, dict]:
         reproduced = (
             opt.objective <= 1e-3 and verdict.verdict and conditions.all_pass
         )
-    return results, bool(reproduced), opt.counters
+    return results, reproduced, table
 
 
-def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool, dict]:
-    horizon = config.resolved_horizon()
-    sys_inst = _build_system(config, horizon)
+def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool, tuple]:
+    sys_inst = _build_system(config)
     pts = fixed_points(sys_inst.phi, sys_inst.box)
-    cfg = _search_config(config, horizon, grid=1e-6)
-    opt = maxmin_search(sys_inst, cfg)
-    final_gap = float(np.abs(opt.path.points[-1] - sys_inst.eta_star).max())
-    verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3, 1e-4))
-    results = {
-        "fixed_points": pts,
-        "eta_star": sys_inst.eta_star,
-        "optimizer": opt,
-        "final_gap": final_gap,
-        "turnpike": verdict,
-    }
-    reproduced = final_gap <= 1e-6 and verdict.verdict
-    return results, bool(reproduced), opt.counters
+    results, table = _search(config, sys_inst, ladder=(1e-3, 1e-4), grid=1e-6)
+    final_gap = float(np.abs(results["optimizer"].path.points[-1] - sys_inst.eta_star).max())
+    results.update(fixed_points=pts, eta_star=sys_inst.eta_star, final_gap=final_gap)
+    return results, final_gap <= 1e-6 and results["turnpike"].verdict, table
 
 
-def _reproduce_l2(config: RunConfig) -> tuple[dict, bool, dict]:
-    horizon = config.resolved_horizon()
-    sys_inst = _build_system(config, horizon)
-    plan = _sampling_plan(config)
-    conditions = _checked("condition battery", check_conditions, sys_inst, plan)
+def _reproduce_l2(config: RunConfig) -> tuple[dict, bool, tuple]:
+    sys_inst = _build_system(config)
+    conditions = _conditions(config, sys_inst)
     origin_gain = t_hat(sys_inst, sys_inst.eta_star)
     rng = np.random.default_rng(config.seed + 1)
     draw = rng.uniform(-1.0, 1.0, (4 * config.probes, config.dim))
     draw = draw[draw[:, 0] >= 0.0][: config.probes]
     gains = t_hat_batch(sys_inst, draw)
-    cfg = _search_config(config, horizon, beam=min(config.beam, 8))
-    opt = maxmin_search(sys_inst, cfg)
-    verdict = turnpike_verdict(opt.path, sys_inst.eta_star, sys_inst.ideal, (1e-3,))
-    results = {
-        "conditions": conditions,
-        "t_hat_origin": origin_gain,
-        "t_hat_max_on_F": gains.max() if gains.size else None,
-        "optimizer": opt,
-        "turnpike": verdict,
-    }
+    results, table = _search(config, sys_inst, beam=min(config.beam, 8))
+    results.update(
+        conditions=conditions,
+        t_hat_origin=origin_gain,
+        t_hat_max_on_F=gains.max() if gains.size else None,
+    )
     reproduced = (
         conditions.all_pass
         and origin_gain == 0.0
         and gains.size > 0
         and float(gains.max()) < 0.0
-        and verdict.verdict
+        and results["turnpike"].verdict
     )
-    return results, bool(reproduced), opt.counters
+    return results, reproduced, table
+
+
+REPRODUCE = {
+    "blocks": _reproduce_blocks,
+    "counterexample": _reproduce_counterexample,
+    "ifs": _reproduce_ifs,
+    "l2": _reproduce_l2,
+}
 
 
 def cmd_reproduce(config: RunConfig) -> int:
-    handlers = {
-        "blocks": _reproduce_blocks,
-        "counterexample": _reproduce_counterexample,
-        "ifs": _reproduce_ifs,
-        "l2": _reproduce_l2,
-    }
-    if config.scenario not in handlers:
-        raise ConfigError(
-            f"unknown scenario {config.scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
-        )
-    results, reproduced, counters = handlers[config.scenario](config)
-    results["reproduced"] = reproduced
-    out = write_report(config, results, f"reproduce-{config.scenario}", counters)
+    results, reproduced, table = REPRODUCE[config.scenario](config)
+    reproduced = results["reproduced"] = bool(reproduced)
     print(f"reproduce {config.scenario}: {'ok' if reproduced else 'MISMATCH'}")
-    print(f"  report: {out}")
-    return 0 if reproduced else 1
+    return _finish(config, f"reproduce-{config.scenario}", results, table, reproduced)
+
+
+COMMANDS = {
+    "analyze": cmd_analyze,
+    "optimize": cmd_optimize,
+    "verify": cmd_verify,
+    "reproduce": cmd_reproduce,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +492,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        if config.command == "analyze":
-            return cmd_analyze(config)
-        if config.command == "optimize":
-            return cmd_optimize(config)
-        if config.command == "verify":
-            return cmd_verify(config)
-        if config.command == "reproduce":
-            return cmd_reproduce(config)
-        raise ConfigError(f"unknown command {config.command!r}")
+        return COMMANDS[config.command](config)
     except (ConfigError, IdealSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,6 +76,7 @@ from turnlab.windows import SequenceWindow
 EXHAUSTIVE_BUDGET = 10**7
 EXHAUSTIVE_MAX_HORIZON = 16
 _CELL_MIX = 1_000_003  # odd multiplier of the cell hash; wraps modulo 2**64
+_CELL_LIMIT = 2.0**62  # largest |cell index| a finite child may reach
 
 
 class SearchBudgetError(RuntimeError):
@@ -251,7 +252,6 @@ def _finalize(
     frontier_sizes: tuple[tuple[int, int], ...],
     certificate: bool,
     collapsed: bool,
-    notes: tuple[str, ...] = (),
     counters: Optional[dict] = None,
 ) -> OptimReport:
     path = Path(SequenceWindow(states), trace, truncated=collapsed)
@@ -275,7 +275,7 @@ def _finalize(
         collapsed=collapsed,
         config=cfg_dict,
         model=model.describe(),
-        notes=notes,
+        notes=sys.notes,
         counters=counters or {},
     )
 
@@ -312,6 +312,14 @@ def _beam_step(
     tail, full = slice(0, k_tail + 1), slice(k_tail + 1, None)
     vals = sys.utilities(children).reshape(-1)
     size = vals.size
+    # compared before dividing, so the check itself cannot overflow
+    mag = np.abs(children)
+    big = (mag >= _CELL_LIMIT * cfg.state_grid) & (mag < np.inf)
+    if big.any():
+        raise ValueError(
+            f"state grid {cfg.state_grid!r} is too fine for a child of magnitude "
+            f"{float(mag[big].max()):g}: its cell index reaches 2^62"
+        )
     cells = np.round(children / cfg.state_grid).astype(np.int64)
     rows = _survivors(parent, vals, cells, cfg.beam_width)
     if rows is not None:

@@ -194,6 +194,7 @@ OPT = ["optimize", "--scenario", "counterexample"]
         (["reproduce", "blocks", "--theta", "2"], None),
         (["optimize", "--scenario", "l2", "--seed", "-1"], None),
         (["reproduce", "l2", "--seed", "-1"], None),
+        (["optimize", "--scenario", "l2", "--grid", "1e-300", "--horizon", "256"], None),
         (OPT, b'{"beam": 2.7}'),
         (OPT, b'{"beam": true}'),
         (OPT, b'{"output": "xml"}'),
@@ -206,6 +207,7 @@ OPT = ["optimize", "--scenario", "counterexample"]
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
         "dim-neg-1", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
+        "grid-past-int64-cells",
         "json-beam-2.7", "json-beam-true", "json-output-xml",
         "ini-beam-2.7", "ini-output-xml", "ini-no-section", "ini-parse-error", "config-not-text",
     ],
@@ -328,3 +330,40 @@ def test_beam_step_counters_go_to_meta(tmp_path):
         assert "counters" not in json.dumps(rep["results"])
     # the ifs beam settles on the fixed point 1 long before its 200 steps end
     assert counters["beam_steps_replayed"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, name, dim",
+    [
+        (["analyze", "--ideal", "fin"], "analyze", 1),
+        (["optimize", "--scenario", "counterexample"], "optimize-counterexample", 1),
+        (["reproduce", "blocks", "--k-max", "6"], "reproduce-blocks", 1),
+        (["reproduce", "counterexample"], "reproduce-counterexample", 1),
+        (["reproduce", "ifs"], "reproduce-ifs", 1),
+        (["reproduce", "l2"], "reproduce-l2", 8),
+        (["verify", "--scenario", "counterexample"], "verify-counterexample", None),
+    ],
+    ids=[
+        "analyze", "optimize", "reproduce-blocks", "reproduce-counterexample", "reproduce-ifs",
+        "reproduce-l2", "verify",
+    ],
+)
+def test_output_both_writes_the_path_csv(argv, name, dim, alt_file, tmp_path):
+    # analyze and reproduce blocks tabulate their window, the commands
+    # that search their optimizer path; verify has no path
+    if argv[0] == "analyze":
+        argv = [*argv, "--input", str(alt_file)]
+    elif argv[1] != "blocks":
+        argv = [*argv, "--horizon", "256", "--probes", "200"]
+    out = tmp_path / "out"
+    assert main([*argv, "--output", "both", "--out-dir", str(out)]) in (0, 1)
+    if dim is None:
+        assert sorted(p.name for p in out.iterdir()) == [f"{name}.json"]
+        return
+    results = _load(out / f"{name}.json")["results"]
+    lines = (out / f"{name}.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["n", *(f"x_{i}" for i in range(dim)), "u", "dist_to_eta_star"])
+    if "optimizer" in results:
+        assert len(lines) - 1 == results["optimizer"]["path_length"]
+    else:
+        assert len(lines) - 1 == results.get("length", 4000)

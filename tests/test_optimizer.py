@@ -258,3 +258,15 @@ def test_signed_zero_profiles_dedup_to_one_candidate():
     )
     rep = maxmin_search(sys_inst, SearchConfig(horizon=3, beam_width=8))
     assert rep.frontier_sizes == ((1, 1), (2, 1), (2, 1))
+
+
+def test_state_grid_whose_cells_pass_int64_raises():
+    # from x0 = 1 the largest child is the flip -1: at grid 2^-61 its cell
+    # index is -2^61, at grid 2^-62 it reaches the limit; at a subnormal
+    # grid the division itself would overflow, so the check precedes it
+    sys_inst = build_counterexample_system(_fin(4, cutoff=1))
+    rep = maxmin_search(sys_inst, SearchConfig(horizon=4, state_grid=2.0**-61))
+    assert rep.path.window.horizon == 4
+    for grid in (2.0**-62, 1e-300, 1e-320):
+        with pytest.raises(ValueError, match="too fine"):
+            maxmin_search(sys_inst, SearchConfig(horizon=4, state_grid=grid))
