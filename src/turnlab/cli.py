@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import sys
@@ -34,6 +33,7 @@ import numpy as np
 from turnlab import __version__
 from turnlab.analysis import analyze_window
 from turnlab.dynamics import fixed_points
+from turnlab.geometry import row_spans
 from turnlab.ideals import IdealSpecError, parse_ideal_spec
 from turnlab.optimizer import SearchConfig, maxmin_search
 from turnlab.report import Report, plain
@@ -161,21 +161,25 @@ def write_report(
 def write_path_csv(
     config: RunConfig, pts: np.ndarray, u_values: np.ndarray, eta_star, name: str
 ) -> FilePath:
+    """Write ``{name}.csv``: one ``n, x_0..x_{d-1}, u, dist_to_eta_star``
+    row per point in ``.12g``, the distance empty without a target, with
+    csv's ``\r\n`` line ends. Rows are formatted 16,384 at a time, so
+    their Python lists stay a few MB."""
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     d = pts.shape[1]
+    u_values = np.asarray(u_values, dtype=float).ravel()
     target = None if eta_star is None else np.asarray(eta_star, dtype=float).ravel()
+    row = "%d" + ",%.12g" * (d + 1) + ("," if target is None else ",%.12g") + "\r\n"
     file = out_dir / f"{name}.csv"
     with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"x_{i}" for i in range(d)] + ["u", "dist_to_eta_star"])
-        for n in range(pts.shape[0]):
-            dist = "" if target is None else f"{float(np.sqrt(((pts[n] - target) ** 2).sum())):.12g}"
-            writer.writerow(
-                [n]
-                + [f"{v:.12g}" for v in pts[n]]
-                + [f"{float(u_values[n]):.12g}", dist]
-            )
+        fh.write(",".join(["n", *(f"x_{i}" for i in range(d)), "u", "dist_to_eta_star"]) + "\r\n")
+        for span in row_spans(pts.shape[0], 1 << 14):
+            table = [pts[span], u_values[span, None]]
+            if target is not None:
+                table.append(np.sqrt(((pts[span] - target) ** 2).sum(axis=1))[:, None])
+            rows = np.concatenate(table, axis=1).tolist()
+            fh.writelines(row % (n, *r) for n, r in zip(range(span.start, span.stop), rows))
     return file
 
 
@@ -270,6 +274,9 @@ def _finish(config: RunConfig, name: str, results: dict, table=None, passed=True
 
 
 def cmd_analyze(config: RunConfig) -> int:
+    # analyze has no scenario; one named in a config file must not pick
+    # its ideal and horizon defaults
+    config = dataclasses.replace(config, scenario="")
     if not config.input:
         raise ConfigError("analyze needs --input FILE")
     try:

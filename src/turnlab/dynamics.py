@@ -3,15 +3,16 @@
 Compact images are rendered as finite point samples with a declared
 resolution. Points are (d,) float arrays; maps broadcast over leading
 axes, so a branch map must accept (..., d) input. Image sets keep a
-stable branch order (duplicates collapse to the first occurrence), which
-policies and tie-breaking rely on. Distance computations (residuals,
-feasibility, continuity) read the raw ``expand`` output instead:
-duplicate points change no minimum or Hausdorff distance.
+stable branch order (duplicates collapse to the first occurrence, found
+by one lexsort in ``_dedup_rows``), which path policies rely on.
+Distance computations (residuals, feasibility, continuity, witness
+re-verification) read the raw ``expand`` output instead: duplicate
+points change no minimum or Hausdorff distance.
 
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps, and
-the continuity probe expands each ladder rung in batches of at most
-``EXPAND_CHUNK`` moved points.
+the continuity probe expands each ladder rung in chunks of probe points
+sized from their image counts, about ``8 * EXPAND_CHUNK`` children each.
 
 A state whose image is empty has no children: ``expand`` emits none for
 it and carries on with the rest of the batch, so its ``parent`` array
@@ -75,12 +76,17 @@ def _box_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _dedup_rows(a: np.ndarray) -> np.ndarray:
-    """Drop exact duplicate rows, keeping first occurrences in order."""
-    if a.shape[0] <= 1:
+def _dedup_rows(a: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+    """Rows of ``a`` whose ``keys`` row (default: itself) is a first
+    occurrence, in order, with ``np.unique(keys, axis=0)`` equality (0.0
+    equals -0.0, NaN nothing): one stable lexsort, then adjacent rows."""
+    keys = a if keys is None else keys
+    if keys.shape[0] <= 1:
         return a
-    _, first = np.unique(a, axis=0, return_index=True)
-    return a[np.sort(first)]
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    return a[np.sort(order[first])]
 
 
 class Correspondence:
@@ -104,9 +110,9 @@ class Correspondence:
     def images(self, x) -> np.ndarray:
         """Finite image sample of one point, deduplicated, branch order.
 
-        The dedup is for consumers that index branches (path policies,
-        witness re-verification). Distance computations use the raw
-        ``expand`` output, where duplicates are harmless.
+        The dedup is for the path policies of ``feasible_path`` (the A6
+        reference orbit among them), which index branches. Distances and
+        witness re-verification use the raw ``expand`` output.
         """
         p = _point(x)
         children, _, _ = self.expand(p[None, :])
@@ -203,27 +209,27 @@ class TruncatedL2(Correspondence):
 
     @functools.cached_property
     def _fractions(self) -> np.ndarray:
-        """Band lattice in unit coordinates, (C, d-1), built once."""
-        grid = np.linspace(0.0, 1.0, self.band_samples)
-        combos = np.array(list(itertools.product(grid, repeat=self.dim - 1)))
-        combos.flags.writeable = False
-        return combos
+        """Band lattice in unit coordinates, (d-1, C), built once."""
+        unit = np.tile([0.0, 1.0], (self.dim - 1, 1))
+        frac = np.ascontiguousarray(_box_lattice(unit, self.band_samples).T)
+        frac.flags.writeable = False
+        return frac
 
     def expand(self, states: np.ndarray):
         d = self.dim
-        frac = self._fractions  # (C, d-1)
+        frac = self._fractions  # (d-1, C)
         lo = 2.0 * states[:, 1:]
         hi = states[:, 1:] + 1.0 / np.arange(1, d)
         feasible = (lo <= hi).all(axis=1)
         head = -(states[:, 1:] ** 2).sum(axis=1)
         # per state: the halving point, then the band block; the block is
         # dropped for states whose band set is empty
-        full = np.empty((states.shape[0], 1 + frac.shape[0], d))
+        full = np.empty((states.shape[0], 1 + frac.shape[1], d))
         full[:, 0] = states / 2.0
         full[:, 1:, 0] = head[:, None]
-        band = full[:, 1:, 1:]  # lo + frac * (hi - lo), built in place
-        np.multiply(frac[None, :, :], (hi - lo)[:, None, :], out=band)
-        band += lo[:, None, :]
+        band = frac[None, :, :] * (hi - lo)[:, :, None]  # (B, d-1, C)
+        band += lo[:, :, None]
+        full[:, 1:, 1:] = band.transpose(0, 2, 1)
         counts = np.where(feasible, full.shape[1], 1)
         if feasible.all():
             children = full.reshape(-1, d)
@@ -523,9 +529,7 @@ def hutchinson_iterate(
     dists = []
     for _ in range(iterations):
         nxt, _, _ = phi.expand(current)
-        keys = np.round(nxt / resolution).astype(np.int64)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        nxt = nxt[np.sort(first)]
+        nxt = _dedup_rows(nxt, np.round(nxt / resolution).astype(np.int64))
         dists.append(hausdorff_distance(current, nxt))
         current = nxt
     return HutchinsonResult(current, tuple(dists), lips)
@@ -594,8 +598,10 @@ def continuity_probe(
     signature of a jump. Image samples are the raw ``expand`` output
     (duplicates do not change a Hausdorff distance); probe points and
     points with an empty image are skipped. The probe points are expanded
-    once for the whole ladder; each rung expands the moved points of
-    ``EXPAND_CHUNK // len(dirs)`` probe points at a time. Where base and
+    once for the whole ladder; each rung expands the moved points of as
+    many probe points as make about ``8 * EXPAND_CHUNK`` children, going
+    by the largest base image (l2 at d = 8: 7 points, 0.5 MB of children,
+    a working set that stays in a 2 MB cache). Where base and
     moved images have equal counts, the matched-branch distance
     U = max_j |a_j - b_j| bounds H from above, so exact distances are
     computed in descending U only until U falls to the best H so far,
@@ -618,9 +624,10 @@ def continuity_probe(
     base_start, base_count = _segments(base_parent)
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
     rungs = []
+    fanout = dirs.shape[0] * int(base_count.max(initial=1))  # every image may be empty
     for delta in ladder:
         worst = 0.0
-        for part in row_spans(pts.shape[0], max(1, EXPAND_CHUNK // dirs.shape[0])):
+        for part in row_spans(pts.shape[0], max(1, 8 * EXPAND_CHUNK // fanout)):
             moved = (pts[part, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
             children, parent, _ = phi.expand(moved)
             start, count = _segments(parent)
@@ -634,7 +641,7 @@ def continuity_probe(
                 seg = np.repeat(np.arange(start.size), count)
                 rows = np.flatnonzero(same[seg])
                 a = base[base_start[of[seg[rows]]] + rows - start[seg[rows]]]
-                sq = squared_distances(a, children[rows])
+                sq = squared_distances(a, children if same.all() else children[rows])
                 bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
             # exact distances in descending U, until no U can beat the best
             for i in np.argsort(-bound, kind="stable"):

@@ -10,11 +10,13 @@ The six conditions checked here:
   scan plus a uniqueness margin on the runner-up.
 * A5 -- a linear functional strictly separates one dynamics step on the
   upper level set F = {x : u(x) >= u(eta_star)}: sampled (x, y) pairs,
-  with every would-be witness re-verified at 10x image resolution. The
-  strong/weak separation variants are read off the same sample (with
-  eta_star prepended), streamed through ``expand`` in chunks of
-  ``EXPAND_CHUNK`` states; ``check_conditions`` keeps them on
-  ``ConditionReport.separation``.
+  with every would-be witness re-verified against the raw ``expand``
+  output at 10x image resolution. The strong/weak separation variants
+  are read off the same sample (with eta_star prepended), streamed
+  through ``expand`` in chunks of ``EXPAND_CHUNK`` states;
+  ``check_conditions`` keeps them on ``ConditionReport.separation``. The
+  A1 continuity probe streams its moved points in chunks sized from
+  their image counts (see ``dynamics.continuity_probe``).
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star).
 
@@ -93,14 +95,15 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
 
 
 def _refined_images(phi: Correspondence, x: np.ndarray) -> np.ndarray:
-    """Image sample at roughly 10x resolution, for witness re-verification."""
+    """Raw ``expand`` image sample at roughly 10x resolution (finite
+    branches are already exact), for witness re-verification; duplicates
+    stay, since ``_first_witness`` reads only the minimum gap and its
+    first row, always a first occurrence."""
     if isinstance(phi, Interval1D):
-        finer = dataclasses.replace(phi, samples=10 * phi.samples - 9)
-        return finer.images(x)
-    if isinstance(phi, TruncatedL2):
-        finer = dataclasses.replace(phi, band_samples=min(5, phi.band_samples + 3))
-        return finer.images(x)
-    return phi.images(x)  # finite branches are already exact
+        phi = dataclasses.replace(phi, samples=10 * phi.samples - 9)
+    elif isinstance(phi, TruncatedL2):
+        phi = dataclasses.replace(phi, band_samples=min(5, phi.band_samples + 3))
+    return phi.expand(x[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

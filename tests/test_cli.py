@@ -367,3 +367,55 @@ def test_output_both_writes_the_path_csv(argv, name, dim, alt_file, tmp_path):
         assert len(lines) - 1 == results["optimizer"]["path_length"]
     else:
         assert len(lines) - 1 == results.get("length", 4000)
+
+
+def test_config_file_scenario_leaves_analyze_alone(alt_file, tmp_path):
+    # analyze has no scenario: ifs's defaults (fin, horizon 200) must not apply
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "ifs"}))
+    reports = []
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["analyze", "--input", str(alt_file), "--out-dir", str(out), *extra]) == 0
+        rep = _load(out / "analyze.json")
+        rep["config"].pop("out_dir")
+        reports.append({k: rep[k] for k in ("config", "results")})
+    assert reports[1]["config"]["ideal"] == "density:0.01"
+    assert reports[1]["config"]["scenario"] == ""
+    assert reports[0] == reports[1]
+
+
+def _path_csv_by_rows(file, pts, u_values, eta_star):
+    """The path CSV written one row at a time through ``csv.writer``:
+    the reference ``write_path_csv`` must match byte for byte."""
+    import csv
+
+    d = pts.shape[1]
+    target = None if eta_star is None else np.asarray(eta_star, dtype=float).ravel()
+    with open(file, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n"] + [f"x_{i}" for i in range(d)] + ["u", "dist_to_eta_star"])
+        for n in range(pts.shape[0]):
+            dist = "" if target is None else f"{float(np.sqrt(((pts[n] - target) ** 2).sum())):.12g}"
+            writer.writerow(
+                [n] + [f"{v:.12g}" for v in pts[n]] + [f"{float(u_values[n]):.12g}", dist]
+            )
+
+
+@pytest.mark.parametrize("with_target", [False, True], ids=["no-target", "target"])
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_path_csv_bytes_match_row_writer(d, with_target, tmp_path):
+    from turnlab.cli import RunConfig, write_path_csv
+
+    rng = np.random.default_rng(d)
+    n = 20_000  # more than one formatting span
+    pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-30, 30, (n, d))
+    pts[rng.random((n, d)) < 0.05] = -0.0
+    pts[rng.random((n, d)) < 0.05] = 5e-324
+    pts[rng.random((n, d)) < 0.05] = -2.2e-310
+    pts[:3, 0] = [np.nan, np.inf, -np.inf]
+    u_values = pts[:, -1] / 3.0
+    target = rng.normal(size=d) if with_target else None
+    _path_csv_by_rows(tmp_path / "rows.csv", pts, u_values, target)
+    file = write_path_csv(RunConfig(command="analyze", out_dir=str(tmp_path)), pts, u_values, target, "path")
+    assert file.read_bytes() == (tmp_path / "rows.csv").read_bytes()

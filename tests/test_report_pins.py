@@ -34,6 +34,8 @@ COMMANDS = {
         *SMALL,
     ),
     "verify-l2": ("verify", "--scenario", "l2", "--ideal", "density:0.01", *SMALL),
+    # the benchmark's verify-l2 at its default sizes (horizon 4096, 10,000 probes)
+    "verify-l2-default": ("verify", "--scenario", "l2", "--seed", "0"),
 }
 
 PINS = {
@@ -62,6 +64,11 @@ PINS = {
     ),
     "verify-l2": (
         0, "c84ad84998ba65a7152eca9ce6a3eb17b85d19a24f2d6d559eca69a4a9be16a9"
+    ),
+    # recorded before the l2 band kernel, the probe chunks and the witness
+    # image changed; every condition and separation result must keep it
+    "verify-l2-default": (
+        0, "3f6ddd1e8276deb111fdbe2c423056850ec08aa41ffac990299805ccf8c536ca"
     ),
 }
 
