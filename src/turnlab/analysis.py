@@ -321,8 +321,8 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     if span <= 1e-12:
         diag["degenerate"] = True
         return vals[:1].copy(), diag
-    if eps <= 0:
-        raise ValueError("eps_grid must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps_grid must be positive and finite, got {eps!r}")
     if eps <= FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())):
         raise ValueError(f"eps_grid {eps!r} is below the float resolution of the window's values")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
@@ -351,8 +351,8 @@ def cluster_points(
     its eps-ball form a positive set; adjacent qualifying cells merge to
     their visit-weighted centroid. Every reported point lies within
     eps_grid of some window point. Raises ValueError unless 0 < theta < 1
-    and eps_grid exceeds FLOAT_TOL * (1 + max |x|), the values' float
-    resolution.
+    and eps_grid is finite and exceeds FLOAT_TOL * (1 + max |x|), the
+    values' float resolution.
     """
     eps = default_grid(window) if eps_grid is None else eps_grid
     pts, _ = _cluster(window, model, eps, theta)
@@ -402,7 +402,9 @@ def deviation_densities(
     scales: tuple[float, ...],
     apply_burn_in: bool = True,
 ) -> list[dict]:
-    """Per-scale diagnostics of {n : ||x_n - target|| >= scale}."""
+    """Per-scale diagnostics of {n : ||x_n - target|| >= scale}, scales positive and finite."""
+    if not all(0 < s < np.inf for s in scales):
+        raise ValueError(f"deviation scales must be positive and finite, got {scales!r}")
     model = model.at_horizon(window.horizon)
     target = np.asarray(target, dtype=float).ravel()
     dist = np.empty(window.horizon)
@@ -436,8 +438,8 @@ def ideal_limit(
     cluster set is not a singleton); it is confirmed when the deviation
     set {n : ||x_n - candidate|| >= s} is small for s in (eps, eps/2, eps/4).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     pts = cluster_points(window, model, eps_grid=eps_grid, theta=theta)
     return _limit_ladder(window, pts, model, eps)[1]
 
@@ -485,10 +487,11 @@ def analyze_window(
     ``fallback`` marks a cluster set taken from the most visited cells
     because no cell cleared theta; ``theta_effective`` is then their
     visit share under the density ideal. Raises ValueError unless
-    0 < theta < 1 and an explicit eps_grid is positive and finite.
+    0 < theta < 1 and an explicit eps_grid or limit_eps is positive and finite.
     """
-    if eps_grid is not None and not 0 < eps_grid < np.inf:
-        raise ValueError(f"eps_grid must be positive and finite, got {eps_grid!r}")
+    for name, v in (("eps_grid", eps_grid), ("limit_eps", limit_eps)):
+        if v is not None and not 0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
     eps = default_grid(window) if eps_grid is None else eps_grid
     pts, diag = _cluster(window, model, eps if eps > 0 else 1.0, theta)
     model_h = model.at_horizon(window.horizon)

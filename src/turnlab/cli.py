@@ -31,7 +31,7 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from turnlab import __version__
-from turnlab.analysis import analyze_window
+from turnlab.analysis import DEFAULT_POSITIVITY, analyze_window
 from turnlab.dynamics import fixed_points
 from turnlab.geometry import row_spans
 from turnlab.ideals import IdealSpecError, parse_ideal_spec
@@ -85,15 +85,15 @@ class RunConfig(Report):
     input: str = ""
     ideal: str = ""  # empty -> per-command default
     horizon: int = 0  # 0 -> per-command default
-    beam: int = 64
-    trim: float = 0.01
+    beam: int = SearchConfig.beam_width
+    trim: float = SearchConfig.trim_fraction
     grid: float = 0.0  # 0 -> per-command default
-    theta: float = 0.05
+    theta: float = DEFAULT_POSITIVITY
     seed: int = 0
     k_max: int = 10
     dim: int = 8
     branches: str = "0.5,0:0.3,0.7"
-    probes: int = 10000
+    probes: int = SamplingPlan.n_points
     output: str = "json"
     out_dir: str = "."
 

@@ -5,9 +5,9 @@ resolution. Points are (d,) float arrays; maps broadcast over leading
 axes, so a branch map must accept (..., d) input. Image sets keep a
 stable branch order (duplicates collapse to the first occurrence, found
 by one lexsort in ``_dedup_rows``), which path policies rely on.
-Distance computations (residuals, feasibility, continuity, witness
-re-verification) read the raw ``expand`` output instead: duplicate
-points change no minimum or Hausdorff distance.
+Distance computations (residuals, feasibility, continuity) and the A5
+separation audit read the raw ``expand`` output instead: duplicate
+points change no minimum or Hausdorff distance, and no first witness.
 
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps, and
@@ -112,7 +112,7 @@ class Correspondence:
 
         The dedup is for the path policies of ``feasible_path`` (the A6
         reference orbit among them), which index branches. Distances and
-        witness re-verification use the raw ``expand`` output.
+        the separation audit use the raw ``expand`` output.
         """
         p = _point(x)
         children, _, _ = self.expand(p[None, :])
@@ -199,13 +199,15 @@ class TruncatedL2(Correspondence):
     """
 
     dim: int
-    band_samples: int = 0  # 0 -> 5 for d <= 4, else endpoints only
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("the truncation needs dimension at least 2")
-        if self.band_samples == 0:
-            object.__setattr__(self, "band_samples", 5 if self.dim <= 4 else 2)
+
+    @property
+    def band_samples(self) -> int:
+        """Grid points per band coordinate: 5 for d <= 4, else endpoints only."""
+        return 5 if self.dim <= 4 else 2
 
     @functools.cached_property
     def _fractions(self) -> np.ndarray:
@@ -612,14 +614,11 @@ def continuity_probe(
     d = box.shape[0]
     ladder = _ladder(box, ladder)
     pts = _probe_points(box, samples, seed)
-    rng = np.random.default_rng(seed + 1)
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
-        rnd = rng.normal(size=(2, d))
-        rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
-        dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
+    # up to six axis moves, two random unit directions (+-1.0 in 1-D)
+    axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
+    rnd = np.random.default_rng(seed + 1).normal(size=(2, d))
+    rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
+    dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
     base, base_parent, _ = phi.expand(pts)
     base_start, base_count = _segments(base_parent)
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
@@ -718,7 +717,6 @@ class SystemInstance:
     reference_branch: Optional[int] = None  # branch of the A6 reference orbit
     name: str = ""
     notes: tuple[str, ...] = ()
-    stationarity_tol: float = FIXED_POINT_TOL
 
     def __post_init__(self) -> None:
         box = np.atleast_2d(np.asarray(self.box, dtype=float))
@@ -733,10 +731,10 @@ class SystemInstance:
         if self.eta_star is not None:
             eta = _point(self.eta_star)
             gap = _child_gaps(self.phi, eta[None, :], eta[None, :])[0]
-            if gap > self.stationarity_tol:
+            if gap > FIXED_POINT_TOL:
                 raise ValueError(
                     f"claimed stationary point has residual {gap:.3e} above "
-                    f"tolerance {self.stationarity_tol:.1e}"
+                    f"tolerance {FIXED_POINT_TOL:.1e}"
                 )
             object.__setattr__(self, "eta_star", eta)
         if self.reference_branch is not None and not isinstance(self.constraint, StartAt):

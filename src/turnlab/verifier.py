@@ -9,11 +9,11 @@ The six conditions checked here:
 * A4 -- a unique utility-maximizing stationary point exists: fixed-point
   scan plus a uniqueness margin on the runner-up.
 * A5 -- a linear functional strictly separates one dynamics step on the
-  upper level set F = {x : u(x) >= u(eta_star)}: sampled (x, y) pairs,
-  with every would-be witness re-verified against the raw ``expand``
-  output at 10x image resolution. The strong/weak separation variants
-  are read off the same sample (with eta_star prepended), streamed
-  through ``expand`` in chunks of ``EXPAND_CHUNK`` states;
+  upper level set F = {x : u(x) >= u(eta_star)}: sampled (x, y) pairs
+  with y in Phi(x), where any finite child y with T x <= T y is a
+  witness. The strong/weak separation variants are read off the same
+  sample (with eta_star prepended), streamed through ``expand`` in
+  chunks of ``EXPAND_CHUNK`` states;
   ``check_conditions`` keeps them on ``ConditionReport.separation``. The
   A1 continuity probe streams its moved points in chunks sized from
   their image counts (see ``dynamics.continuity_probe``).
@@ -26,7 +26,6 @@ condition untestable, never passing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,11 +34,8 @@ import numpy as np
 from turnlab import dynamics
 from turnlab.analysis import deviation_densities, ideal_liminf
 from turnlab.dynamics import (
-    Correspondence,
-    Interval1D,
     Path,
     SystemInstance,
-    TruncatedL2,
     _point,
     _sample_box,
     continuity_probe,
@@ -92,18 +88,6 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
         start, _ = dynamics._segments(parent)
         best[rows.start + parent[start]] = np.maximum.reduceat(children @ sys.separation, start)
     return best - pts @ sys.separation
-
-
-def _refined_images(phi: Correspondence, x: np.ndarray) -> np.ndarray:
-    """Raw ``expand`` image sample at roughly 10x resolution (finite
-    branches are already exact), for witness re-verification; duplicates
-    stay, since ``_first_witness`` reads only the minimum gap and its
-    first row, always a first occurrence."""
-    if isinstance(phi, Interval1D):
-        phi = dataclasses.replace(phi, samples=10 * phi.samples - 9)
-    elif isinstance(phi, TruncatedL2):
-        phi = dataclasses.replace(phi, band_samples=min(5, phi.band_samples + 3))
-    return phi.expand(x[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +147,6 @@ def _check_a4(sys: SystemInstance) -> dict:
     return {"verdict": "pass", **diag}
 
 
-def _first_witness(sys: SystemInstance, xs: np.ndarray, ys: np.ndarray) -> Optional[dict]:
-    """The first pair (x, y), in order, whose T x <= T y survives
-    re-verification against a 10x-resolution image sample of x."""
-    for x, y in zip(xs, ys):
-        refined = _refined_images(sys.phi, x)
-        gaps = np.sqrt(((refined - y) ** 2).sum(axis=1))
-        j = int(np.argmin(gaps))
-        scale = 1.0 + float(np.abs(x).max()) + float(np.abs(y).max())
-        if gaps[j] <= 1e-6 * scale and (
-            x @ sys.separation <= refined[j] @ sys.separation + 1e-15 * scale
-        ):
-            return {"x": [float(v) for v in x], "y": [float(v) for v in y]}
-    return None
-
-
 def _separation_audit(
     sys: SystemInstance, plan: SamplingPlan
 ) -> tuple[dict, SeparationVariantReport]:
@@ -191,8 +160,9 @@ def _separation_audit(
     scales and T x come from the whole sample; the sample is then
     expanded ``EXPAND_CHUNK`` states at a time. Only pairs meeting the
     premise T x <= T y can violate either, so the eta_star tests run on
-    those. Chunks run in row order, so a kind whose witness is confirmed
-    searches no later chunk, and each witness is the first in row order.
+    those; a child with a non-finite coordinate is no witness. Each
+    kind's witness is the first remaining pair in row order: chunks run
+    in row order, and a kind that has one searches no later chunk.
     """
     if sys.separation is None or sys.eta_star is None:
         raise ValueError("separation variants need the functional and eta_star")
@@ -217,7 +187,8 @@ def _separation_audit(
         parent = parent + chunk.start
         pairs += children.shape[0]
         pairs_a5 += int(np.count_nonzero(parent))
-        rows = np.nonzero(tx[parent] <= children @ sys.separation)[0]
+        rows = np.flatnonzero(tx[parent] <= children @ sys.separation)
+        rows = rows[np.isfinite(children[rows]).all(axis=1)]  # a non-finite y is no witness
         xs, ys = pts[parent[rows]], children[rows]
         dx = np.sqrt(((xs - sys.eta_star) ** 2).sum(axis=1))
         dy = np.sqrt(((ys - sys.eta_star) ** 2).sum(axis=1))
@@ -229,8 +200,9 @@ def _separation_audit(
             "weak": ~x_star,
         }
         for kind, keep in candidates.items():
-            if witness[kind] is None:
-                witness[kind] = _first_witness(sys, xs[keep], ys[keep])
+            if witness[kind] is None and keep.any():
+                i = int(np.argmax(keep))
+                witness[kind] = {"x": xs[i].tolist(), "y": ys[i].tolist()}
     strong_holds, weak_holds = witness["strong"] is None, witness["weak"] is None
     return (
         {
@@ -250,7 +222,7 @@ def _separation_audit(
 
 
 def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> ConditionReport:
-    """Run the full A1-A6 battery against a system instance."""
+    """Run the full A1-A6 battery; A5 and its variants share one sample."""
     plan = plan or SamplingPlan()
     out: dict[str, dict] = {}
 

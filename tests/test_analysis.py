@@ -10,6 +10,7 @@ from turnlab.analysis import (
     check_representation_identity,
     cluster_points,
     default_grid,
+    deviation_densities,
     ideal_liminf,
     ideal_limit,
     ideal_limsup,
@@ -38,6 +39,20 @@ def test_alternating_no_limit_density_or_fin():
     w = alternating_window()
     assert ideal_limit(w, DENS, 0.1) is None
     assert ideal_limit(w, FIN, 0.1) is None
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_limit_scales_must_be_positive_and_finite(bad):
+    # a NaN or infinite scale made every deviation set empty, hence small
+    w = alternating_window()
+    with pytest.raises(ValueError, match="positive and finite"):
+        ideal_limit(w, TRACE_EVENS, bad)
+    with pytest.raises(ValueError, match="limit_eps"):
+        analyze_window(w, TRACE_EVENS, limit_eps=bad)
+    with pytest.raises(ValueError, match="deviation scales"):
+        deviation_densities(w, np.ones(1), TRACE_EVENS, (0.1, bad))
+    with pytest.raises(ValueError, match="eps_grid must be positive and finite"):
+        cluster_points(w, TRACE_EVENS, eps_grid=bad)
 
 
 def test_alternating_under_evens_trace():

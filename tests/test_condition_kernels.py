@@ -1,18 +1,30 @@
 """The kernels under the condition battery against their reference forms:
 ``_dedup_rows`` against ``np.unique(axis=0)``, ``TruncatedL2.expand``
-against its elementwise formula, witness re-verification on the raw
-refined image against the deduplicated one, and the continuity probe on a
+against its elementwise formula, the chunked separation audit's witnesses
+against a whole-sample brute force, and the continuity probe on a
 correspondence whose every image is empty."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from test_expand_chunks import CHUNKS, _late_witness
 from test_separation_audit import PLAN, SYSTEMS, _l2
-from turnlab import verifier
-from turnlab.dynamics import Interval1D, TruncatedL2, _dedup_rows, continuity_probe
-from turnlab.verifier import _first_witness, _refined_images, _separation_audit
+from turnlab import dynamics
+from turnlab.dynamics import (
+    Correspondence,
+    FiniteBranch,
+    Interval1D,
+    StartAt,
+    SystemInstance,
+    TruncatedL2,
+    _dedup_rows,
+    continuity_probe,
+)
+from turnlab.ideals import IdealModel
+from turnlab.verifier import SamplingPlan, _separation_audit
 
 POOL = np.array([0.0, -0.0, 1.0, -2.5, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
 
@@ -72,25 +84,100 @@ def test_truncated_l2_expand_matches_formula(d, batch):
     np.testing.assert_array_equal(branch, want_branch)
 
 
-def _deduped(phi, x):
-    return _dedup_rows(_refined_images(phi, x))
+class _Recorder(Correspondence):
+    """Passes ``expand`` through and keeps every batch it was given."""
+
+    def __init__(self, phi: Correspondence):
+        self.phi, self.dim, self.batches = phi, phi.dim, []
+
+    def expand(self, states: np.ndarray):
+        self.batches.append(states.copy())
+        return self.phi.expand(states)
 
 
-@pytest.mark.parametrize("name", ["weak-separation", "l2-d8"])
-def test_witness_on_raw_refined_image_matches_deduplicated(name, monkeypatch):
-    sys = _l2(8) if name == "l2-d8" else SYSTEMS[name]()
-    # every child of eta_star, each duplicate of the refined image included
-    ys = sys.phi.expand(sys.eta_star[None, :])[0]
-    xs = np.repeat(sys.eta_star[None, :], ys.shape[0], axis=0)
-    raw = _first_witness(sys, xs, ys)
-    audit = _separation_audit(sys, PLAN)
-    monkeypatch.setattr(verifier, "_refined_images", _deduped)
-    assert raw is not None
-    assert repr(raw) == repr(_first_witness(sys, xs, ys))
-    deduped = _separation_audit(sys, PLAN)
-    assert audit[1].strong_witness is not None
-    assert repr(audit[0]) == repr(deduped[0])
-    assert repr(audit[1].to_dict()) == repr(deduped[1].to_dict())
+def _audited_sample(sys: SystemInstance, plan: SamplingPlan) -> np.ndarray:
+    """The rows the audit expands, eta_star first, in order."""
+    rec = _Recorder(sys.phi)
+    recorded = dataclasses.replace(sys, phi=rec)
+    rec.batches.clear()  # drop the stationarity check of eta_star
+    _separation_audit(recorded, plan)
+    return np.concatenate(rec.batches, axis=0)
+
+
+def _brute_force_witnesses(sys: SystemInstance, pts: np.ndarray) -> dict:
+    """First row of the whole-sample expansion that meets T x <= T y with
+    a finite y and each kind's eta_star condition, as the audit states them."""
+    children, parent, _ = sys.phi.expand(pts)
+    tx = pts @ sys.separation
+    premise = (tx[parent] <= children @ sys.separation) & np.isfinite(children).all(axis=1)
+    scale = 1.0 + float(np.abs(pts).max())
+    scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))
+    dx = np.sqrt(((pts[parent] - sys.eta_star) ** 2).sum(axis=1))
+    dy = np.sqrt(((children - sys.eta_star) ** 2).sum(axis=1))
+    masks = {
+        "a5": premise & (parent > 0) & ~((dx <= 1e-9 * scale_a5) & (dy <= 1e-9 * scale_a5)),
+        "strong": premise & ~((dx <= 1e-9 * scale) & (dy <= 1e-9 * scale)),
+        "weak": premise & ~(dx <= 1e-9 * scale),
+    }
+    out = {}
+    for kind, mask in masks.items():
+        rows = np.flatnonzero(mask)
+        out[kind] = None
+        if rows.size:
+            out[kind] = {"x": pts[parent[rows[0]]].tolist(), "y": children[rows[0]].tolist()}
+    return out
+
+
+# late-witness has A5 and weak witnesses, which the others lack
+WITNESS_SYSTEMS = {**SYSTEMS, "l2-d8": lambda: _l2(8), "late-witness": _late_witness}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", sorted(WITNESS_SYSTEMS))
+def test_audit_witnesses_are_first_brute_force_rows(name, chunk, monkeypatch):
+    sys = WITNESS_SYSTEMS[name]()
+    want = _brute_force_witnesses(sys, _audited_sample(sys, PLAN))
+    monkeypatch.setattr(dynamics, "EXPAND_CHUNK", chunk)
+    a5, variants = _separation_audit(sys, PLAN)
+    got = {"a5": a5["witness"], "strong": variants.strong_witness, "weak": variants.weak_witness}
+    assert repr(got) == repr(want)  # repr keeps the sign of -0.0
+
+
+def test_brute_force_finds_witnesses():
+    # the comparison above is not vacuous: some kinds have witnesses
+    found = set()
+    for name, build in WITNESS_SYSTEMS.items():
+        sys = build()
+        witnesses = _brute_force_witnesses(sys, _audited_sample(sys, PLAN))
+        found |= {(name, k) for k, w in witnesses.items() if w is not None}
+    assert {("l2-d8", "strong"), ("late-witness", "a5"), ("late-witness", "weak")} <= found
+
+
+def _jump_system(jump) -> SystemInstance:
+    """Halving plus a branch that jumps to ``jump(x)`` for x > 1.5."""
+    phi = FiniteBranch((lambda x: x / 2.0, lambda x: np.where(x > 1.5, jump(x), x / 2.0)))
+    return SystemInstance(
+        dim=1,
+        phi=phi,
+        utility=lambda pts: pts[..., 0],
+        ideal=IdealModel("fin", 2048),
+        constraint=StartAt([1.0]),
+        box=np.array([[-1.0, 2.0]]),
+        separation=np.array([1.0]),
+        eta_star=np.array([0.0]),
+    )
+
+
+def test_infinite_child_is_no_witness():
+    plan = SamplingPlan(n_points=200, seed=0)
+    a5, variants = _separation_audit(_jump_system(lambda x: np.inf + 0.0 * x), plan)
+    assert a5["verdict"] == "pass" and a5["witness"] is None
+    assert variants.strong_witness is None and variants.weak_witness is None
+    # the same jump to a finite point is a witness
+    a5, variants = _separation_audit(_jump_system(lambda x: x + 1.0), plan)
+    assert a5["verdict"] == "fail"
+    assert a5["witness"]["y"] == [a5["witness"]["x"][0] + 1.0]
+    assert variants.strong_witness == variants.weak_witness == a5["witness"]
 
 
 def test_probe_of_everywhere_empty_images():

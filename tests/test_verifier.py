@@ -183,6 +183,15 @@ def test_turnpike_blocks_density_true_fin_false():
     assert not turnpike_verdict(path, [0.0], fin, (0.1,)).verdict
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_turnpike_scales_must_be_positive_and_finite(bad):
+    # (nan,) and (inf,) made a non-converging path's verdict true
+    sys_inst = build_counterexample_system(_dens(256))
+    path = feasible_path(sys_inst.phi, [1.0], make_policy("first"), 256)
+    with pytest.raises(ValueError, match="positive and finite"):
+        turnpike_verdict(path, [0.0], _dens(256), (bad,))
+
+
 def test_turnpike_ladder_densities_reported():
     w = SequenceWindow(np.concatenate([np.ones(50), np.zeros(950)]))
     from turnlab.dynamics import Path
