@@ -36,7 +36,6 @@ from turnlab.dynamics import (
     Free,
     Path,
     fixed_points,
-    hutchinson_iterate,
     continuity_probe,
     feasible_path,
     feasibility_check,
@@ -93,7 +92,6 @@ __all__ = [
     "Free",
     "Path",
     "fixed_points",
-    "hutchinson_iterate",
     "continuity_probe",
     "feasible_path",
     "feasibility_check",

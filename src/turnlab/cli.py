@@ -66,8 +66,8 @@ def _checked(what: str, build, *args, **kwargs):
 
     The scenario builders, ``SearchConfig``, ``maxmin_search`` (whose
     state grid must keep every child's cell within int64),
-    ``analyze_window``, ``check_conditions`` (whose translation probe
-    needs a horizon above twice its largest shift) and ideal-spec
+    ``analyze_window``, ``check_conditions`` (whose translation-invariance
+    check needs a horizon above twice its largest shift) and ideal-spec
     parsing raise ValueError on values they cannot use; at this boundary
     that is a configuration error (exit 2), reported with ``what`` as
     its subject.

@@ -30,14 +30,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, lipschitz_ratio, row_spans, squared_distances
+from turnlab.geometry import hausdorff_distance, row_spans, squared_distances
 from turnlab.ideals import IdealModel
 from turnlab.report import Report
 from turnlab.windows import SequenceWindow
 
 FIXED_POINT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
-HUTCHINSON_RESOLUTION = 1e-6
 REFERENCE_LENGTH = 512  # points of a system's reference orbit (A6)
 # states per ``expand`` call when a sample-sized batch is streamed: the
 # condition battery's temporaries then scale with this, not the sample
@@ -46,10 +45,6 @@ EXPAND_CHUNK = 1024
 
 class InfeasibleImageError(RuntimeError):
     """A search was pinned to a start point whose image is empty."""
-
-
-class NonContractiveError(RuntimeError):
-    """A branch's Lipschitz estimate reached 1; iteration would diverge."""
 
 
 def _point(x) -> np.ndarray:
@@ -265,13 +260,9 @@ class Path:
         return np.asarray(u(self.window.values), dtype=float).ravel()
 
 
-def make_policy(name: str, u: Optional[Callable] = None, seed: int = 0, index: int = 0):
-    """Branch choosers for feasible_path.
-
-    ``first``/``last``/``index`` pick by position, ``cycle`` rotates,
-    ``greedy`` maximizes u over the image sample, ``random`` draws with a
-    seeded generator.
-    """
+def make_policy(name: str, index: int = 0):
+    """Branch choosers for feasible_path: ``first``/``last``/``index``
+    pick by position, ``cycle`` rotates."""
     if name == "first":
         return lambda n, x, imgs: 0
     if name == "last":
@@ -280,13 +271,6 @@ def make_policy(name: str, u: Optional[Callable] = None, seed: int = 0, index: i
         return lambda n, x, imgs: min(index, imgs.shape[0] - 1)
     if name == "cycle":
         return lambda n, x, imgs: n % imgs.shape[0]
-    if name == "greedy":
-        if u is None:
-            raise ValueError("greedy policy needs a utility map")
-        return lambda n, x, imgs: int(np.argmax(np.asarray(u(imgs), dtype=float).ravel()))
-    if name == "random":
-        rng = np.random.default_rng(seed)
-        return lambda n, x, imgs: int(rng.integers(0, imgs.shape[0]))
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -484,57 +468,6 @@ def fixed_points(
             keep.append(x)
     out = np.array(keep)
     return out[np.lexsort(out.T[::-1])]
-
-
-# ---------------------------------------------------------------------------
-# Hutchinson iteration
-
-
-@dataclass(frozen=True)
-class HutchinsonResult:
-    points: np.ndarray
-    step_distances: tuple[float, ...]
-    lipschitz: tuple[float, ...]
-
-
-def branch_lipschitz(phi: FiniteBranch, box, seed: int = 0, pairs: int = 256) -> tuple[float, ...]:
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    rng = np.random.default_rng(seed)
-    a = _sample_box(box, pairs, rng)
-    b = _sample_box(box, pairs, rng)
-    return tuple(lipschitz_ratio(f, a, b) for f in phi.maps)
-
-
-def hutchinson_iterate(
-    phi: FiniteBranch,
-    seed_point,
-    iterations: int,
-    resolution: float = HUTCHINSON_RESOLUTION,
-) -> HutchinsonResult:
-    """Iterate the union-of-images operator from a single seed.
-
-    Each sweep applies every branch to the current set and deduplicates
-    at the stated resolution; successive Hausdorff distances are
-    recorded. All branches must probe contractive.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    x0 = _point(seed_point)
-    scale = max(1.0, 2.0 * float(np.abs(x0).max()))
-    box = np.stack([-scale * np.ones_like(x0), scale * np.ones_like(x0)], axis=1)
-    lips = branch_lipschitz(phi, box)
-    if max(lips) >= 1.0:
-        raise NonContractiveError(
-            f"branch Lipschitz estimates {lips} reach 1; the iteration has no attractor"
-        )
-    current = x0[None, :]
-    dists = []
-    for _ in range(iterations):
-        nxt, _, _ = phi.expand(current)
-        nxt = _dedup_rows(nxt, np.round(nxt / resolution).astype(np.int64))
-        dists.append(hausdorff_distance(current, nxt))
-        current = nxt
-    return HutchinsonResult(current, tuple(dists), lips)
 
 
 # ---------------------------------------------------------------------------

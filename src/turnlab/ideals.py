@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -198,26 +198,6 @@ def is_dual(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
     return is_small(comp, model)
 
 
-def small_set_sampler(model: IdealModel) -> Callable[[np.random.Generator], np.ndarray]:
-    """A drawer of random sets that the model classifies small: at most
-    ``budget()`` of the counted indices, plus a random share (10-50%) of
-    the uncounted ones. The index pools are built here once, so the
-    translation-invariance probe pays for them once, not per draw."""
-    idx = np.arange(model.horizon, dtype=np.int64)
-    counted = model.counted(idx)
-    pool, free = idx[counted], idx[~counted]
-    budget = model.budget()
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        mask = np.zeros(model.horizon, dtype=bool)
-        mask[free] = rng.random(free.size) < rng.uniform(0.1, 0.5)
-        k = min(int(rng.integers(0, budget + 1)), pool.size)
-        mask[rng.choice(pool, size=k, replace=False)] = True
-        return np.flatnonzero(mask)
-
-    return draw
-
-
 def _shifted_model(model: IdealModel, shift: int) -> IdealModel:
     # "Finite" has no canonical cutoff, so membership of a shifted set in
     # the fin family is tested against the cutoff translated along with
@@ -231,57 +211,48 @@ def _shifted_model(model: IdealModel, shift: int) -> IdealModel:
 class InvarianceReport(Report):
     model: dict
     shifts: tuple[int, ...]
-    samples: int
-    fractions: dict[int, float]
     invariant: bool
     witness: dict | None
 
 
 def check_translation_invariance(
-    model: IdealModel,
-    samples: int = 200,
-    shifts: Sequence[int] = (1, -1, 7, -7),
-    seed: int = 0,
+    model: IdealModel, shifts: Sequence[int] = (1, -1, 7, -7)
 ) -> InvarianceReport:
-    """Empirical translation-invariance probe.
+    """Exact translation-invariance check.
 
-    Samples random small sets, shifts them by each k, and reports the
-    fraction whose shift stays small. Verdict "invariant" requires
-    fraction 1.0 for every shift.
+    A small set holds at most ``budget()`` counted indices, so for a
+    shift k the worst small set is every uncounted index plus the first
+    ``budget()`` counted indices whose in-range image the shifted model
+    counts. Small sets stay small under k exactly when that set's clipped
+    image does; otherwise it is the witness, for the first failing shift.
     """
     for k in shifts:
         if k == 0:
             raise ValueError("shifts must be nonzero")
         if abs(k) >= model.horizon / 2:
             raise ValueError(f"|shift| must stay below horizon/2, got {k}")
-    rng = np.random.default_rng(seed)
-    draw = small_set_sampler(model)
-    fractions: dict[int, float] = {}
+    idx = np.arange(model.horizon, dtype=np.int64)
+    counted = model.counted(idx)
     witness = None
     for k in shifts:
-        ok = 0
         target = _shifted_model(model, k)
-        for _ in range(samples):
-            small = draw(rng)
-            shifted = small + k
-            shifted = shifted[(shifted >= 0) & (shifted < model.horizon)]
-            if is_small(shifted, target):
-                ok += 1
-            elif witness is None:
-                witness = {
-                    "shift": int(k),
-                    "set_size": int(small.size),
-                    "set_head": [int(v) for v in small[:12]],
-                }
-        fractions[int(k)] = ok / samples if samples else 1.0
-    invariant = all(f == 1.0 for f in fractions.values())
+        image = idx + k
+        hits = (image >= 0) & (image < model.horizon) & target.counted(image)
+        worst = ~counted
+        worst[np.flatnonzero(counted & hits)[: model.budget()]] = True
+        if int((worst & hits).sum()) > target.budget():
+            members = np.flatnonzero(worst)
+            witness = {
+                "shift": int(k),
+                "set_size": int(members.size),
+                "set_head": members[:12].tolist(),
+            }
+            break
     return InvarianceReport(
         model=model.describe(),
         shifts=tuple(int(k) for k in shifts),
-        samples=samples,
-        fractions=fractions,
-        invariant=invariant,
-        witness=None if invariant else witness,
+        invariant=witness is None,
+        witness=witness,
     )
 
 

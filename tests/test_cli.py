@@ -134,6 +134,17 @@ def test_verify_command(tmp_path):
     assert rep["results"]["separation"]["strong_holds"] is True
 
 
+def test_verify_finds_the_worst_small_set(tmp_path, capsys):
+    # the 100 odd indices are small under finite-trace:auto (evens, cutoff
+    # 64); shifted by 1 they hold 99 evens below the horizon
+    out = tmp_path / "out"
+    argv = ["verify", "--scenario", "counterexample", "--ideal", "finite-trace:auto"]
+    assert main(argv + ["--horizon", "200", "--out-dir", str(out)]) == 1
+    assert "A3: fail" in capsys.readouterr().out
+    a3 = _load(out / "verify-counterexample.json")["results"]["conditions"]["conditions"]["A3"]
+    assert a3["witness"] == {"shift": 1, "set_size": 100, "set_head": list(range(1, 24, 2))}
+
+
 def test_report_determinism_excludes_meta(alt_file, tmp_path):
     out = tmp_path / "out"
     args = ["analyze", "--input", str(alt_file), "--ideal", "fin", "--out-dir", str(out)]
@@ -305,7 +316,7 @@ def test_non_finite_grid_exit_2(argv, alt_file, tmp_path, capsys):
     ids=lambda argv: "-".join(argv[i] for i in (0, -1)),
 )
 def test_horizon_below_translation_shifts_exit_2(argv, tmp_path, capsys):
-    # the A3 probe shifts by +-7, which needs a horizon of at least 15
+    # the A3 check shifts by +-7, which needs a horizon of at least 15
     assert main(argv + ["--horizon", "14", "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "shift" in err and err.count("\n") == 1

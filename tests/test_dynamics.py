@@ -11,7 +11,6 @@ import turnlab
 from turnlab.dynamics import (
     FiniteBranch,
     Interval1D,
-    NonContractiveError,
     Singleton,
     StartAt,
     SystemInstance,
@@ -20,7 +19,6 @@ from turnlab.dynamics import (
     feasibility_check,
     feasible_path,
     fixed_points,
-    hutchinson_iterate,
     make_policy,
     scalar_continuity,
 )
@@ -29,11 +27,6 @@ from turnlab.ideals import IdealModel
 
 FLIP_OR_HALVE = FiniteBranch((lambda x: -x, lambda x: x / 2.0), dim=1)
 IFS = FiniteBranch((lambda x: 0.5 * x, lambda x: 0.3 * x + 0.7), dim=1)
-# recorded while Hausdorff distances above 4M pairs still used SciPy's k-d
-# tree: IFS from [0.0], 25 sweeps (the first 20 are the 20-sweep run's)
-IFS_STEPS = [f"0x1.6666666666666p-{k}" for k in range(1, 21)]
-IFS_STEPS += ["0x1.024122e000000p-21"] + ["0x0.0p+0"] * 4
-IFS_LIPSCHITZ = ("0x1.0000000000000p-1", "0x1.3333333333385p-2")
 
 
 def test_images_branch_order_and_dedup():
@@ -106,52 +99,16 @@ def test_fixed_points_random_affine_matches_closed_form():
         assert pts[0, 0] == pytest.approx(b / (1 - a), abs=1e-7)
 
 
-def test_hutchinson_geometric_decay_to_origin():
-    res = hutchinson_iterate(FiniteBranch((lambda x: x / 2.0,), dim=1), [7.0], 40)
-    assert res.points.shape == (1, 1)
-    assert abs(res.points[0, 0]) < 1e-6
-    assert res.step_distances == tuple(7.0 * 2.0**-k for k in range(1, 41))
-    assert res.lipschitz == (0.5,)
-
-
-def test_hutchinson_attractor_endpoints():
-    res = hutchinson_iterate(IFS, [0.0], 25)
-    assert res.points.min() == pytest.approx(0.0, abs=1e-6)
-    assert res.points.max() == pytest.approx(1.0, abs=1e-6)
-    assert res.points.shape == (52791, 1)
-    assert [d.hex() for d in res.step_distances] == IFS_STEPS
-    assert [v.hex() for v in res.lipschitz] == list(IFS_LIPSCHITZ)
-
-
-def test_hutchinson_zero_iterations_identity():
-    res = hutchinson_iterate(IFS, [0.3], 0)
-    np.testing.assert_allclose(res.points, [[0.3]])
-
-
-def test_hutchinson_rate_bounded_by_lipschitz():
-    res = hutchinson_iterate(IFS, [0.0], 20)
-    assert res.points.shape == (52790, 1)
-    assert [d.hex() for d in res.step_distances] == IFS_STEPS[:20]
-    rate = max(res.lipschitz)
-    d = np.array(res.step_distances)
-    # successive Hausdorff distances decay at the contraction rate
-    ratios = d[4:] / d[3:-1]
-    assert np.all(ratios <= rate + 0.05)
-
-
 SCIPY_BLOCKED = """
 import json, sys
 sys.modules["scipy"] = None  # every SciPy import now raises ImportError
 import numpy as np
-from turnlab.dynamics import FiniteBranch, hutchinson_iterate
+from turnlab.dynamics import FiniteBranch, fixed_points
 from turnlab.geometry import hausdorff_distance
 ifs = FiniteBranch((lambda x: 0.5 * x, lambda x: 0.3 * x + 0.7), dim=1)
-res = hutchinson_iterate(ifs, [0.0], 25)
 a, b = np.random.default_rng(0).uniform(size=(2, 2100, 3))  # 4.41M pairs
 print(json.dumps({
-    "size": res.points.shape[0],
-    "steps": [d.hex() for d in res.step_distances],
-    "lipschitz": [v.hex() for v in res.lipschitz],
+    "fixed": [v.hex() for v in fixed_points(ifs, [[-2.0, 2.0]]).ravel()],
     "h3": hausdorff_distance(a, b).hex(),
 }))
 """
@@ -170,17 +127,12 @@ def test_runtime_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["size"] == 52791
-    assert got["steps"] == IFS_STEPS
-    assert got["lipschitz"] == list(IFS_LIPSCHITZ)
+    fixed = [float.fromhex(v) for v in got["fixed"]]
+    assert fixed == fixed_points(IFS, [[-2.0, 2.0]]).ravel().tolist()
+    assert fixed == pytest.approx([0.0, 1.0], abs=1e-9)
     a, b = np.random.default_rng(0).uniform(size=(2, 2100, 3))
     d = _distance_matrix(a, b)
     assert float.fromhex(got["h3"]) == max(d.min(axis=1).max(), d.min(axis=0).max())
-
-
-def test_hutchinson_rejects_expansion():
-    with pytest.raises(NonContractiveError):
-        hutchinson_iterate(FiniteBranch((lambda x: 2.0 * x,), dim=1), [1.0], 5)
 
 
 def test_continuity_probe_lipschitz_branches():

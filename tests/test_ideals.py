@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +6,7 @@ from hypothesis import strategies as st
 from turnlab.ideals import (
     IdealModel,
     IdealSpecError,
+    _shifted_model,
     as_index_set,
     burn_in,
     check_translation_invariance,
@@ -15,7 +14,6 @@ from turnlab.ideals import (
     is_positive,
     is_small,
     parse_ideal_spec,
-    small_set_sampler,
     upper_density,
 )
 
@@ -112,12 +110,23 @@ def test_finite_sets_small_under_every_model():
         assert is_small(fin_set, model)
 
 
+def draw_small(model, rng):
+    """A random small set: a random share of the uncounted indices plus
+    at most ``budget()`` counted ones."""
+    idx = np.arange(model.horizon)
+    counted = model.counted(idx)
+    pool = idx[counted]
+    keep = ~counted & (rng.random(model.horizon) < rng.uniform(0.1, 0.5))
+    k = min(int(rng.integers(0, model.budget() + 1)), pool.size)
+    return np.union1d(idx[keep], rng.choice(pool, size=k, replace=False))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), kind=st.sampled_from(["fin", "density", "finite_trace"]))
 def test_downward_closure(seed, kind):
     model = IdealModel(kind, 2000, trace="evens" if kind == "finite_trace" else "")
     rng = np.random.default_rng(seed)
-    a = small_set_sampler(model)(rng)
+    a = draw_small(model, rng)
     assert is_small(a, model)
     if a.size:
         sub = a[rng.random(a.size) < 0.5]
@@ -130,9 +139,8 @@ def test_fin_union_closure(seed):
     # the max-element rendering is exactly union closed
     model = IdealModel("fin", 2000)
     rng = np.random.default_rng(seed)
-    draw = small_set_sampler(model)
-    a = draw(rng)
-    b = draw(rng)
+    a = draw_small(model, rng)
+    b = draw_small(model, rng)
     assert is_small(np.union1d(a, b), model)
 
 
@@ -153,43 +161,16 @@ def test_budgeted_union_closure():
     assert is_small(np.union1d(a, b), ft)
 
 
-# sizes and SHA-256 of five draws from default_rng(7) at horizon 300,
-# recorded when every draw rebuilt its index pools
-SMALL_SET_DRAWS = {
-    "fin": ([18, 17, 9, 15, 28], "9ee9e6a4d8aee5205e42329a6e6fca2215a8a65705d30b45816df0b8cfe14273"),
-    "fin:0": ([0, 0, 0, 0, 0], "45ca31c3315a5978f40438aab46040d75e99c9b125c2fd01db6e10ac80bef906"),
-    "density:0.2": (
-        [41, 56, 24, 13, 53],
-        "a72c4d2d031f5fafb4ba49cee8e5a3c9eed33f0c0534bc81bbc46576f27bef6d",
-    ),
-    "finite-trace:odds": (
-        [79, 80, 56, 113, 69],
-        "95c3c1571513287522ec9814ffcd3f208804556987cf9d8de97f445501f71b05",
-    ),
-}
-
-
-@pytest.mark.parametrize("spec", sorted(SMALL_SET_DRAWS))
-def test_small_set_draws_are_pinned(spec):
-    model = parse_ideal_spec(spec, 300)
-    draw = small_set_sampler(model)
-    rng = np.random.default_rng(7)
-    draws = [draw(rng) for _ in range(5)]
-    sizes, digest = SMALL_SET_DRAWS[spec]
-    assert [d.size for d in draws] == sizes
-    assert hashlib.sha256(b"|".join(d.tobytes() for d in draws)).hexdigest() == digest
-
-
 def test_translation_invariance_density_and_fin():
-    assert check_translation_invariance(IdealModel("density", 10**5), samples=100).invariant
-    assert check_translation_invariance(IdealModel("fin", 10**5), samples=100).invariant
+    assert check_translation_invariance(IdealModel("density", 10**5)).invariant
+    assert check_translation_invariance(IdealModel("fin", 10**5)).invariant
     # under fin:0 every index counts, so only the empty set is small
     assert check_translation_invariance(IdealModel("fin", 1000, cutoff=0)).invariant
 
 
 def test_translation_invariance_trace_fails_odd_shift():
     rep = check_translation_invariance(
-        IdealModel("finite_trace", 10**5, trace="odds"), samples=100, shifts=(1,)
+        IdealModel("finite_trace", 10**5, trace="odds"), shifts=(1,)
     )
     assert not rep.invariant
     assert rep.witness is not None and rep.witness["shift"] == 1
@@ -197,9 +178,68 @@ def test_translation_invariance_trace_fails_odd_shift():
 
 def test_translation_invariance_trace_even_shift_ok():
     rep = check_translation_invariance(
-        IdealModel("finite_trace", 10**5, trace="odds"), samples=100, shifts=(2, -2)
+        IdealModel("finite_trace", 10**5, trace="odds"), shifts=(2, -2)
     )
     assert rep.invariant
+
+
+EXHAUSTIVE_SHIFTS = (1, -1, 2, -2, 5, -5)
+
+
+def _exhaustive_models(n):
+    # the largest cutoffs put a shifted set's count right at the budget,
+    # where clipping at the horizon decides the verdict
+    for cutoff in (0, 3, n // 2, n - 3):
+        yield IdealModel("fin", n, cutoff=cutoff)
+    for threshold in (0.01, 0.2, 0.35):
+        yield IdealModel("density", n, threshold=threshold)
+    for trace in ("evens", "odds"):
+        for cutoff in (0, 1, 2, n // 2 - 1):
+            yield IdealModel("finite_trace", n, cutoff=cutoff, trace=trace)
+
+
+def _shift_columns(sets, k):
+    """Each row of ``sets`` (one boolean column per index) shifted by k
+    and clipped to the horizon."""
+    out = np.zeros_like(sets)
+    if k > 0:
+        out[:, k:] = sets[:, :-k]
+    else:
+        out[:, :k] = sets[:, -k:]
+    return out
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_translation_invariance_matches_every_subset(n):
+    # every subset of [0, n) as one boolean row
+    sets = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    sizes = sets.sum(axis=1)
+    heads = np.argsort(~sets, axis=1, kind="stable")[:, :12]  # members first, ascending
+    idx = np.arange(n)
+    for model in _exhaustive_models(n):
+        small = (sets & model.counted(idx)).sum(axis=1) <= model.budget()
+        failing = []
+        for k in EXHAUSTIVE_SHIFTS:
+            target = _shifted_model(model, k)
+            image = _shift_columns(sets, k)
+            image_small = (image & target.counted(idx)).sum(axis=1) <= target.budget()
+            stays = bool(image_small[small].all())
+            rep = check_translation_invariance(model, shifts=(k,))
+            assert rep.invariant == stays, (model, k)
+            if not stays:
+                failing.append(k)
+                # some small set with the witness's size and head is not
+                # small once shifted (the head is the whole set up to 12)
+                w = rep.witness
+                assert w["shift"] == k
+                head = heads[:, : len(w["set_head"])]
+                match = (sizes == w["set_size"]) & (head == w["set_head"]).all(axis=1)
+                assert (match & small & ~image_small).any(), (model, k)
+        rep = check_translation_invariance(model, shifts=EXHAUSTIVE_SHIFTS)
+        if failing:
+            assert not rep.invariant and rep.witness["shift"] == failing[0]
+        else:
+            assert rep.invariant and rep.witness is None
 
 
 def test_shift_preconditions():

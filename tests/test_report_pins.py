@@ -45,30 +45,41 @@ PINS = {
     "reproduce-blocks": (
         1, "b976624c8b805cd216fbb48f543a61945e2b0ea14bb1c79ad7ae8866bf0e1789"
     ),
+    # re-recorded when A3 became exact: the A3 entry lost samples/fractions,
+    # the plan translation_samples/translation_shifts, and the witness is
+    # now the worst small set (the 256 odd indices), not a random draw
     "reproduce-counterexample-trace": (
-        0, "85c9ad3114ab7e693c5c695ecb9c3cd88e83cda3a93748a46fd177d43aa3c1bf"
+        0, "1f84f81c9e5382df4351736c345948ae946a4a0cea71c82d326e2d8f3b60d8e7"
     ),
+    # re-recorded when A3 became exact: the A3 entry lost samples/fractions
+    # and the plan translation_samples/translation_shifts; nothing else moved
     "reproduce-counterexample-density": (
-        1, "26d6e4706e3c23edac77c047d76775705dc64cfa748813187e6a14831e4f7ba4"
+        1, "65eef142cf1fda3fb3bf0ebdd722137879f185d7486f5395e25177f8e416ab27"
     ),
     "reproduce-ifs": (
         0, "7b2b0df2f7a7569b1e506bce4e6111e274911c33a5d7a110f27819eba2a8275b"
     ),
     # re-recorded when optimizer reports began to carry the system's notes
-    # (the l2 band-sampling note); nothing else in its results moved
+    # (the l2 band-sampling note); nothing else in its results moved.
+    # Re-recorded when A3 became exact: the A3 entry lost samples/fractions
+    # and the plan translation_samples/translation_shifts; nothing else moved
     "reproduce-l2": (
-        1, "c069c5801a73e0cd8b3e5dffb3124e441e82c04226c0551fc188173c1009873a"
+        1, "fa12bb59507adf925533aa02bb5f7c79a5e0bb3e051c7f87e4bad55f96a2f96d"
     ),
     "optimize-counterexample": (
         0, "50f976bfb2da824dd4a8a260f7e85a52e5712aeda7937f32c22595e04eb9133b"
     ),
+    # re-recorded when A3 became exact: the A3 entry lost samples/fractions
+    # and the plan translation_samples/translation_shifts; nothing else moved
     "verify-l2": (
-        0, "c84ad84998ba65a7152eca9ce6a3eb17b85d19a24f2d6d559eca69a4a9be16a9"
+        0, "8a3bed2d7c61be63b1f4e61ef06291e348e14b1e4019e78a1a9593763f16c5f3"
     ),
     # recorded before the l2 band kernel, the probe chunks and the witness
-    # image changed; every condition and separation result must keep it
+    # image changed; every condition and separation result must keep it.
+    # Re-recorded when A3 became exact: the A3 entry lost samples/fractions
+    # and the plan translation_samples/translation_shifts; nothing else moved
     "verify-l2-default": (
-        0, "3f6ddd1e8276deb111fdbe2c423056850ec08aa41ffac990299805ccf8c536ca"
+        0, "dce4affa6a72106877b09db4ed240603b03d506ef8cb345d4d1d3fe51a5cf9db"
     ),
 }
 
