@@ -29,7 +29,6 @@ from turnlab.analysis import (
 from turnlab.dynamics import (
     FiniteBranch,
     Interval1D,
-    Singleton,
     TruncatedL2,
     SystemInstance,
     StartAt,
@@ -39,7 +38,6 @@ from turnlab.dynamics import (
     continuity_probe,
     feasible_path,
     feasibility_check,
-    make_policy,
 )
 from turnlab.optimizer import (
     SearchConfig,
@@ -85,7 +83,6 @@ __all__ = [
     "check_representation_identity",
     "FiniteBranch",
     "Interval1D",
-    "Singleton",
     "TruncatedL2",
     "SystemInstance",
     "StartAt",
@@ -95,7 +92,6 @@ __all__ = [
     "continuity_probe",
     "feasible_path",
     "feasibility_check",
-    "make_policy",
     "SearchConfig",
     "OptimReport",
     "maxmin_search",

@@ -206,15 +206,12 @@ def _build_system(config: RunConfig):
         except ValueError as exc:
             raise ConfigError(f"malformed --branches value {config.branches!r}") from exc
         return _checked(what, build_ifs_system, pairs, ideal)
-    if config.scenario == "l2":
-        rng = np.random.default_rng(config.seed)
-        # a negative --dim draws nothing and is left to the builder to reject
-        x_star = rng.uniform(-1.0, 1.0, max(config.dim, 0))
-        x_star *= 0.9 / max(1.0, float(np.sqrt((x_star**2).sum())))
-        return _checked(what, build_l2_truncation, config.dim, x_star, ideal)
-    raise ConfigError(
-        f"unknown scenario {config.scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
-    )
+    # l2: argparse admits no other scenario here
+    rng = np.random.default_rng(config.seed)
+    # a negative --dim draws nothing and is left to the builder to reject
+    x_star = rng.uniform(-1.0, 1.0, max(config.dim, 0))
+    x_star *= 0.9 / max(1.0, float(np.sqrt((x_star**2).sum())))
+    return _checked(what, build_l2_truncation, config.dim, x_star, ideal)
 
 
 # ---------------------------------------------------------------------------

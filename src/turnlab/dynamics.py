@@ -2,12 +2,11 @@
 
 Compact images are rendered as finite point samples with a declared
 resolution. Points are (d,) float arrays; maps broadcast over leading
-axes, so a branch map must accept (..., d) input. Image sets keep a
-stable branch order (duplicates collapse to the first occurrence, found
-by one lexsort in ``_dedup_rows``), which path policies rely on.
-Distance computations (residuals, feasibility, continuity) and the A5
-separation audit read the raw ``expand`` output instead: duplicate
-points change no minimum or Hausdorff distance, and no first witness.
+axes, so a branch map must accept (..., d) input. Branches have one
+numbering, the one ``expand`` gives: ``images(x)`` is the ``expand`` of
+one point, row j its branch-j child, and a feasible path follows one
+branch index. Coinciding branches stay separate rows; they change no
+minimum or Hausdorff distance and no first witness.
 
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps, and
@@ -71,19 +70,6 @@ def _box_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _dedup_rows(a: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
-    """Rows of ``a`` whose ``keys`` row (default: itself) is a first
-    occurrence, in order, with ``np.unique(keys, axis=0)`` equality (0.0
-    equals -0.0, NaN nothing): one stable lexsort, then adjacent rows."""
-    keys = a if keys is None else keys
-    if keys.shape[0] <= 1:
-        return a
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
-    return a[np.sort(order[first])]
-
-
 class Correspondence:
     """Base class; subclasses implement ``expand`` over point batches."""
 
@@ -103,15 +89,9 @@ class Correspondence:
         raise NotImplementedError
 
     def images(self, x) -> np.ndarray:
-        """Finite image sample of one point, deduplicated, branch order.
-
-        The dedup is for the path policies of ``feasible_path`` (the A6
-        reference orbit among them), which index branches. Distances and
-        the separation audit use the raw ``expand`` output.
-        """
-        p = _point(x)
-        children, _, _ = self.expand(p[None, :])
-        return _dedup_rows(children)
+        """Finite image sample of one point: its ``expand`` children, row j
+        the child of branch j, coinciding branches included."""
+        return self.expand(_point(x)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -164,20 +144,6 @@ class Interval1D(Correspondence):
         children = pts.reshape(-1, 1)
         parents = np.repeat(live, self.samples)
         branches = np.tile(np.arange(self.samples), live.size)
-        return children, parents, branches
-
-
-@dataclass(frozen=True)
-class Singleton(Correspondence):
-    """Phi(x) = {f(x)}; feasible paths are plain orbits."""
-
-    map: Callable[[np.ndarray], np.ndarray]
-    dim: int = 1
-
-    def expand(self, states: np.ndarray):
-        children = np.asarray(self.map(states), dtype=float).reshape(states.shape)
-        parents = np.arange(states.shape[0])
-        branches = np.zeros(states.shape[0], dtype=int)
         return children, parents, branches
 
 
@@ -250,7 +216,6 @@ class Path:
     window: SequenceWindow
     trace: tuple[int, ...]
     truncated: bool = False
-    note: str = ""
 
     @property
     def points(self) -> np.ndarray:
@@ -260,45 +225,23 @@ class Path:
         return np.asarray(u(self.window.values), dtype=float).ravel()
 
 
-def make_policy(name: str, index: int = 0):
-    """Branch choosers for feasible_path: ``first``/``last``/``index``
-    pick by position, ``cycle`` rotates."""
-    if name == "first":
-        return lambda n, x, imgs: 0
-    if name == "last":
-        return lambda n, x, imgs: imgs.shape[0] - 1
-    if name == "index":
-        return lambda n, x, imgs: min(index, imgs.shape[0] - 1)
-    if name == "cycle":
-        return lambda n, x, imgs: n % imgs.shape[0]
-    raise ValueError(f"unknown policy {name!r}")
-
-
-def feasible_path(
-    phi: Correspondence, x0, policy: Callable[[int, np.ndarray, np.ndarray], int], n: int
-) -> Path:
-    """Generate x_0, ..., x_{n-1} with x_{k+1} drawn from the image sample
-    of x_k by the policy. An empty image truncates the path and flags it."""
+def feasible_path(phi: Correspondence, x0, branch: int, n: int) -> Path:
+    """Generate x_0, ..., x_{n-1} with x_{k+1} = images(x_k)[branch], the
+    branch-``branch`` child of ``expand``. A state without that child ends
+    the path, flagged truncated."""
     if n < 1:
         raise ValueError("a path needs at least one point")
+    if branch < 0:
+        raise ValueError(f"branch must be nonnegative, got {branch}")
     x = _point(x0)
     pts = [x]
-    trace: list[int] = []
-    truncated = False
-    note = ""
-    for step in range(n - 1):
+    for _ in range(n - 1):
         imgs = phi.images(x)
-        if imgs.shape[0] == 0:
-            truncated = True
-            note = f"empty image at x = {x.tolist()}"
+        if branch >= imgs.shape[0]:
             break
-        j = int(policy(step, x, imgs))
-        if not 0 <= j < imgs.shape[0]:
-            raise ValueError(f"policy chose branch {j} outside the image sample")
-        x = imgs[j]
+        x = imgs[branch]
         pts.append(x)
-        trace.append(j)
-    return Path(SequenceWindow(np.array(pts)), tuple(trace), truncated, note)
+    return Path(SequenceWindow(np.array(pts)), (branch,) * (len(pts) - 1), len(pts) < n)
 
 
 def feasibility_check(path: Path, phi: Correspondence, tol: float = FEASIBILITY_TOL) -> dict:
@@ -323,7 +266,7 @@ def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Distance from targets[i] to the raw image sample of states[i], per i.
+    """Distance from targets[i] to the image sample of states[i], per i.
 
     One ``expand`` over the batch and a segmented minimum, the same
     arithmetic per row as ``min_distance`` on a single point. A state
@@ -440,9 +383,7 @@ def fixed_points(
     are solved for child_branch(x) = x by batched Newton
     (``_branch_newton``); solutions inside the box within tol are
     deduplicated at radius 10 * tol. A state with an empty image is not
-    a fixed point. Gaps read the raw ``expand`` output; duplicate image
-    points are harmless to a minimum distance, so ``images()`` and its
-    dedup are not involved.
+    a fixed point.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
@@ -530,14 +471,13 @@ def continuity_probe(
     For probe points x and perturbations x' at distance delta, the rung
     statistic is max H(Phi(x), Phi(x')) / delta. The verdict fails when
     the statistic grows faster than delta^(-1/2) across the ladder, the
-    signature of a jump. Image samples are the raw ``expand`` output
-    (duplicates do not change a Hausdorff distance); probe points and
-    points with an empty image are skipped. The probe points are expanded
-    once for the whole ladder; each rung expands the moved points of as
-    many probe points as make about ``8 * EXPAND_CHUNK`` children, going
-    by the largest base image (l2 at d = 8: 7 points, 0.5 MB of children,
-    a working set that stays in a 2 MB cache). Where base and
-    moved images have equal counts, the matched-branch distance
+    signature of a jump. Image samples are the ``expand`` output; probe
+    points and points with an empty image are skipped. The probe points
+    are expanded once for the whole ladder; each rung expands the moved
+    points of as many probe points as make about ``8 * EXPAND_CHUNK``
+    children, going by the largest base image (l2 at d = 8: 7 points,
+    0.5 MB of children, a working set that stays in a 2 MB cache). Where
+    base and moved images have equal counts, the matched-branch distance
     U = max_j |a_j - b_j| bounds H from above, so exact distances are
     computed in descending U only until U falls to the best H so far,
     carried across chunks: every skipped pair has H <= U <= the rung's
@@ -547,11 +487,13 @@ def continuity_probe(
     d = box.shape[0]
     ladder = _ladder(box, ladder)
     pts = _probe_points(box, samples, seed)
-    # up to six axis moves, two random unit directions (+-1.0 in 1-D)
+    # up to six axis moves, two random unit directions; in 1-D those are
+    # +-1.0 again, so each move is kept once, at its first occurrence
     axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
     rnd = np.random.default_rng(seed + 1).normal(size=(2, d))
     rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
     dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
+    dirs = dirs[np.sort(np.unique(dirs, axis=0, return_index=True)[1])]
     base, base_parent, _ = phi.expand(pts)
     base_start, base_count = _segments(base_parent)
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
@@ -676,12 +618,14 @@ class SystemInstance:
     @functools.cached_property
     def reference_path(self) -> Optional[Path]:
         """The first REFERENCE_LENGTH points of the orbit that always
-        takes branch ``reference_branch`` from the pinned start, or None
+        takes branch ``reference_branch`` from the pinned start (fewer,
+        flagged truncated, past a state without that child), or None
         without one. Built on first use: only the A6 check reads it."""
         if self.reference_branch is None:
             return None
-        policy = make_policy("index", index=self.reference_branch)
-        return feasible_path(self.phi, self.constraint.x0, policy, REFERENCE_LENGTH)
+        return feasible_path(
+            self.phi, self.constraint.x0, self.reference_branch, REFERENCE_LENGTH
+        )
 
     def utilities(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.utility(np.asarray(pts, dtype=float)), dtype=float)

@@ -19,7 +19,8 @@ The six conditions checked here:
   A1 continuity probe streams its moved points in chunks sized from
   their image counts (see ``dynamics.continuity_probe``).
 * A6 -- the optimum value is attainable: witnessed by a supplied
-  reference path whose utility liminf reaches u(eta_star).
+  reference path whose utility liminf reaches u(eta_star). A reference
+  orbit cut short by a state without its branch's child fails.
 
 Failed conditions always carry a concrete witness; missing inputs make a
 condition untestable, never passing.
@@ -249,10 +250,19 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
     else:
         out["A5"], separation = _separation_audit(sys, plan)
 
-    if sys.reference_path is None or sys.eta_star is None:
+    ref = sys.reference_path
+    if ref is None or sys.eta_star is None:
         out["A6"] = {"verdict": "untestable", "reason": "no reference path supplied"}
+    elif ref.truncated:
+        out["A6"] = {
+            "verdict": "fail",
+            "reason": f"reference orbit has {ref.window.horizon} of "
+            f"{dynamics.REFERENCE_LENGTH} points: its last state "
+            f"{ref.points[-1].tolist()} has no branch-{sys.reference_branch} child",
+            "reference_points": ref.window.horizon,
+            "childless_state": ref.points[-1],
+        }
     else:
-        ref = sys.reference_path
         feas = feasibility_check(ref, sys.phi)
         u_star = float(sys.utilities(sys.eta_star[None, :])[0])
         ref_values = SequenceWindow(ref.utilities(sys.utility))

@@ -16,7 +16,6 @@ from turnlab.dynamics import (
     FIXED_POINT_TOL,
     FiniteBranch,
     Interval1D,
-    Singleton,
     TruncatedL2,
     _child_gaps,
     _ladder,
@@ -169,7 +168,7 @@ PROBE_CASES = {
     # x_1 and x_2 cross 1/i: some base and moved images differ in count
     "l2-crossing": (TruncatedL2(3), [[-0.5, 0.5], [0.6, 1.4], [0.2, 0.8]], 64),
     "flip-or-halve": (FiniteBranch((lambda x: -x, lambda x: x / 2.0), dim=1), [[-2.0, 2.0]], 64),
-    "jump": (Singleton(lambda x: np.where(x >= 0, 1.0, -1.0), dim=1), [[-1.0, 1.0]], 64),
+    "jump": (FiniteBranch((lambda x: np.where(x >= 0, 1.0, -1.0),), dim=1), [[-1.0, 1.0]], 64),
     "empty-interval": (
         Interval1D(lambda x: x**2, lambda x: 1.0 + 0.0 * x, samples=7),
         [[-1.5, 1.5]],

@@ -145,6 +145,17 @@ def test_verify_finds_the_worst_small_set(tmp_path, capsys):
     assert a3["witness"] == {"shift": 1, "set_size": 100, "set_head": list(range(1, 24, 2))}
 
 
+def test_verify_ifs_reference_orbit_follows_its_expand_branch(tmp_path, capsys):
+    # branches 0 and 1 coincide at the start x0 = 0 (both give 0.5); the
+    # reference orbit follows branch 1, whose fixed point 1.25 is the largest
+    out = tmp_path / "out"
+    argv = ["verify", "--scenario", "ifs", "--branches", "0.1,0.5:0.6,0.5:0.2,0"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert "A6: pass" in capsys.readouterr().out
+    a6 = _load(out / "verify-ifs.json")["results"]["conditions"]["conditions"]["A6"]
+    assert a6["reference_liminf"] == pytest.approx(1.25) and a6["u_eta_star"] == 1.25
+
+
 def test_report_determinism_excludes_meta(alt_file, tmp_path):
     out = tmp_path / "out"
     args = ["analyze", "--input", str(alt_file), "--ideal", "fin", "--out-dir", str(out)]

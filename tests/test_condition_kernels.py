@@ -1,8 +1,7 @@
 """The kernels under the condition battery against their reference forms:
-``_dedup_rows`` against ``np.unique(axis=0)``, ``TruncatedL2.expand``
-against its elementwise formula, the chunked separation audit's witnesses
-against a whole-sample brute force, and the continuity probe on a
-correspondence whose every image is empty."""
+``TruncatedL2.expand`` against its elementwise formula, the chunked
+separation audit's witnesses against a whole-sample brute force, and the
+continuity probe on a correspondence whose every image is empty."""
 
 import dataclasses
 import itertools
@@ -20,34 +19,10 @@ from turnlab.dynamics import (
     StartAt,
     SystemInstance,
     TruncatedL2,
-    _dedup_rows,
     continuity_probe,
 )
 from turnlab.ideals import IdealModel
 from turnlab.verifier import SamplingPlan, _separation_audit
-
-POOL = np.array([0.0, -0.0, 1.0, -2.5, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
-
-
-@pytest.mark.parametrize("cols", [1, 2, 3, 8])
-def test_dedup_rows_matches_unique_first_occurrences(cols):
-    rng = np.random.default_rng(cols)
-    for n in (0, 1, 2, 3, 17, 200):
-        a = POOL[rng.integers(0, POOL.size, (n, cols))]
-        if n <= 1:
-            want = a
-        else:
-            _, first = np.unique(a, axis=0, return_index=True)
-            want = a[np.sort(first)]
-        got = _dedup_rows(a)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 and NaN kept
-
-
-def test_dedup_rows_by_keys_keeps_first_rows():
-    a = np.array([[0.1], [0.30000001], [0.1000001], [0.3]])
-    keys = np.round(a / 1e-3).astype(np.int64)
-    np.testing.assert_array_equal(_dedup_rows(a, keys), a[[0, 1]])
 
 
 def _band_reference(phi: TruncatedL2, states: np.ndarray):

@@ -1,5 +1,5 @@
-"""Distance consumers of Phi read raw ``expand`` output; these tests pin
-that the results are the same bits as through the deduplicated
+"""Distance consumers of Phi read batched ``expand`` output; these tests
+pin that the results are the same bits as through the per-point
 ``images()`` path, and that the batched band expansion of the l2
 truncation reproduces the per-state construction exactly."""
 

@@ -11,7 +11,6 @@ import turnlab
 from turnlab.dynamics import (
     FiniteBranch,
     Interval1D,
-    Singleton,
     StartAt,
     SystemInstance,
     TruncatedL2,
@@ -19,7 +18,6 @@ from turnlab.dynamics import (
     feasibility_check,
     feasible_path,
     fixed_points,
-    make_policy,
     scalar_continuity,
 )
 from turnlab.geometry import _distance_matrix, hausdorff_distance
@@ -31,8 +29,8 @@ IFS = FiniteBranch((lambda x: 0.5 * x, lambda x: 0.3 * x + 0.7), dim=1)
 
 def test_images_branch_order_and_dedup():
     np.testing.assert_allclose(FLIP_OR_HALVE.images([1.0]).ravel(), [-1.0, 0.5])
-    # both branches coincide at the origin; duplicates collapse
-    assert FLIP_OR_HALVE.images([0.0]).shape == (1, 1)
+    # both branches coincide at the origin and stay two rows, branch order
+    assert FLIP_OR_HALVE.images([0.0]).tobytes() == np.array([[-0.0], [0.0]]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -46,7 +44,7 @@ def test_images_branch_order_and_dedup():
             [[-1.0], [1.0], [0.0], [2.0], [np.nan]],
             [3, 0, 3, 0, 3],
         ),
-        (Singleton(lambda x: 0.5 * x), [[1.0], [2.0], [3.0]], [1, 1, 1]),
+        (FiniteBranch((lambda x: 0.5 * x,)), [[1.0], [2.0], [3.0]], [1, 1, 1]),
         # the middle state has x_1 > 1/1, so its band set is empty
         (TruncatedL2(3), [[0.1, 0.2, 0.1], [0.0, 1.5, 0.0], [0.3, -0.2, 0.4]], [26, 1, 26]),
     ],
@@ -149,7 +147,7 @@ def test_continuity_probe_interval_ratio_two():
 
 
 def test_continuity_probe_flags_jump():
-    step = Singleton(lambda x: np.where(x >= 0, 1.0, -1.0), dim=1)
+    step = FiniteBranch((lambda x: np.where(x >= 0, 1.0, -1.0),), dim=1)
     rep = continuity_probe(step, [[-1.0, 1.0]])
     assert not rep.passed
 
@@ -166,16 +164,16 @@ def test_probe_ladder_rejected_unless_positive_finite(ladder):
 
 
 def test_feasible_path_policies():
-    p_alt = feasible_path(FLIP_OR_HALVE, [1.0], make_policy("first"), 8)
+    p_alt = feasible_path(FLIP_OR_HALVE, [1.0], 0, 8)
     np.testing.assert_allclose(p_alt.points.ravel(), [(-1.0) ** n for n in range(8)])
-    p_half = feasible_path(FLIP_OR_HALVE, [1.0], make_policy("index", index=1), 8)
+    p_half = feasible_path(FLIP_OR_HALVE, [1.0], 1, 8)
     np.testing.assert_allclose(p_half.points.ravel(), [2.0**-n for n in range(8)])
     assert p_alt.trace == (0,) * 7 and p_half.trace == (1,) * 7
 
 
 def test_singleton_path_is_orbit():
-    phi = Singleton(lambda x: 0.5 * x + 0.1, dim=1)
-    p = feasible_path(phi, [1.0], make_policy("first"), 6)
+    phi = FiniteBranch((lambda x: 0.5 * x + 0.1,), dim=1)
+    p = feasible_path(phi, [1.0], 0, 6)
     x = 1.0
     for n in range(1, 6):
         x = 0.5 * x + 0.1
@@ -183,7 +181,7 @@ def test_singleton_path_is_orbit():
 
 
 def test_feasibility_recheck():
-    p = feasible_path(IFS, [0.2], make_policy("cycle"), 50)
+    p = feasible_path(IFS, [0.2], 1, 50)
     rep = feasibility_check(p, IFS)
     assert rep["feasible"] and rep["max_residual"] == 0.0
 
@@ -191,9 +189,40 @@ def test_feasibility_recheck():
 def test_path_truncates_on_empty_image():
     # bounds cross after the first step; the path flags the truncation
     iv = Interval1D(lambda x: x + 1.0, lambda x: 2.0 - x, samples=3)
-    p = feasible_path(iv, [0.2], make_policy("last"), 10)
+    p = feasible_path(iv, [0.2], 2, 10)
     assert p.truncated
     assert p.window.horizon < 10
+
+
+@pytest.mark.parametrize(
+    "phi,x0,branch",
+    [
+        (FLIP_OR_HALVE, [1.0], 0),
+        (IFS, [0.2], 1),
+        (Interval1D(lambda x: 0.5 * x, lambda x: 0.5 * x + 1.0, samples=5), [0.7], 3),
+        (TruncatedL2(3), [0.3, -0.2, 0.1], 0),
+        (TruncatedL2(3), [0.3, -0.2, 0.1], 7),
+    ],
+    ids=["finite-branch-0", "finite-branch-1", "interval", "l2-halving", "l2-band"],
+)
+def test_feasible_path_steps_are_expand_branch_children(phi, x0, branch):
+    p = feasible_path(phi, x0, branch, 12)
+    for x, y in zip(p.points[:-1], p.points[1:]):
+        children, _, b = phi.expand(x[None, :])
+        assert y.tobytes() == children[b == branch][0].tobytes()
+    assert p.trace == (branch,) * (p.window.horizon - 1)
+
+
+def test_feasible_path_missing_branch_truncates_and_negative_raises():
+    # the band of [0.3, 0.6, 0.1] is empty (x_1 > 1/1 after one band step):
+    # branch 7 exists at the start only
+    p = feasible_path(TruncatedL2(3), [0.3, 0.6, 0.1], 7, 12)
+    assert p.truncated and p.window.horizon == 2 and p.trace == (7,)
+    p = feasible_path(FLIP_OR_HALVE, [1.0], 2, 5)
+    assert p.truncated and p.window.horizon == 1 and p.trace == ()
+    assert not feasible_path(FLIP_OR_HALVE, [1.0], 1, 5).truncated
+    with pytest.raises(ValueError, match="branch"):
+        feasible_path(FLIP_OR_HALVE, [1.0], -1, 5)
 
 
 def test_system_rejects_non_stationary_claim():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from turnlab import dynamics
-from turnlab.dynamics import feasibility_check, feasible_path, fixed_points, make_policy
+from turnlab.dynamics import feasibility_check, feasible_path, fixed_points
 from turnlab.ideals import IdealModel
 from turnlab.scenarios import (
     block_sequence_length,
@@ -40,7 +40,7 @@ def test_reference_path_is_built_on_first_use(monkeypatch):
     ref = sys_inst.reference_path
     assert sys_inst.reference_path is ref and len(built) == 1
     # the orbit of the branch with the largest fixed point, 512 points long
-    want = feasible_path(sys_inst.phi, [0.0], make_policy("index", index=1), 512)
+    want = feasible_path(sys_inst.phi, [0.0], 1, 512)
     assert ref.points.tobytes() == want.points.tobytes() and ref.trace == want.trace
 
 

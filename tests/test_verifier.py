@@ -4,11 +4,10 @@ import pytest
 from turnlab import dynamics
 from turnlab.dynamics import (
     Interval1D,
-    Singleton,
     StartAt,
     SystemInstance,
+    FiniteBranch,
     feasible_path,
-    make_policy,
 )
 from turnlab.ideals import IdealModel
 from turnlab.scenarios import (
@@ -60,7 +59,7 @@ def test_t_hat_batch_childless_state_gains_minus_inf(chunk, monkeypatch):
 def test_t_hat_singleton():
     half = SystemInstance(
         dim=1,
-        phi=Singleton(lambda x: x / 2.0, dim=1),
+        phi=FiniteBranch((lambda x: x / 2.0,), dim=1),
         utility=lambda p: p[..., 0],
         ideal=_dens(),
         constraint=StartAt([2.0]),
@@ -104,7 +103,7 @@ def test_conditions_ifs_full_profile():
 def test_missing_inputs_are_untestable_never_pass():
     bare = SystemInstance(
         dim=1,
-        phi=Singleton(lambda x: x / 2.0, dim=1),
+        phi=FiniteBranch((lambda x: x / 2.0,), dim=1),
         utility=lambda p: p[..., 0],
         ideal=_dens(),
         constraint=StartAt([1.0]),
@@ -114,6 +113,50 @@ def test_missing_inputs_are_untestable_never_pass():
     assert rep.verdict("A5") == "untestable"
     assert rep.verdict("A6") == "untestable"
     assert not rep.all_pass
+
+
+def _interval_system(lower, upper, x0: float, eta: float) -> SystemInstance:
+    # the A6 reference orbit takes branch 0, the interval's lower end
+    return SystemInstance(
+        dim=1,
+        phi=Interval1D(lower, upper, samples=3),
+        utility=lambda p: p[..., 0],
+        ideal=IdealModel("fin", 512),
+        constraint=StartAt([x0]),
+        box=np.array([[-1.0, 1.0]]),
+        separation=np.array([1.0]),
+        eta_star=np.array([eta]),
+        reference_branch=0,
+    )
+
+
+def test_a6_fails_on_a_one_point_reference_orbit():
+    # [x/2, 1 - x] is empty above x = 2/3, so the orbit from 0.9 is 0.9 alone
+    sys_inst = _interval_system(lambda x: x / 2.0, lambda x: 1.0 - x, 0.9, 0.0)
+    a6 = check_conditions(sys_inst, PLAN).conditions["A6"]
+    assert a6["verdict"] == "fail"
+    assert a6["reference_points"] == 1 and a6["childless_state"] == [0.9]
+    assert a6["reason"] == (
+        "reference orbit has 1 of 512 points: its last state [0.9] has no branch-0 child"
+    )
+
+
+def test_a6_fails_on_a_truncated_orbit_above_u_star():
+    # from 0 the lower end climbs by 0.1 until [x + 0.1, 1] is empty: eleven
+    # points, all above u(eta_star) = -0.5, yet no 512-point orbit
+    sys_inst = _interval_system(
+        lambda x: np.where(x < 0.0, x, x + 0.1), lambda x: 1.0 + 0.0 * x, 0.0, -0.5
+    )
+    a6 = check_conditions(sys_inst, PLAN).conditions["A6"]
+    assert a6["verdict"] == "fail" and a6["reference_points"] == 11
+    assert "reference_liminf" not in a6
+
+
+def test_a6_judges_an_untruncated_orbit_on_its_liminf():
+    sys_inst = _interval_system(lambda x: x / 2.0, lambda x: 1.0 - x, 0.5, 0.0)
+    a6 = check_conditions(sys_inst, PLAN).conditions["A6"]
+    assert a6["verdict"] == "pass"
+    assert "reference_points" not in a6 and "childless_state" not in a6
 
 
 def test_separation_variants_crafted_gap():
@@ -132,7 +175,7 @@ def test_separation_variants_flip_or_halve_both_hold():
 def test_separation_variants_singleton_both_hold():
     half = SystemInstance(
         dim=1,
-        phi=Singleton(lambda x: x / 2.0, dim=1),
+        phi=FiniteBranch((lambda x: x / 2.0,), dim=1),
         utility=lambda p: p[..., 0],
         ideal=_dens(),
         constraint=StartAt([1.0]),
@@ -158,7 +201,7 @@ def test_strong_implies_weak_across_systems():
 def test_turnpike_halving_path_true():
     # horizon long enough that the 7-step transient has density < 0.01
     sys_inst = build_counterexample_system(_dens(2048))
-    path = feasible_path(sys_inst.phi, [1.0], make_policy("index", index=1), 2048)
+    path = feasible_path(sys_inst.phi, [1.0], 1, 2048)
     verdict = turnpike_verdict(path, [0.0], _dens(2048), (0.1, 0.01))
     assert verdict.verdict
     assert all(r["small"] for r in verdict.rungs)
@@ -166,7 +209,7 @@ def test_turnpike_halving_path_true():
 
 def test_turnpike_alternating_path_false():
     sys_inst = build_counterexample_system(_dens(256))
-    path = feasible_path(sys_inst.phi, [1.0], make_policy("first"), 256)
+    path = feasible_path(sys_inst.phi, [1.0], 0, 256)
     verdict = turnpike_verdict(path, [0.0], _dens(256), (0.1,))
     assert not verdict.verdict
     assert verdict.rungs[0]["upper_density"] > 0.9
@@ -187,7 +230,7 @@ def test_turnpike_blocks_density_true_fin_false():
 def test_turnpike_scales_must_be_positive_and_finite(bad):
     # (nan,) and (inf,) made a non-converging path's verdict true
     sys_inst = build_counterexample_system(_dens(256))
-    path = feasible_path(sys_inst.phi, [1.0], make_policy("first"), 256)
+    path = feasible_path(sys_inst.phi, [1.0], 0, 256)
     with pytest.raises(ValueError, match="positive and finite"):
         turnpike_verdict(path, [0.0], _dens(256), (bad,))
 
