@@ -522,17 +522,16 @@ def analyze_window(
 # identity checks
 
 
-def lipschitz_estimate(
-    h: Callable[[np.ndarray], np.ndarray], window: SequenceWindow, pairs: int = 4096
-) -> float:
-    """Sampled Lipschitz constant of h over the window's range."""
+def lipschitz_estimate(h: Callable[[np.ndarray], np.ndarray], window: SequenceWindow) -> float:
+    """Sampled Lipschitz constant of h over at most 4,096 pairs among at
+    most 96 evenly strided window points."""
     pts = window.values
     m = min(96, pts.shape[0])
     stride = max(1, pts.shape[0] // m)
     sub = pts[::stride][:m]
     ii, jj = np.triu_indices(sub.shape[0], k=1)
-    if ii.size > pairs:
-        keep = np.linspace(0, ii.size - 1, pairs).astype(int)
+    if ii.size > 4096:
+        keep = np.linspace(0, ii.size - 1, 4096).astype(int)
         ii, jj = ii[keep], jj[keep]
     return lipschitz_ratio(h, sub[ii], sub[jj])
 

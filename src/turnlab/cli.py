@@ -280,6 +280,8 @@ def cmd_analyze(config: RunConfig) -> int:
         window = SequenceWindow.from_text(config.input)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if window.horizon < 2:
+        raise ConfigError(f"sequence file {config.input}: analyze needs at least two points")
     report, table = _analysis(config, window)
     results = report.to_dict()
     print(f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.resolved_ideal()}")

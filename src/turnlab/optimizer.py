@@ -18,10 +18,12 @@ liminf. Final ties break lexicographically on the branch trace.
 Each beam is kept in trace order, so a candidate's index is its trace
 rank and the stable rank sort breaks final ties without a trace key.
 Each candidate carries one profile row: its tail profile, then its full
-profile. Beam expansion dedups on (grid-quantized state, profile row);
-two candidates agreeing there are exchangeable for every continuation,
-so with a beam at least as wide as the dedup-group count the search is
-exhaustive-equivalent.
+profile. Beam expansion dedups on (grid-quantized state, profile row).
+Two candidates agreeing there are equal only up to the state grid: their
+states may differ within one cell (0.0 and -0.0 share cell 0, yet a
+utility such as copysign tells them apart), so their continuations can
+differ. With a beam at least as wide as the dedup-group count the search
+is exhaustive-equivalent up to that grid, not exactly.
 
 A step ranks only the children that can survive. Children of one parent
 share its profile row, and inserting a value v into a profile is

@@ -44,7 +44,6 @@ def build_counterexample_system(ideal: IdealModel) -> SystemInstance:
         separation=np.array([1.0]),
         eta_star=np.array([0.0]),
         reference_branch=1,
-        name="counterexample",
     )
 
 
@@ -82,42 +81,39 @@ def block_sequence_length(k_max: int) -> int:
     return sum(2 * k - 1 + math.factorial(k) for k in range(1, k_max + 1))
 
 
-def build_ifs_system(
-    branches,
-    ideal: IdealModel,
-    u=None,
-    x0: float = 0.0,
-) -> SystemInstance:
+def build_ifs_system(branches, ideal: IdealModel) -> SystemInstance:
     """Iterated-function-system dynamics from affine 1-d contractions.
 
     ``branches`` is a sequence of (slope, intercept) pairs, each with
-    |slope| < 1. The optimal stationary point is the largest branch fixed
-    point intercept/(1 - slope); the identity works as the separation
-    functional because every branch pulls points above its own fixed
-    point strictly downward.
+    |slope| < 1 and a finite fixed point intercept/(1 - slope). Paths
+    start at 0 and the utility is the identity. The optimal stationary
+    point is the largest branch fixed point; the identity works as the
+    separation functional because every branch pulls points above its
+    own fixed point strictly downward.
     """
     coeffs = [(float(a), float(b)) for a, b in branches]
-    for a, _ in coeffs:
+    for j, (a, b) in enumerate(coeffs):
         if abs(a) >= 1.0:
             raise ValueError(f"slope {a} is not a contraction")
+        if not math.isfinite(b / (1.0 - a)):
+            raise ValueError(f"branch {j} ({a}, {b}) has no finite fixed point b/(1 - a)")
     maps = tuple((lambda x, a=a, b=b: a * x + b) for a, b in coeffs)
     phi = FiniteBranch(maps, dim=1)
     fixed = np.array([b / (1.0 - a) for a, b in coeffs])
     eta_star = float(fixed.max())
     j_star = int(np.argmax(fixed))
-    lo = float(min(fixed.min(), x0)) - 1.0
-    hi = float(max(fixed.max(), x0)) + 1.0
+    lo = float(min(fixed.min(), 0.0)) - 1.0
+    hi = float(max(fixed.max(), 0.0)) + 1.0
     return SystemInstance(
         dim=1,
         phi=phi,
-        utility=u if u is not None else (lambda pts: pts[..., 0]),
+        utility=lambda pts: pts[..., 0],
         ideal=ideal,
-        constraint=StartAt([x0]),
+        constraint=StartAt([0.0]),
         box=np.array([[lo, hi]]),
         separation=np.array([1.0]),
         eta_star=np.array([eta_star]),
         reference_branch=j_star,
-        name="ifs",
     )
 
 
@@ -156,7 +152,6 @@ def build_l2_truncation(d: int, x_star, ideal: IdealModel) -> SystemInstance:
         separation=np.concatenate([[1.0], np.zeros(d - 1)]),
         eta_star=np.zeros(d),
         reference_branch=0,
-        name="l2",
         notes=(note,),
     )
 
@@ -185,7 +180,6 @@ def build_weak_separation_system(ideal: IdealModel) -> SystemInstance:
         box=np.array([[-1.0, 2.0]]),
         separation=np.array([1.0]),
         eta_star=np.array([0.0]),
-        name="weak-separation",
     )
 
 

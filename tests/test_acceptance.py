@@ -164,7 +164,7 @@ def test_criterion_6_ifs_turnpike():
     with Budget("6 IFS turnpike", 5):
         n = 200
         fin = IdealModel("fin", n)
-        sys_inst = build_ifs_system([(0.5, 0.0), (0.3, 0.7)], fin, x0=0.0)
+        sys_inst = build_ifs_system([(0.5, 0.0), (0.3, 0.7)], fin)
         pts = fixed_points(sys_inst.phi, sys_inst.box)
         np.testing.assert_allclose(pts.ravel(), [0.0, 1.0], atol=1e-8)
         assert sys_inst.eta_star[0] == pytest.approx(1.0, abs=1e-12)

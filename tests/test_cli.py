@@ -204,43 +204,48 @@ OPT = ["optimize", "--scenario", "counterexample"]
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, says",
     [
-        (["verify", "--scenario", "l2", "--dim", "9"], None),
-        (["optimize", "--scenario", "l2", "--beam", "0"], None),
-        (["verify", "--scenario", "ifs", "--branches", "1.5,0"], None),
-        (["verify", "--scenario", "counterexample", "--ideal", "fin:abc"], None),
-        (["reproduce", "blocks", "--k-max", "13"], None),
-        (["reproduce", "l2", "--horizon", "-3"], None),
-        (["optimize", "--scenario", "l2", "--dim", "-1"], None),
-        (["reproduce", "blocks", "--theta", "2"], None),
-        (["optimize", "--scenario", "l2", "--seed", "-1"], None),
-        (["reproduce", "l2", "--seed", "-1"], None),
-        (["optimize", "--scenario", "l2", "--grid", "1e-300", "--horizon", "256"], None),
-        (OPT, b'{"beam": 2.7}'),
-        (OPT, b'{"beam": true}'),
-        (OPT, b'{"output": "xml"}'),
-        (OPT, b"[run]\nbeam = 2.7\n"),
-        (OPT, b"[run]\noutput = xml\n"),
-        (OPT, b"beam = 3\n"),
-        (OPT, b"[run]\nbeam = 3\n  garbage\nnot an option line\n"),
-        (OPT, b"\x80\xff"),
+        (["verify", "--scenario", "l2", "--dim", "9"], None, ""),
+        (["optimize", "--scenario", "l2", "--beam", "0"], None, ""),
+        (["verify", "--scenario", "ifs", "--branches", "1.5,0"], None, ""),
+        (["verify", "--scenario", "counterexample", "--ideal", "fin:abc"], None, ""),
+        (["reproduce", "blocks", "--k-max", "13"], None, ""),
+        (["reproduce", "l2", "--horizon", "-3"], None, ""),
+        (["optimize", "--scenario", "l2", "--dim", "-1"], None, ""),
+        (["reproduce", "blocks", "--theta", "2"], None, ""),
+        (["optimize", "--scenario", "l2", "--seed", "-1"], None, ""),
+        (["reproduce", "l2", "--seed", "-1"], None, ""),
+        (["optimize", "--scenario", "l2", "--grid", "1e-300", "--horizon", "256"], None, ""),
+        # branch 0's fixed point b/(1 - a) overflows, a one-point file has no window to analyze
+        (["optimize", "--scenario", "ifs", "--branches", "0.5,1e308:0.2,0"], None, "branch 0"),
+        (["analyze", "--input", "one-point.txt"], None, "at least two"),
+        (OPT, b'{"beam": 2.7}', ""),
+        (OPT, b'{"beam": true}', ""),
+        (OPT, b'{"output": "xml"}', ""),
+        (OPT, b"[run]\nbeam = 2.7\n", ""),
+        (OPT, b"[run]\noutput = xml\n", ""),
+        (OPT, b"beam = 3\n", ""),
+        (OPT, b"[run]\nbeam = 3\n  garbage\nnot an option line\n", ""),
+        (OPT, b"\x80\xff", ""),
     ],
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
         "dim-neg-1", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
-        "grid-past-int64-cells",
+        "grid-past-int64-cells", "branches-fixed-point-overflow", "analyze-one-point",
         "json-beam-2.7", "json-beam-true", "json-output-xml",
         "ini-beam-2.7", "ini-output-xml", "ini-no-section", "ini-parse-error", "config-not-text",
     ],
 )
-def test_bad_setting_exit_2_one_line_error(argv, config, tmp_path, capsys):
+def test_bad_setting_exit_2_one_line_error(argv, config, says, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one-point.txt").write_text("0.5\n")
     if config is not None:
         (tmp_path / "run.cfg").write_bytes(config)
         argv = argv + ["--config", str(tmp_path / "run.cfg")]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
     assert not (tmp_path / "out").exists()
 
 

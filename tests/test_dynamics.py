@@ -14,6 +14,7 @@ from turnlab.dynamics import (
     StartAt,
     SystemInstance,
     TruncatedL2,
+    _seed_points,
     continuity_probe,
     feasibility_check,
     feasible_path,
@@ -95,6 +96,23 @@ def test_fixed_points_random_affine_matches_closed_form():
         pts = fixed_points(phi, [[-8.0, 8.0]])
         assert pts.shape[0] == 1
         assert pts[0, 0] == pytest.approx(b / (1 - a), abs=1e-7)
+
+
+def test_seed_points_are_the_coarse_scan_plus_finite_branch_orbits():
+    # d > 2: exactly the 1,024 seeded box draws, nothing else
+    box = np.array([[-1.0, 0.8], [-0.5, 0.5], [0.0, 0.3]])
+    draws = box[:, 0] + np.random.default_rng(5).random((1024, 3)) * (box[:, 1] - box[:, 0])
+    assert _seed_points(TruncatedL2(3), box, 5).tobytes() == draws.tobytes()
+    # d = 1: the 4,096-point lattice, endpoints included
+    box = np.array([[-1.0, 2.0]])
+    lattice = np.linspace(-1.0, 2.0, 4096)[:, None]
+    iv = Interval1D(lambda x: x - 1.0, lambda x: x + 1.0)
+    assert _seed_points(iv, box, 0).tobytes() == lattice.tobytes()
+    # a finite branch adds where each map's orbit from the centre settles
+    got = _seed_points(IFS, box, 0)
+    assert got.shape == (4098, 1)
+    assert got[:4096].tobytes() == lattice.tobytes()
+    np.testing.assert_allclose(got[4096:, 0], [0.0, 1.0], atol=1e-12)
 
 
 SCIPY_BLOCKED = """

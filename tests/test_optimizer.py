@@ -72,7 +72,7 @@ def test_single_branch_objective_trivial():
 
 
 def test_ifs_exhaustive_prefers_upper_branch():
-    sys_inst = build_ifs_system([(0.5, 0.0), (0.3, 0.7)], _fin(12), x0=0.0)
+    sys_inst = build_ifs_system([(0.5, 0.0), (0.3, 0.7)], _fin(12))
     ex = exhaustive_maxmin(sys_inst, 12)
     assert ex.path.trace == (1,) * 11
     # independent oracle: plain loop over all 2^11 traces
