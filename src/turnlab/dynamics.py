@@ -11,8 +11,10 @@ minimum or Hausdorff distance and no first witness.
 Each branch index of ``expand`` is a smooth map of the state, so fixed
 points are solved per (state, branch) pair by batched Newton steps,
 seeded by one coarse scan of the box plus, for finite branches, where
-each map's own orbit settles. The continuity probe expands each ladder
-rung in chunks of probe points sized from their image counts, about
+each map's own orbit settles. One continuity probe serves both a
+correspondence and the graph x -> {u(x)} of a scalar map, whose
+Hausdorff distance is |u(x) - u(x')|. It expands each ladder rung in
+chunks of probe points sized from their image counts, about
 ``8 * EXPAND_CHUNK`` children each.
 
 A state whose image is empty has no children: ``expand`` emits none for
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -97,7 +99,8 @@ class Correspondence:
 
 @dataclass(frozen=True)
 class FiniteBranch(Correspondence):
-    """Phi(x) = {f_1(x), ..., f_b(x)} for finitely many branch maps."""
+    """Phi(x) = {f_1(x), ..., f_b(x)} for finitely many branch maps into
+    R^dim. One scalar map u (dim 1) makes the graph x -> {u(x)}."""
 
     maps: tuple
     dim: int = 1
@@ -105,9 +108,9 @@ class FiniteBranch(Correspondence):
     def expand(self, states: np.ndarray):
         b = len(self.maps)
         stacked = np.stack(
-            [np.asarray(f(states), dtype=float).reshape(states.shape) for f in self.maps],
+            [np.asarray(f(states), dtype=float).reshape(-1, self.dim) for f in self.maps],
             axis=1,
-        )  # (B, b, d)
+        )  # (B, b, dim)
         children = stacked.reshape(-1, self.dim)
         parents = np.repeat(np.arange(states.shape[0]), b)
         branches = np.tile(np.arange(b), states.shape[0])
@@ -408,25 +411,12 @@ class ContinuityReport(Report):
     passed: bool
 
 
-def _ladder(box: np.ndarray, ladder: Sequence[float] | None) -> Sequence[float]:
-    """The probe scales: ``ladder`` (at least one, each positive and
-    finite), else span / k for k in (20, 40, 80, 160)."""
+def _ladder(box: np.ndarray) -> tuple[float, ...]:
+    """The probe scales span / k for k in (20, 40, 80, 160)."""
     span = float((box[:, 1] - box[:, 0]).max())
     if span <= 0:
         raise ValueError("probe box must have positive extent")
-    if ladder is not None and (len(ladder) == 0 or not all(0 < s < np.inf for s in ladder)):
-        raise ValueError(f"probe ladder must hold positive finite scales, got {ladder!r}")
-    return tuple(span / k for k in (20, 40, 80, 160)) if ladder is None else ladder
-
-
-def _ladder_verdict(rungs: list[dict], ladder: Sequence[float]) -> tuple[float, bool]:
-    """Growth of the rung statistic across the ladder, and whether it
-    stays within delta^(-1/2); faster growth is the signature of a jump."""
-    first, last = rungs[0]["max_ratio"], rungs[-1]["max_ratio"]
-    if last <= 1e-12:
-        return 0.0, True
-    growth = last / max(first, 1e-12)
-    return float(growth), bool(growth <= np.sqrt(ladder[0] / ladder[-1]))
+    return tuple(span / k for k in (20, 40, 80, 160))
 
 
 def _probe_points(box: np.ndarray, samples: int, seed: int) -> np.ndarray:
@@ -449,7 +439,6 @@ def continuity_probe(
     phi: Correspondence,
     box,
     samples: int = 256,
-    ladder: Sequence[float] | None = None,
     seed: int = 0,
 ) -> ContinuityReport:
     """Estimate Hausdorff sensitivity of the image map at shrinking scales.
@@ -457,21 +446,23 @@ def continuity_probe(
     For probe points x and perturbations x' at distance delta, the rung
     statistic is max H(Phi(x), Phi(x')) / delta. The verdict fails when
     the statistic grows faster than delta^(-1/2) across the ladder, the
-    signature of a jump. Image samples are the ``expand`` output; probe
-    points and points with an empty image are skipped. The probe points
-    are expanded once for the whole ladder; each rung expands the moved
-    points of as many probe points as make about ``8 * EXPAND_CHUNK``
-    children, going by the largest base image (l2 at d = 8: 7 points,
-    0.5 MB of children, a working set that stays in a 2 MB cache). Where
-    base and moved images have equal counts, the matched-branch distance
-    U = max_j |a_j - b_j| bounds H from above, so exact distances are
-    computed in descending U only until U falls to the best H so far,
-    carried across chunks: every skipped pair has H <= U <= the rung's
-    maximum, which is therefore exact.
+    signature of a jump, or when a rung is NaN: a NaN distance is kept
+    as its rung's maximum. A finest rung of zero passes. Image samples
+    are the ``expand`` output; probe points and points with an empty
+    image are skipped. The probe points are expanded once for the whole
+    ladder; each rung expands the moved points of as many probe points
+    as make about ``8 * EXPAND_CHUNK`` children, going by the largest
+    base image (l2 at d = 8: 7 points, 0.5 MB of children, a working set
+    that stays in a 2 MB cache). Where base and moved images have equal
+    counts, the matched-branch distance U = max_j |a_j - b_j| bounds H
+    from above, so exact distances are computed in descending U only
+    until U falls to the best H so far, carried across chunks: every
+    skipped pair has H <= U <= the rung's maximum, which is therefore
+    exact.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
-    ladder = _ladder(box, ladder)
+    ladder = _ladder(box)
     pts = _probe_points(box, samples, seed)
     # up to six axis moves, two random unit directions; in 1-D those are
     # +-1.0 again, so each move is kept once, at its first occurrence
@@ -495,6 +486,7 @@ def continuity_probe(
             # matched-branch bound U = max_j |a_j - b_j|, accumulated per
             # coordinate like the distance matrix whose diagonal it reads,
             # so H(A, B) <= U holds exactly; U = inf where the counts differ
+            # or a coordinate is NaN
             bound = np.full(start.size, np.inf)
             same = count == base_count[of]
             if same.any():
@@ -503,38 +495,24 @@ def continuity_probe(
                 a = base[base_start[of[seg[rows]]] + rows - start[seg[rows]]]
                 sq = squared_distances(a, children if same.all() else children[rows])
                 bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
-            # exact distances in descending U, until no U can beat the best
+            bound[np.isnan(bound)] = np.inf
+            # exact distances in descending U, until no U can beat the best;
+            # a NaN distance sticks, and ends the rung's search
             for i in np.argsort(-bound, kind="stable"):
-                if bound[i] <= worst:
+                if not bound[i] > worst:
                     break
                 b0, m0 = base_start[of[i]], start[i]
                 image = base[b0 : b0 + base_count[of[i]]]
-                worst = max(worst, hausdorff_distance(image, children[m0 : m0 + count[i]]))
-        rungs.append({"delta": float(delta), "max_ratio": worst / delta})
-    return ContinuityReport(tuple(rungs), *_ladder_verdict(rungs, ladder))
-
-
-def scalar_continuity(
-    u: Callable[[np.ndarray], np.ndarray],
-    box,
-    samples: int = 256,
-    ladder: Sequence[float] | None = None,
-    seed: int = 0,
-) -> ContinuityReport:
-    """Difference quotients |u(x') - u(x)| / delta of a scalar map at
-    random box points, on the ladder and verdict of ``continuity_probe``."""
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    ladder = _ladder(box, ladder)
-    rng = np.random.default_rng(seed)
-    pts = _sample_box(box, samples, rng)
-    base = np.asarray(u(pts), dtype=float).ravel()
-    rungs = []
-    for delta in ladder:
-        dirs = rng.normal(size=pts.shape)
-        dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
-        du = np.abs(np.asarray(u(pts + delta * dirs), dtype=float).ravel() - base)
-        rungs.append({"delta": float(delta), "max_ratio": float(du.max() / delta)})
-    return ContinuityReport(tuple(rungs), *_ladder_verdict(rungs, ladder))
+                worst = np.maximum(worst, hausdorff_distance(image, children[m0 : m0 + count[i]]))
+        rungs.append({"delta": float(delta), "max_ratio": float(worst / delta)})
+    ratios = np.array([r["max_ratio"] for r in rungs])
+    if np.isnan(ratios).any():
+        growth = np.nan
+    else:
+        growth = 0.0 if ratios[-1] <= 1e-12 else ratios[-1] / max(ratios[0], 1e-12)
+    return ContinuityReport(
+        tuple(rungs), float(growth), bool(growth <= np.sqrt(ladder[0] / ladder[-1]))
+    )
 
 
 # ---------------------------------------------------------------------------

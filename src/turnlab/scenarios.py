@@ -85,11 +85,12 @@ def build_ifs_system(branches, ideal: IdealModel) -> SystemInstance:
     """Iterated-function-system dynamics from affine 1-d contractions.
 
     ``branches`` is a sequence of (slope, intercept) pairs, each with
-    |slope| < 1 and a finite fixed point intercept/(1 - slope). Paths
-    start at 0 and the utility is the identity. The optimal stationary
-    point is the largest branch fixed point; the identity works as the
-    separation functional because every branch pulls points above its
-    own fixed point strictly downward.
+    |slope| < 1 and a finite fixed point intercept/(1 - slope). The box
+    spans the fixed points and 0, padded by 1; its span squared must be
+    finite. Paths start at 0 and the utility is the identity. The
+    optimal stationary point is the largest branch fixed point; the
+    identity works as the separation functional because every branch
+    pulls points above its own fixed point strictly downward.
     """
     coeffs = [(float(a), float(b)) for a, b in branches]
     for j, (a, b) in enumerate(coeffs):
@@ -104,6 +105,9 @@ def build_ifs_system(branches, ideal: IdealModel) -> SystemInstance:
     j_star = int(np.argmax(fixed))
     lo = float(min(fixed.min(), 0.0)) - 1.0
     hi = float(max(fixed.max(), 0.0)) + 1.0
+    if not hi - lo <= math.sqrt(np.finfo(float).max):
+        j = int(np.argmax(np.abs(fixed)))
+        raise ValueError(f"branch {j} {coeffs[j]}: box span {hi - lo:g} overflows when squared")
     return SystemInstance(
         dim=1,
         phi=phi,

@@ -4,7 +4,7 @@ The six conditions checked here:
 
 * A1 -- the correspondence is continuous with compact (finitely sampled)
   images: probed through Hausdorff sensitivity at shrinking scales.
-* A2 -- the utility map is continuous: sampled difference quotients.
+* A2 -- the utility map is continuous: the graph of u, on the A1 probe.
 * A3 -- the ideal is translation invariant: shifted small sets stay small,
   decided exactly on the worst small set of each shift.
 * A4 -- a unique utility-maximizing stationary point exists: fixed-point
@@ -16,8 +16,8 @@ The six conditions checked here:
   sample (with eta_star prepended), streamed through ``expand`` in
   chunks of ``EXPAND_CHUNK`` states;
   ``check_conditions`` keeps them on ``ConditionReport.separation``. The
-  A1 continuity probe streams its moved points in chunks sized from
-  their image counts (see ``dynamics.continuity_probe``).
+  A1 and A2 continuity probes stream their moved points in chunks sized
+  from their image counts (see ``dynamics.continuity_probe``).
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star). A reference
   orbit cut short by a state without its branch's child fails.
@@ -36,6 +36,7 @@ import numpy as np
 from turnlab import dynamics
 from turnlab.analysis import deviation_densities, ideal_liminf
 from turnlab.dynamics import (
+    FiniteBranch,
     Path,
     SystemInstance,
     _point,
@@ -43,7 +44,6 @@ from turnlab.dynamics import (
     continuity_probe,
     feasibility_check,
     fixed_points,
-    scalar_continuity,
 )
 from turnlab.geometry import row_spans
 from turnlab.ideals import IdealModel, check_translation_invariance
@@ -61,7 +61,6 @@ class SamplingPlan(Report):
     n_points: int = 10_000
     seed: int = 0
     continuity_samples: int = 256
-    delta_ladder: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if self.n_points < 1:
@@ -226,15 +225,10 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
     plan = plan or SamplingPlan()
     out: dict[str, dict] = {}
 
-    probe = continuity_probe(
-        sys.phi, sys.box, samples=plan.continuity_samples, ladder=plan.delta_ladder, seed=plan.seed
-    )
-    out["A1"] = {"verdict": "pass" if probe.passed else "fail", **probe.to_dict()}
-
-    a2 = scalar_continuity(
-        sys.utility, sys.box, plan.continuity_samples, plan.delta_ladder, plan.seed
-    )
-    out["A2"] = {"verdict": "pass" if a2.passed else "fail", **a2.to_dict()}
+    # A2 is A1 on the graph x -> {u(x)}, whose Hausdorff distances are |u(x) - u(x')|
+    for name, phi in (("A1", sys.phi), ("A2", FiniteBranch((sys.utility,)))):
+        probe = continuity_probe(phi, sys.box, plan.continuity_samples, plan.seed)
+        out[name] = {"verdict": "pass" if probe.passed else "fail", **probe.to_dict()}
 
     inv = check_translation_invariance(sys.ideal)
     out["A3"] = {"verdict": "pass" if inv.invariant else "fail", **inv.to_dict()}

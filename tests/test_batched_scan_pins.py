@@ -151,7 +151,7 @@ def _probe_reference(phi, box, samples, seed):
 
     bases = [(x, image(x)) for x in _probe_points(box, samples, seed)]
     out = []
-    for delta in _ladder(box, None):
+    for delta in _ladder(box):
         worst = 0.0
         for x, base in bases:
             for v in dirs if base is not None else ():

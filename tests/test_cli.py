@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,10 @@ OPT = ["optimize", "--scenario", "counterexample"]
         (["optimize", "--scenario", "l2", "--grid", "1e-300", "--horizon", "256"], None, ""),
         # branch 0's fixed point b/(1 - a) overflows, a one-point file has no window to analyze
         (["optimize", "--scenario", "ifs", "--branches", "0.5,1e308:0.2,0"], None, "branch 0"),
+        # finite fixed points +-2e154 and +-1.6e308, box spans whose squares overflow
+        (["verify", "--scenario", "ifs", "--branches", "0.5,1e154:0.5,-1e154"], None, "branch 0"),
+        (["optimize", "--scenario", "ifs", "--branches", "0.5,1e154:0.5,-1e154"], None, "branch 0"),
+        (["verify", "--scenario", "ifs", "--branches", "0.5,8e307:0.5,-8e307"], None, "branch 0"),
         (["analyze", "--input", "one-point.txt"], None, "at least two"),
         (OPT, b'{"beam": 2.7}', ""),
         (OPT, b'{"beam": true}', ""),
@@ -232,7 +237,9 @@ OPT = ["optimize", "--scenario", "counterexample"]
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
         "dim-neg-1", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
-        "grid-past-int64-cells", "branches-fixed-point-overflow", "analyze-one-point",
+        "grid-past-int64-cells", "branches-fixed-point-overflow",
+        "verify-branches-span-1e154", "optimize-branches-span-1e154", "verify-branches-span-8e307",
+        "analyze-one-point",
         "json-beam-2.7", "json-beam-true", "json-output-xml",
         "ini-beam-2.7", "ini-output-xml", "ini-no-section", "ini-parse-error", "config-not-text",
     ],
@@ -247,6 +254,14 @@ def test_bad_setting_exit_2_one_line_error(argv, config, says, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_ifs_branches_below_the_span_limit_run_clean(tmp_path):
+    # fixed points +-2e152: the box span's square stays finite, so no overflow warning
+    argv = ["verify", "--scenario", "ifs", "--branches", "0.5,1e152:0.5,-1e152"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
 
 
 def test_grid_below_float_resolution_exit_2(tmp_path, capsys):

@@ -19,7 +19,6 @@ from turnlab.dynamics import (
     feasibility_check,
     feasible_path,
     fixed_points,
-    scalar_continuity,
 )
 from turnlab.geometry import _distance_matrix, hausdorff_distance
 from turnlab.ideals import IdealModel
@@ -168,17 +167,11 @@ def test_continuity_probe_flags_jump():
     step = FiniteBranch((lambda x: np.where(x >= 0, 1.0, -1.0),), dim=1)
     rep = continuity_probe(step, [[-1.0, 1.0]])
     assert not rep.passed
-
-
-@pytest.mark.parametrize(
-    "ladder", [(), (0.0,), (-0.1, 0.05), (0.1, np.inf), (0.1, np.nan)],
-    ids=["empty", "zero", "negative", "inf", "nan"],
-)
-def test_probe_ladder_rejected_unless_positive_finite(ladder):
-    with pytest.raises(ValueError, match="probe ladder"):
-        continuity_probe(FLIP_OR_HALVE, [[-2.0, 2.0]], ladder=ladder)
-    with pytest.raises(ValueError, match="probe ladder"):
-        scalar_continuity(lambda x: x[..., 0], [[-2.0, 2.0]], ladder=ladder)
+    # A2 probes the graph of u = 1{x_0 >= 0}, which jumps through the box centre
+    jump = FiniteBranch((lambda x: (x[..., 0] >= 0).astype(float),))
+    for d in (1, 2, 3, 8):
+        for seed in range(10):
+            assert not continuity_probe(jump, [[-1.0, 1.0]] * d, seed=seed).passed, (d, seed)
 
 
 def test_feasible_path_policies():

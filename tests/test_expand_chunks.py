@@ -166,9 +166,7 @@ def test_battery_peaks_stay_below_whole_sample_expansion():
     plan = SamplingPlan()
     audit = _traced_peak_mb(lambda: _separation_audit(sys, plan))
     probe = _traced_peak_mb(
-        lambda: continuity_probe(
-            sys.phi, sys.box, plan.continuity_samples, plan.delta_ladder, plan.seed
-        )
+        lambda: continuity_probe(sys.phi, sys.box, plan.continuity_samples, plan.seed)
     )
     assert audit < 64.0
     assert probe < 64.0

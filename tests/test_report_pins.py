@@ -48,13 +48,17 @@ PINS = {
     # re-recorded when A3 became exact: the A3 entry lost samples/fractions,
     # the plan translation_samples/translation_shifts, and the witness is
     # now the worst small set (the 256 odd indices), not a random draw
+    # Re-recorded when A2 became the A1 probe of the graph of u: the A2
+    # rungs and growth moved and the plan lost delta_ladder; nothing else moved
     "reproduce-counterexample-trace": (
-        0, "1f84f81c9e5382df4351736c345948ae946a4a0cea71c82d326e2d8f3b60d8e7"
+        0, "5b7d11946da9c4bb0a2c4c1af76815ae32cce50a5bf5e6ef378801bc568a6dbf"
     ),
     # re-recorded when A3 became exact: the A3 entry lost samples/fractions
     # and the plan translation_samples/translation_shifts; nothing else moved
+    # Re-recorded when A2 became the A1 probe of the graph of u: the A2
+    # rungs and growth moved and the plan lost delta_ladder; nothing else moved
     "reproduce-counterexample-density": (
-        1, "65eef142cf1fda3fb3bf0ebdd722137879f185d7486f5395e25177f8e416ab27"
+        1, "e807d4780b4a172064cccefc20bc176a3caf0f81564f1c2530e948ee921477f2"
     ),
     "reproduce-ifs": (
         0, "7b2b0df2f7a7569b1e506bce4e6111e274911c33a5d7a110f27819eba2a8275b"
@@ -63,23 +67,29 @@ PINS = {
     # (the l2 band-sampling note); nothing else in its results moved.
     # Re-recorded when A3 became exact: the A3 entry lost samples/fractions
     # and the plan translation_samples/translation_shifts; nothing else moved
+    # Re-recorded when A2 became the A1 probe of the graph of u: the A2
+    # rungs and growth moved and the plan lost delta_ladder; nothing else moved
     "reproduce-l2": (
-        1, "fa12bb59507adf925533aa02bb5f7c79a5e0bb3e051c7f87e4bad55f96a2f96d"
+        1, "a9a36e423324b41e60c55d4ee3ebab51edb32eae12a9865fdfd620501914eb03"
     ),
     "optimize-counterexample": (
         0, "50f976bfb2da824dd4a8a260f7e85a52e5712aeda7937f32c22595e04eb9133b"
     ),
     # re-recorded when A3 became exact: the A3 entry lost samples/fractions
     # and the plan translation_samples/translation_shifts; nothing else moved
+    # Re-recorded when A2 became the A1 probe of the graph of u: the A2
+    # rungs and growth moved and the plan lost delta_ladder; nothing else moved
     "verify-l2": (
-        0, "8a3bed2d7c61be63b1f4e61ef06291e348e14b1e4019e78a1a9593763f16c5f3"
+        0, "39f68f40e26f68f84423e2d70902e2a47069f5c02b1ed8fb5f76b5d756fa9269"
     ),
     # recorded before the l2 band kernel, the probe chunks and the witness
     # image changed; every condition and separation result must keep it.
     # Re-recorded when A3 became exact: the A3 entry lost samples/fractions
     # and the plan translation_samples/translation_shifts; nothing else moved
+    # Re-recorded when A2 became the A1 probe of the graph of u: the A2
+    # rungs and growth moved and the plan lost delta_ladder; nothing else moved
     "verify-l2-default": (
-        0, "dce4affa6a72106877b09db4ed240603b03d506ef8cb345d4d1d3fe51a5cf9db"
+        0, "c0286e5a705d7c594648a5ec4f8913f46dd4dcc18eb2feb67bf82de6299bf9f6"
     ),
 }
 

@@ -115,6 +115,38 @@ def test_missing_inputs_are_untestable_never_pass():
     assert not rep.all_pass
 
 
+HALVE = FiniteBranch((lambda x: x / 2.0,), dim=1)
+# 0.05 past the probe point at index 80 of linspace(-1, 1, 128): only the
+# delta = 0.05 rung's moves land there
+_NAN_AT = np.linspace(-1.0, 1.0, 128)[80] + 0.05
+
+
+@pytest.mark.parametrize(
+    "phi,u,nan_in",
+    [
+        (FiniteBranch((lambda x: np.where(x > 0.5, np.nan, x),), dim=1), None, "A1"),
+        (HALVE, lambda p: np.where(p[..., 0] > 0.5, np.nan, p[..., 0]), "A2"),
+        (HALVE, lambda p: np.where(np.abs(p[..., 0] - _NAN_AT) < 1e-9, np.nan, 0.0), "A2"),
+    ],
+    ids=["map", "utility", "utility-one-rung"],
+)
+def test_nan_distance_fails_its_continuity_condition(phi, u, nan_in):
+    sys_inst = SystemInstance(
+        dim=1,
+        phi=phi,
+        utility=u or (lambda p: p[..., 0]),
+        ideal=_dens(),
+        constraint=StartAt([0.0]),
+        box=np.array([[-1.0, 1.0]]),
+    )
+    rep = check_conditions(sys_inst, PLAN).to_dict()["conditions"]
+    ratios = [r["max_ratio"] for r in rep[nan_in]["rungs"]]
+    assert "nan" in ratios and rep[nan_in]["growth"] == "nan"
+    assert rep[nan_in]["verdict"] == "fail"
+    other = rep["A2" if nan_in == "A1" else "A1"]
+    assert other["verdict"] == "pass" and "nan" not in str(other)
+
+
 def _interval_system(lower, upper, x0: float, eta: float) -> SystemInstance:
     # the A6 reference orbit takes branch 0, the interval's lower end
     return SystemInstance(
