@@ -55,6 +55,15 @@ def default_grid(window: SequenceWindow) -> float:
     return span / GRID_CELLS_PER_RANGE if span > 0 else 0.0
 
 
+def _grid(window: SequenceWindow, eps_grid: float | None) -> float:
+    """A caller's eps_grid, positive and finite, or the window's default (0.0 if constant)."""
+    if eps_grid is None:
+        return default_grid(window)
+    if not 0 < eps_grid < np.inf:
+        raise ValueError(f"eps_grid must be positive and finite, got {eps_grid!r}")
+    return eps_grid
+
+
 # ---------------------------------------------------------------------------
 # cluster detection
 
@@ -321,10 +330,9 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     if span <= 1e-12:
         diag["degenerate"] = True
         return vals[:1].copy(), diag
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps_grid must be positive and finite, got {eps!r}")
-    if eps <= FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())):
-        raise ValueError(f"eps_grid {eps!r} is below the float resolution of the window's values")
+    # a caller's grid is checked by _grid; a default one is inf where the span overflows
+    if not FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())) < eps < np.inf:
+        raise ValueError(f"eps_grid {eps!r} is infinite or below the window's float resolution")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
     keys, counts, members = cell_stats(window, model, eps, burn_in(window.horizon))
     qualifying = np.flatnonzero(counts > model.budget(theta))
@@ -354,9 +362,7 @@ def cluster_points(
     and eps_grid is finite and exceeds FLOAT_TOL * (1 + max |x|), the
     values' float resolution.
     """
-    eps = default_grid(window) if eps_grid is None else eps_grid
-    pts, _ = _cluster(window, model, eps, theta)
-    return pts
+    return _cluster(window, model, _grid(window, eps_grid), theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,32 +495,24 @@ def analyze_window(
     visit share under the density ideal. Raises ValueError unless
     0 < theta < 1 and an explicit eps_grid or limit_eps is positive and finite.
     """
-    for name, v in (("eps_grid", eps_grid), ("limit_eps", limit_eps)):
-        if v is not None and not 0 < v < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    eps = default_grid(window) if eps_grid is None else eps_grid
-    pts, diag = _cluster(window, model, eps if eps > 0 else 1.0, theta)
-    model_h = model.at_horizon(window.horizon)
+    if limit_eps is not None and not 0 < limit_eps < np.inf:
+        raise ValueError(f"limit_eps must be positive and finite, got {limit_eps!r}")
+    eps = _grid(window, eps_grid)
+    pts, diag = _cluster(window, model, eps, theta)
     liminf = limsup = None
     if window.dim == 1:
-        liminf = ideal_liminf(window, model_h)
-        limsup = ideal_limsup(window, model_h)
+        liminf = ideal_liminf(window, model)
+        limsup = ideal_limsup(window, model)
     lim_eps = limit_eps if limit_eps is not None else max(10 * eps, 1e-9)
-    ladder, converges = _limit_ladder(window, pts, model_h, lim_eps)
+    ladder, converges = _limit_ladder(window, pts, model, lim_eps)
     return ClusterReport(
         cluster_points=pts,
         liminf=liminf,
         limsup=limsup,
         converges_to=converges,
-        eps_grid=eps,
-        theta=theta,
         limit_eps=lim_eps,
         ladder=ladder,
-        model=model_h.describe(),
-        burn_in=diag["burn_in"],
-        degenerate=diag["degenerate"],
-        fallback=diag["fallback"],
-        theta_effective=diag["theta_effective"],
+        **diag,
     )
 
 
@@ -558,13 +556,13 @@ def check_image_cluster_identity(
     Both sides are computed independently on the same grid resolution;
     they must agree within 2 * eps_grid * (1 + Lipschitz estimate of h).
     """
-    eps = default_grid(window) if eps_grid is None else eps_grid
-    state_clusters = cluster_points(window, model, eps_grid=eps, theta=theta)
+    eps = _grid(window, eps_grid)
+    state_clusters = _cluster(window, model, eps, theta)[0]
     mapped = np.asarray(h(state_clusters), dtype=float)
     if mapped.ndim == 1:
         mapped = mapped[:, None]
     image_window = window.map(h)
-    image_clusters = cluster_points(image_window, model, eps_grid=eps, theta=theta)
+    image_clusters = _cluster(image_window, model, eps, theta)[0]
     lip = lipschitz_estimate(h, window)
     scale = 1.0 + float(np.abs(image_window.values).max())
     tol = max(2.0 * eps * (1.0 + lip), FLOAT_TOL * scale)
@@ -604,16 +602,16 @@ def check_representation_identity(
     plus the mirrored limsup triple. All must pairwise agree within
     eps_grid * (1 + Lipschitz estimate of u).
     """
-    eps = default_grid(window) if eps_grid is None else eps_grid
+    eps = _grid(window, eps_grid)
     image_window = window.map(u)
     if image_window.dim != 1:
         raise ValueError("u must map points to scalars")
     q1_min = ideal_liminf(image_window, model)
     q1_max = ideal_limsup(image_window, model)
-    image_clusters = cluster_points(image_window, model, eps_grid=eps, theta=theta)
+    image_clusters = _cluster(image_window, model, eps, theta)[0]
     q2_min = float(image_clusters.min())
     q2_max = float(image_clusters.max())
-    state_clusters = cluster_points(window, model, eps_grid=eps, theta=theta)
+    state_clusters = _cluster(window, model, eps, theta)[0]
     u_on_clusters = np.asarray(u(state_clusters), dtype=float).ravel()
     q3_min = float(u_on_clusters.min())
     q3_max = float(u_on_clusters.max())

@@ -83,8 +83,8 @@ class RunConfig(Report):
     command: str
     scenario: str = ""
     input: str = ""
-    ideal: str = ""  # empty -> per-command default
-    horizon: int = 0  # 0 -> per-command default
+    ideal: str = ""  # empty -> the scenario's default, filled by resolve_config
+    horizon: int = 0  # 0 -> the scenario's default, filled by resolve_config
     beam: int = SearchConfig.beam_width
     trim: float = SearchConfig.trim_fraction
     grid: float = 0.0  # 0 -> per-command default
@@ -96,16 +96,6 @@ class RunConfig(Report):
     probes: int = SamplingPlan.n_points
     output: str = "json"
     out_dir: str = "."
-
-    def resolved_ideal(self) -> str:
-        if self.ideal:
-            return self.ideal
-        return "fin" if self.scenario == "ifs" else "density:0.01"
-
-    def resolved_horizon(self) -> int:
-        if self.horizon > 0:
-            return self.horizon
-        return 200 if self.scenario == "ifs" else 4096
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -146,13 +136,10 @@ def write_report(
     field with the timestamp and, when given, the run's work counters."""
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = dataclasses.replace(
-        config, ideal=config.resolved_ideal(), horizon=config.resolved_horizon()
-    )
     meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
     if counters:
         meta["counters"] = dict(counters)
-    report = {"config": plain(resolved), "results": plain(results), "meta": meta}
+    report = {"config": plain(config), "results": plain(results), "meta": meta}
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -188,12 +175,11 @@ def write_path_csv(
 
 
 def _parse_ideal(config: RunConfig, horizon: int):
-    spec = config.resolved_ideal()
-    return _checked(f"--ideal {spec!r}", parse_ideal_spec, spec, horizon)
+    return _checked(f"--ideal {config.ideal!r}", parse_ideal_spec, config.ideal, horizon)
 
 
 def _build_system(config: RunConfig):
-    ideal = _parse_ideal(config, config.resolved_horizon())
+    ideal = _parse_ideal(config, config.horizon)
     what = f"scenario {config.scenario}"
     if config.scenario == "counterexample":
         return _checked(what, build_counterexample_system, ideal)
@@ -237,7 +223,7 @@ def _search(config: RunConfig, sys_inst, ladder=None, beam: int | None = None, g
     cfg = _checked(
         "search settings",
         SearchConfig,
-        horizon=config.resolved_horizon(),
+        horizon=config.horizon,
         beam_width=config.beam if beam is None else beam,
         state_grid=config.grid or grid,
         trim_fraction=config.trim,
@@ -271,9 +257,6 @@ def _finish(config: RunConfig, name: str, results: dict, table=None, passed=True
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    # analyze has no scenario; one named in a config file must not pick
-    # its ideal and horizon defaults
-    config = dataclasses.replace(config, scenario="")
     if not config.input:
         raise ConfigError("analyze needs --input FILE")
     try:
@@ -284,7 +267,7 @@ def cmd_analyze(config: RunConfig) -> int:
         raise ConfigError(f"sequence file {config.input}: analyze needs at least two points")
     report, table = _analysis(config, window)
     results = report.to_dict()
-    print(f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.resolved_ideal()}")
+    print(f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.ideal}")
     print(f"  cluster points: {results['cluster_points']}")
     if report.liminf is not None:
         print(f"  liminf {report.liminf:.6g}  limsup {report.limsup:.6g}")
@@ -440,22 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="text file, one point per line")
     _add_common(p)
 
-    p = sub.add_parser("optimize", help="maxmin path search on a scenario")
-    p.add_argument("--scenario", required=True, choices=("counterexample", "ifs", "l2"))
-    p.add_argument("--branches", default=None, help="ifs branches as a,b:a,b")
-    p.add_argument("--dim", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="condition battery A1-A6 plus separation variants")
-    p.add_argument("--scenario", required=True, choices=("counterexample", "ifs", "l2"))
-    p.add_argument("--branches", default=None)
-    p.add_argument("--dim", type=int, default=None)
-    _add_common(p)
+    for name, text in (("optimize", "maxmin path search on a scenario"),
+                       ("verify", "condition battery A1-A6 plus separation variants")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--scenario", required=True, choices=("counterexample", "ifs", "l2"))
+        p.add_argument("--branches", default=None, help="ifs branches as a,b:a,b")
+        p.add_argument("--dim", type=int, default=None)
+        _add_common(p)
 
     p = sub.add_parser("reproduce", help="full documented pipeline for one scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--branches", default=None)
+    p.add_argument("--branches", default=None, help="ifs branches as a,b:a,b")
     p.add_argument("--dim", type=int, default=None)
     _add_common(p)
 
@@ -494,6 +473,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--seed must be nonnegative, got {base.seed}")
     if base.output not in OUTPUTS:
         raise ConfigError(f"output must be one of {', '.join(OUTPUTS)}; got {base.output!r}")
+    # analyze has no scenario: one named in a config file picks no defaults
+    if base.command == "analyze":
+        base.scenario = ""
+    ifs = base.scenario == "ifs"
+    base.ideal = base.ideal or ("fin" if ifs else "density:0.01")
+    base.horizon = base.horizon or (200 if ifs else 4096)
     return base
 
 

@@ -116,10 +116,6 @@ class FiniteBranch(Correspondence):
         branches = np.tile(np.arange(b), states.shape[0])
         return children, parents, branches
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.maps)
-
 
 @dataclass(frozen=True)
 class Interval1D(Correspondence):

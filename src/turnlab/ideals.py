@@ -83,8 +83,8 @@ class IdealModel:
             # The trace class must keep growing inside the horizon,
             # otherwise smallness degenerates to a property of a fixed
             # finite set and the model is meaningless.
-            full = self.trace_count(self.horizon)
-            half = self.trace_count(self.horizon // 2)
+            full = int(self.counted(np.arange(self.horizon)).sum())
+            half = int(self.counted(np.arange(self.horizon // 2)).sum())
             if full <= self.cutoff:
                 raise IdealSpecError(
                     "trace class has too few elements below the horizon; "
@@ -95,24 +95,14 @@ class IdealModel:
 
     # -- helpers ---------------------------------------------------------
 
-    def trace_mask(self, indices: np.ndarray) -> np.ndarray:
-        """Boolean mask of which indices belong to the trace class S."""
-        parity = 0 if self.trace == "evens" else 1
-        return indices % 2 == parity
-
-    def trace_count(self, n: int) -> int:
-        """|S ∩ [0, n)| for the trace class."""
-        parity = 0 if self.trace == "evens" else 1
-        return (n - parity + 1) // 2 if n > parity else 0
-
     def counted(self, indices: np.ndarray) -> np.ndarray:
         """Mask of the indices that count toward positivity: all of them
-        for ``density``, those at or past the cutoff for ``fin``, the
-        trace class for ``finite_trace``."""
+        for ``density``, those at or past the cutoff for ``fin``, and the
+        trace class S (the indices of one parity) for ``finite_trace``."""
         if self.kind == "fin":
             return indices >= self.cutoff
         if self.kind == "finite_trace":
-            return self.trace_mask(indices)
+            return indices % 2 == (0 if self.trace == "evens" else 1)
         return np.ones(np.shape(indices), dtype=bool)
 
     def budget(self, fraction: float | None = None) -> int:

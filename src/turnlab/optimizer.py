@@ -113,7 +113,7 @@ def _window(n: int, model: IdealModel, trim: float, tail_only: bool) -> tuple[np
     values the model forgives."""
     idx = np.arange(n // 2 if tail_only else 0, n, dtype=np.int64)
     if model.kind == "finite_trace":
-        idx = idx[model.trace_mask(idx)]
+        idx = idx[model.counted(idx)]
     k = math.ceil(trim * idx.size) if model.kind == "density" else model.budget()
     return idx, max(0, min(k, idx.size - 1))
 
@@ -451,14 +451,14 @@ def exhaustive_maxmin(
         raise ValueError("exhaustive search needs a finite-branch correspondence")
     if not isinstance(sys.constraint, StartAt):
         raise ValueError("exhaustive search needs a pinned start point")
-    b = sys.phi.branch_count
+    b = len(sys.phi.maps)
     count = b ** max(0, horizon - 1)
     if count > EXHAUSTIVE_BUDGET:
         raise SearchBudgetError(f"{count} traces exceed the {EXHAUSTIVE_BUDGET} budget")
     model = sys.ideal.at_horizon(horizon)
 
     x0 = sys.constraint.x0
-    best: Optional[tuple] = None  # (objective, profile, trace, states)
+    best: Optional[tuple] = None  # (key, trace, states)
     stack_states = np.empty((horizon, sys.dim))
     stack_states[0] = x0
     trace = [0] * (horizon - 1)
@@ -467,20 +467,11 @@ def exhaustive_maxmin(
         nonlocal best
         if depth == horizon - 1:
             values = sys.utilities(stack_states).reshape(-1)
-            obj = path_objective(values, model, trim_fraction)
-            prof = worst_profile(values, model, trim_fraction)
-            if best is None:
-                best = (obj, prof, tuple(trace), stack_states.copy())
-                return
-            if obj > best[0]:
-                best = (obj, prof, tuple(trace), stack_states.copy())
-                return
-            if obj == best[0]:
-                diff = prof != best[1]
-                if diff.any():
-                    i = int(np.argmax(diff))
-                    if prof[i] > best[1][i]:
-                        best = (obj, prof, tuple(trace), stack_states.copy())
+            # the first unequal entry decides; a full tie or a NaN keeps the earlier trace
+            key = (path_objective(values, model, trim_fraction),
+                   *worst_profile(values, model, trim_fraction))
+            if best is None or key > best[0]:
+                best = (key, tuple(trace), stack_states.copy())
             return
         children, _, branch = sys.phi.expand(stack_states[depth][None, :])
         for j in range(b):
@@ -492,8 +483,8 @@ def exhaustive_maxmin(
     assert best is not None
     return _finalize(
         sys,
-        best[3],
         best[2],
+        best[1],
         model,
         {"horizon": horizon, "trim_fraction": trim_fraction, "mode": "exhaustive"},
         trim_fraction,

@@ -260,8 +260,7 @@ def check_conditions(sys: SystemInstance, plan: SamplingPlan | None = None) -> C
         feas = feasibility_check(ref, sys.phi)
         u_star = float(sys.utilities(sys.eta_star[None, :])[0])
         ref_values = SequenceWindow(ref.utilities(sys.utility))
-        model_ref = sys.ideal.at_horizon(ref_values.horizon)
-        liminf = ideal_liminf(ref_values, model_ref)
+        liminf = ideal_liminf(ref_values, sys.ideal)
         ok = feas["feasible"] and liminf >= u_star - A6_TOL * (1.0 + abs(u_star))
         out["A6"] = {
             "verdict": "pass" if ok else "fail",
@@ -322,8 +321,6 @@ def turnpike_verdict(
     Each rung reports the raw upper density of {n : ||x_n - eta_star||
     >= eps}; the verdict holds when every rung's deviation set is small.
     """
-    if path.window.horizon < 1:
-        raise ValueError("empty path")
     if not ladder:
         raise ValueError("ladder must hold at least one scale")
     model = model.at_horizon(path.window.horizon)

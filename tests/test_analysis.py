@@ -73,6 +73,44 @@ def test_constant_window_short_circuits():
     np.testing.assert_allclose(lim, [3.25])
 
 
+def test_constant_window_report_keeps_its_zero_grid():
+    # a constant window's default grid is 0.0; the report carries it as
+    # is, and the limit ladder starts at its 1e-9 floor
+    rep = analyze_window(SequenceWindow(np.ones(500)), IdealModel("fin", 500))
+    assert rep.eps_grid == 0.0 and rep.limit_eps == 1e-9
+    assert rep.degenerate and not rep.fallback and rep.theta_effective is None
+    assert [r["scale"] for r in rep.ladder] == [1e-9, 5e-10, 2.5e-10]
+    np.testing.assert_array_equal(rep.converges_to, [1.0])
+
+
+GRID_ENTRY_POINTS = {
+    "cluster_points": lambda w, m, g: cluster_points(w, m, eps_grid=g),
+    "ideal_limit": lambda w, m, g: ideal_limit(w, m, 0.1, eps_grid=g),
+    "analyze_window": lambda w, m, g: analyze_window(w, m, eps_grid=g),
+    "image_identity": lambda w, m, g: check_image_cluster_identity(w, lambda t: 2 * t, m, eps_grid=g),
+    "representation_identity": lambda w, m, g: check_representation_identity(
+        w, lambda t: t[..., 0], m, eps_grid=g
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_constant_window_rejects_a_bad_grid(entry, bad):
+    # a constant window short-circuits before any grid is used, so the
+    # caller's grid is checked first
+    w = SequenceWindow(np.ones(500))
+    with pytest.raises(ValueError, match="eps_grid must be positive and finite"):
+        GRID_ENTRY_POINTS[entry](w, IdealModel("fin", 500), bad)
+
+
+def test_overflowing_span_rejects_its_infinite_default_grid():
+    # the span 2e308 overflows, so the default grid is inf
+    w = SequenceWindow(np.tile([-1e308, 1e308, 0.0, 1.0], 100))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="eps_grid"):
+        cluster_points(w, IdealModel("fin", 400))
+
+
 def test_null_sequence_fin_liminf_near_zero():
     n = 10_000
     w = SequenceWindow(1.0 / (np.arange(n) + 1.0))

@@ -354,9 +354,26 @@ def test_horizon_below_translation_shifts_exit_2(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_zero_horizon_means_default():
-    args = build_parser().parse_args(["verify", "--scenario", "ifs", "--horizon", "0"])
-    assert resolve_config(args).resolved_horizon() == 200
+def test_zero_horizon_means_default(tmp_path):
+    # resolve_config fills the per-scenario ideal and horizon: fin and 200
+    # for ifs, density:0.01 and 4096 otherwise; analyze has no scenario,
+    # not even one named in a config file
+    cfg = tmp_path / "ifs.json"
+    cfg.write_text(json.dumps({"scenario": "ifs"}))
+    commands = {
+        "analyze": (["analyze", "--input", "seq.txt"], "", "density:0.01", 4096),
+        "analyze-config": (["analyze", "--input", "seq.txt", "--config", str(cfg)], "", "density:0.01", 4096),
+        "verify-ifs": (["verify", "--scenario", "ifs"], "ifs", "fin", 200),
+        "optimize-l2": (["optimize", "--scenario", "l2"], "l2", "density:0.01", 4096),
+        "reproduce-blocks": (["reproduce", "blocks"], "blocks", "density:0.01", 4096),
+    }
+    for name, (argv, scenario, ideal, default) in commands.items():
+        for horizon, want in (([], default), (["--horizon", "0"], default), (["--horizon", "300"], 300)):
+            config = resolve_config(build_parser().parse_args(argv + horizon))
+            got = (config.scenario, config.ideal, config.horizon)
+            assert got == (scenario, ideal, want), (name, horizon)
+        config = resolve_config(build_parser().parse_args(argv + ["--ideal", "fin:3"]))
+        assert config.ideal == "fin:3", name
 
 
 def test_beam_step_counters_go_to_meta(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -242,6 +243,57 @@ def test_oracle_agreement_multi_column_profiles(ideal, trim):
         )
         assert bm.objective == ex.objective, seed
         assert bm.path.trace == ex.path.trace, seed
+
+
+def _rounded_system(model):
+    phi = FiniteBranch((lambda x: 0.5 * x + 0.3, lambda x: 0.3 - 0.7 * x, lambda x: 0.9 * x - 0.2))
+    return SystemInstance(
+        dim=1,
+        phi=phi,
+        utility=lambda p: np.round(p[..., 0], 1),
+        ideal=model,
+        constraint=StartAt([0.25]),
+        box=np.array([[-2.0, 2.0]]),
+    )
+
+
+def _copysign_system(model):
+    # every state is 0.0 or -0.0, and the utility is the sign of the zero
+    phi = FiniteBranch((lambda x: -x, lambda x: x * 0.5, lambda x: x + 0.0))
+    return SystemInstance(
+        dim=1,
+        phi=phi,
+        utility=lambda p: np.copysign(1.0, p[..., 0]),
+        ideal=model,
+        constraint=StartAt([-0.0]),
+        box=np.array([[-1.0, 1.0]]),
+    )
+
+
+ORACLE_TIE_PINS = {
+    # (system, ideal): (trace, first 16 hex digits of the points' SHA-256, objective)
+    ("rounded", "fin"): ((0,) * 9, "f6584726b2eb8782", 0.6),
+    ("rounded", "density"): ((0,) * 9, "f6584726b2eb8782", 0.6),
+    ("rounded", "finite_trace"): ((0, 1, 2, 2, 2, 2, 2, 1, 0), "7a86e17601888582", 0.9),
+    ("copysign", "fin"): ((0, 0, 0, 0, 0, 1, 1, 1, 1), "c71cfdde48aacd33", 1.0),
+    ("copysign", "density"): ((0,) + (1,) * 8, "921618ff32b94d40", 1.0),
+    ("copysign", "finite_trace"): ((0, 1) + (0,) * 7, "3018a990560621dc", 1.0),
+}
+
+
+@pytest.mark.parametrize("system, ideal", sorted(ORACLE_TIE_PINS), ids="-".join)
+def test_oracle_tie_order_pins(system, ideal):
+    # tie-heavy utilities: many traces share the objective and the whole
+    # worst profile, so these pin which trace the oracle keeps
+    kinds = {
+        "fin": {"kind": "fin", "cutoff": 3},
+        "density": {"kind": "density", "threshold": 0.2},
+        "finite_trace": {"kind": "finite_trace", "cutoff": 1, "trace": "evens"},
+    }
+    build = {"rounded": _rounded_system, "copysign": _copysign_system}[system]
+    rep = exhaustive_maxmin(build(IdealModel(horizon=10, **kinds[ideal])), 10)
+    digest = hashlib.sha256(rep.path.points.tobytes()).hexdigest()[:16]
+    assert (rep.path.trace, digest, rep.objective) == ORACLE_TIE_PINS[system, ideal]
 
 
 def test_signed_zero_profiles_dedup_to_one_candidate():
