@@ -49,9 +49,16 @@ class UnboundedWindowError(ValueError):
     threshold r makes {n : x_n < r} positive, so the liminf is +inf."""
 
 
+def _span(lo: np.ndarray, hi: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+        span = float((hi - lo).max())
+    if span == np.inf:
+        raise ValueError("window values span more than the float range")
+    return span
+
+
 def default_grid(window: SequenceWindow) -> float:
-    box = window.bounding_box()
-    span = float((box[:, 1] - box[:, 0]).max())
+    span = _span(*window.bounding_box().T)
     return span / GRID_CELLS_PER_RANGE if span > 0 else 0.0
 
 
@@ -317,7 +324,7 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     model = model.at_horizon(window.horizon)
     vals = window.values
     top, bottom = vals.max(axis=0), vals.min(axis=0)
-    span = float((top - bottom).max())
+    span = _span(bottom, top)
     diag = {
         "eps_grid": eps,
         "theta": theta,
@@ -330,9 +337,8 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     if span <= 1e-12:
         diag["degenerate"] = True
         return vals[:1].copy(), diag
-    # a caller's grid is checked by _grid; a default one is inf where the span overflows
-    if not FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())) < eps < np.inf:
-        raise ValueError(f"eps_grid {eps!r} is infinite or below the window's float resolution")
+    if not FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())) < eps:
+        raise ValueError(f"eps_grid {eps!r} is below the window's float resolution")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
     keys, counts, members = cell_stats(window, model, eps, burn_in(window.horizon))
     qualifying = np.flatnonzero(counts > model.budget(theta))

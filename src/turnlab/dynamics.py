@@ -13,9 +13,9 @@ points are solved per (state, branch) pair by batched Newton steps,
 seeded by one coarse scan of the box plus, for finite branches, where
 each map's own orbit settles. One continuity probe serves both a
 correspondence and the graph x -> {u(x)} of a scalar map, whose
-Hausdorff distance is |u(x) - u(x')|. It expands each ladder rung in
-chunks of probe points sized from their image counts, about
-``8 * EXPAND_CHUNK`` children each.
+Hausdorff distance is |u(x) - u(x')|. Batches are expanded in spans of
+about ``EXPAND_CHUNK`` children (``expand_spans``), so temporaries scale
+with that constant, not the batch.
 
 A state whose image is empty has no children: ``expand`` emits none for
 it and carries on with the rest of the batch, so its ``parent`` array
@@ -40,9 +40,7 @@ from turnlab.windows import SequenceWindow
 FIXED_POINT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
 REFERENCE_LENGTH = 512  # points of a system's reference orbit (A6)
-# states per ``expand`` call when a sample-sized batch is streamed: the
-# condition battery's temporaries then scale with this, not the sample
-EXPAND_CHUNK = 1024
+EXPAND_CHUNK = 8192  # children per ``expand`` call of ``expand_spans``
 
 
 class InfeasibleImageError(RuntimeError):
@@ -74,7 +72,7 @@ def _box_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
 
 
 class Correspondence:
-    """Base class; subclasses implement ``expand`` over point batches."""
+    """Base class; subclasses implement ``expand`` and ``fanout``, the most children per state."""
 
     dim: int
 
@@ -104,6 +102,7 @@ class FiniteBranch(Correspondence):
 
     maps: tuple
     dim: int = 1
+    fanout = property(lambda self: len(self.maps))
 
     def expand(self, states: np.ndarray):
         b = len(self.maps)
@@ -128,6 +127,7 @@ class Interval1D(Correspondence):
     upper: Callable[[np.ndarray], np.ndarray]
     samples: int = 33
     dim: int = 1
+    fanout = property(lambda self: self.samples)
 
     def __post_init__(self) -> None:
         if self.samples < 2:
@@ -160,6 +160,7 @@ class TruncatedL2(Correspondence):
     """
 
     dim: int
+    fanout = property(lambda self: 1 + self._fractions.shape[1])
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -266,18 +267,26 @@ def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, np.diff(np.r_[start, parent.size])
 
 
+def expand_spans(phi: Correspondence, states: np.ndarray):
+    """(rows, children, parent, branch) of ``phi.expand`` per span of
+    ceil(``EXPAND_CHUNK`` / ``phi.fanout``) rows, parent counted from
+    ``rows.start``. Rows expand independently: no result depends on spans."""
+    for rows in row_spans(states.shape[0], -(-EXPAND_CHUNK // phi.fanout)):
+        yield (rows, *phi.expand(states[rows]))
+
+
 def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Distance from targets[i] to the image sample of states[i], per i.
 
-    One ``expand`` over the batch and a segmented minimum, the same
-    arithmetic per row as ``min_distance`` on a single point. A state
-    with an empty image is at distance inf.
+    The streamed ``expand`` and a segmented minimum, the same arithmetic
+    per row as ``min_distance`` on a single point. A state with an empty
+    image is at distance inf.
     """
-    children, parent, _ = phi.expand(states)
-    gaps = np.sqrt(((children - targets[parent]) ** 2).sum(axis=1))
     out = np.full(states.shape[0], np.inf)
-    start, _ = _segments(parent)
-    out[parent[start]] = np.minimum.reduceat(gaps, start)
+    for rows, children, parent, _ in expand_spans(phi, states):
+        gaps = np.sqrt(((children - targets[rows][parent]) ** 2).sum(axis=1))
+        start, _ = _segments(parent)
+        out[rows.start + parent[start]] = np.minimum.reduceat(gaps, start)
     return out
 
 
@@ -317,10 +326,10 @@ _ROUNDING_STEP = 16 * np.finfo(float).eps
 def _branch_children(phi: Correspondence, states: np.ndarray, branch: np.ndarray) -> np.ndarray:
     """Child ``branch[i]`` of ``states[i]`` per row; NaN where the image
     is empty or has no such branch."""
-    children, parent, b = phi.expand(states)
     out = np.full(states.shape, np.nan)
-    hit = b == branch[parent]
-    out[parent[hit]] = children[hit]
+    for rows, children, parent, b in expand_spans(phi, states):
+        hit = b == branch[rows][parent]
+        out[rows.start + parent[hit]] = children[hit]
     return out
 
 
@@ -329,30 +338,28 @@ def _branch_newton(phi: Correspondence, x: np.ndarray, branch: np.ndarray) -> np
 
     Each branch index is a smooth map of x (a finite branch, an interval
     sample point, a band lattice point), so Newton applies per row, with
-    a forward-difference Jacobian at one batched ``expand`` per column. A
-    row stops when its step reaches rounding level, or when its child is
-    missing, non-finite or has a singular Jacobian.
+    a forward-difference Jacobian: a step expands x and its d axis moves
+    in one ``_branch_children`` call. A row stops when its step reaches
+    rounding level, or when its child is missing, non-finite or has a
+    singular Jacobian.
     """
     x = np.array(x, dtype=float)
     d = x.shape[1]
-    eye = np.eye(d)
+    eye, axis = np.eye(d), np.arange(d)
     active = np.arange(x.shape[0])
     for _ in range(NEWTON_ITERATIONS):
         if active.size == 0:
             break
         xa, ba = x[active], branch[active]
-        fx = _branch_children(phi, xa, ba)
-        jac = np.empty((active.size, d, d))
-        # an expand per column: one batched expand of all d took l2 verify peak RSS 69 -> 104 MB
-        for k in range(d):
-            xk = xa.copy()
-            xk[:, k] += 1e-7 * (1.0 + np.abs(xa[:, k]))
-            jac[:, :, k] = (_branch_children(phi, xk, ba) - fx) / (xk[:, k] - xa[:, k])[:, None]
+        xs = np.repeat(xa[None], d + 1, axis=0)  # xa, then xa moved along each axis
+        xs[1 + axis, :, axis] += 1e-7 * (1.0 + np.abs(xa.T))
+        kids = _branch_children(phi, xs.reshape(-1, d), np.tile(ba, d + 1)).reshape(xs.shape)
+        jac = ((kids[1:] - kids[0]) / (xs[1 + axis, :, axis] - xa.T)[:, :, None]).transpose(1, 2, 0)
         jac -= eye
         with np.errstate(invalid="ignore"):  # NaN where a child is missing
             singular = ~(np.linalg.det(jac) != 0.0)
         jac[singular] = eye
-        step = np.linalg.solve(jac, (xa - fx)[:, :, None])[:, :, 0]
+        step = np.linalg.solve(jac, (xa - kids[0])[:, :, None])[:, :, 0]
         step[singular] = np.nan
         moved = np.isfinite(step).all(axis=1)
         x[active[moved]] += step[moved]
@@ -378,10 +385,13 @@ def fixed_points(phi: Correspondence, box, seed: int = 0) -> np.ndarray:
     if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
         raise ValueError("box must be a (d, 2) array of [lo, hi] rows")
     seeds = _seed_points(phi, box, seed)
-    children, parent, branch = phi.expand(seeds)
-    gaps = np.sqrt(((children - seeds[parent]) ** 2).sum(axis=1))
-    pick = np.argsort(gaps, kind="stable")[:NEWTON_PAIRS]
-    x = _branch_newton(phi, seeds[parent[pick]], branch[pick])
+    gaps, pairs = np.empty(0), np.empty((0, 2), dtype=int)  # the best (seed, branch) so far
+    for rows, children, parent, branch in expand_spans(phi, seeds):
+        gaps = np.r_[gaps, np.sqrt(((children - seeds[rows][parent]) ** 2).sum(axis=1))]
+        pairs = np.r_[pairs, np.c_[rows.start + parent, branch]]
+        pick = np.argsort(gaps, kind="stable")[:NEWTON_PAIRS]  # ties keep the earlier pair
+        gaps, pairs = gaps[pick], pairs[pick]
+    x = _branch_newton(phi, seeds[pairs[:, 0]], pairs[:, 1])
     pad = 1e-9 * float((box[:, 1] - box[:, 0]).max())
     x = x[np.all((x >= box[:, 0] - pad) & (x <= box[:, 1] + pad), axis=1)]
     resids = _child_gaps(phi, x, x)
@@ -446,15 +456,13 @@ def continuity_probe(
     as its rung's maximum. A finest rung of zero passes. Image samples
     are the ``expand`` output; probe points and points with an empty
     image are skipped. The probe points are expanded once for the whole
-    ladder; each rung expands the moved points of as many probe points
-    as make about ``8 * EXPAND_CHUNK`` children, going by the largest
-    base image (l2 at d = 8: 7 points, 0.5 MB of children, a working set
-    that stays in a 2 MB cache). Where base and moved images have equal
-    counts, the matched-branch distance U = max_j |a_j - b_j| bounds H
-    from above, so exact distances are computed in descending U only
-    until U falls to the best H so far, carried across chunks: every
-    skipped pair has H <= U <= the rung's maximum, which is therefore
-    exact.
+    ladder; each rung streams its moved points through ``expand_spans``
+    (l2 at d = 8: 64 moved points, 0.5 MB of children per span). Where
+    base and moved images have equal counts, the matched-branch distance
+    U = max_j |a_j - b_j| bounds H from above, so exact distances are
+    computed in descending U only until U falls to the best H so far,
+    carried across spans: every skipped pair has H <= U <= the rung's
+    maximum, which is therefore exact.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
@@ -467,18 +475,17 @@ def continuity_probe(
     rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
     dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
     dirs = dirs[np.sort(np.unique(dirs, axis=0, return_index=True)[1])]
-    base, base_parent, _ = phi.expand(pts)
+    base = [(rows.start + parent, kids) for rows, kids, parent, _ in expand_spans(phi, pts)]
+    base_parent, base = (np.concatenate(part) for part in zip(*base))  # frees the spans
     base_start, base_count = _segments(base_parent)
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
     rungs = []
-    fanout = dirs.shape[0] * int(base_count.max(initial=1))  # every image may be empty
     for delta in ladder:
         worst = 0.0
-        for part in row_spans(pts.shape[0], max(1, 8 * EXPAND_CHUNK // fanout)):
-            moved = (pts[part, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
-            children, parent, _ = phi.expand(moved)
+        moved = (pts[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
+        for span, children, parent, _ in expand_spans(phi, moved):
             start, count = _segments(parent)
-            of = part.start + parent[start] // dirs.shape[0]  # probe point of each moved image
+            of = (span.start + parent[start]) // dirs.shape[0]  # probe point of each moved image
             # matched-branch bound U = max_j |a_j - b_j|, accumulated per
             # coordinate like the distance matrix whose diagonal it reads,
             # so H(A, B) <= U holds exactly; U = inf where the counts differ

@@ -13,11 +13,10 @@ The six conditions checked here:
   upper level set F = {x : u(x) >= u(eta_star)}: sampled (x, y) pairs
   with y in Phi(x), where any finite child y with T x <= T y is a
   witness. The strong/weak separation variants are read off the same
-  sample (with eta_star prepended), streamed through ``expand`` in
-  chunks of ``EXPAND_CHUNK`` states;
-  ``check_conditions`` keeps them on ``ConditionReport.separation``. The
-  A1 and A2 continuity probes stream their moved points in chunks sized
-  from their image counts (see ``dynamics.continuity_probe``).
+  sample (with eta_star prepended); ``check_conditions`` keeps them on
+  ``ConditionReport.separation``. The sample, like the A1 and A2 probes'
+  moved points and the A4 scan, is streamed through ``expand`` in spans
+  of about ``EXPAND_CHUNK`` children (``dynamics.expand_spans``).
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star). A reference
   orbit cut short by a state without its branch's child fails.
@@ -42,10 +41,10 @@ from turnlab.dynamics import (
     _point,
     _sample_box,
     continuity_probe,
+    expand_spans,
     feasibility_check,
     fixed_points,
 )
-from turnlab.geometry import row_spans
 from turnlab.ideals import IdealModel, check_translation_invariance
 from turnlab.report import Report, plain
 from turnlab.windows import SequenceWindow
@@ -82,8 +81,7 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
         raise ValueError("system has no separation functional configured")
     pts = np.asarray(pts, dtype=float)
     best = np.full(pts.shape[0], -np.inf)  # a state without children gains -inf
-    for rows in row_spans(pts.shape[0], dynamics.EXPAND_CHUNK):
-        children, parent, _ = sys.phi.expand(pts[rows])
+    for rows, children, parent, _ in expand_spans(sys.phi, pts):
         start, _ = dynamics._segments(parent)
         best[rows.start + parent[start]] = np.maximum.reduceat(children @ sys.separation, start)
     return best - pts @ sys.separation
@@ -157,11 +155,11 @@ def _separation_audit(
     where the two part ways. A5, a randomized audit of the probe box, is
     the strong variant over the draws alone, with its own scale. Both
     scales and T x come from the whole sample; the sample is then
-    expanded ``EXPAND_CHUNK`` states at a time. Only pairs meeting the
-    premise T x <= T y can violate either, so the eta_star tests run on
-    those; a child with a non-finite coordinate is no witness. Each
-    kind's witness is the first remaining pair in row order: chunks run
-    in row order, and a kind that has one searches no later chunk.
+    streamed through ``expand_spans``. Only pairs meeting the premise
+    T x <= T y can violate either, so the eta_star tests run on those; a
+    child with a non-finite coordinate is no witness. Each kind's witness
+    is the first remaining pair in row order: spans run in row order,
+    and a kind that has one searches no later span.
     """
     if sys.separation is None or sys.eta_star is None:
         raise ValueError("separation variants need the functional and eta_star")
@@ -181,9 +179,8 @@ def _separation_audit(
     scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))
     witness = {"a5": None, "strong": None, "weak": None}
     pairs = pairs_a5 = 0
-    for chunk in row_spans(pts.shape[0], dynamics.EXPAND_CHUNK):
-        children, parent, _ = sys.phi.expand(pts[chunk])
-        parent = parent + chunk.start
+    for rows, children, parent, _ in expand_spans(sys.phi, pts):
+        parent = parent + rows.start
         pairs += children.shape[0]
         pairs_a5 += int(np.count_nonzero(parent))
         rows = np.flatnonzero(tx[parent] <= children @ sys.separation)

@@ -104,11 +104,12 @@ def test_constant_window_rejects_a_bad_grid(entry, bad):
         GRID_ENTRY_POINTS[entry](w, IdealModel("fin", 500), bad)
 
 
-def test_overflowing_span_rejects_its_infinite_default_grid():
-    # the span 2e308 overflows, so the default grid is inf
+@pytest.mark.parametrize("eps_grid", [None, 1.0])
+def test_overflowing_span_is_refused_before_any_grid(eps_grid):
+    # the span 2e308 overflows: no default grid exists, and no grid is blamed
     w = SequenceWindow(np.tile([-1e308, 1e308, 0.0, 1.0], 100))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="eps_grid"):
-        cluster_points(w, IdealModel("fin", 400))
+    with np.errstate(over="raise"), pytest.raises(ValueError, match="span more than the float range"):
+        cluster_points(w, IdealModel("fin", 400), eps_grid=eps_grid)
 
 
 def test_null_sequence_fin_liminf_near_zero():

@@ -264,6 +264,20 @@ def test_verify_ifs_branches_below_the_span_limit_run_clean(tmp_path):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "1"]], ids=["default-grid", "grid-1"])
+def test_analyze_span_past_float_range_exit_2_without_warnings(grid, tmp_path, capsys):
+    # max - min of +-1e308 overflows; the error names the span, not an eps_grid nobody set
+    values = tmp_path / "values.txt"
+    values.write_text("1e308\n-1e308\n0.5\n" * 10)
+    argv = ["analyze", "--input", str(values), *grid, "--out-dir", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "span more than the float range" in err and "eps_grid" not in err
+
+
 def test_grid_below_float_resolution_exit_2(tmp_path, capsys):
     values = tmp_path / "values.txt"
     values.write_text("1\n2\n3\n")

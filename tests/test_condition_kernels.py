@@ -63,7 +63,7 @@ class _Recorder(Correspondence):
     """Passes ``expand`` through and keeps every batch it was given."""
 
     def __init__(self, phi: Correspondence):
-        self.phi, self.dim, self.batches = phi, phi.dim, []
+        self.phi, self.dim, self.fanout, self.batches = phi, phi.dim, phi.fanout, []
 
     def expand(self, states: np.ndarray):
         self.batches.append(states.copy())

@@ -1,9 +1,13 @@
 """The condition battery streams sample-sized batches through ``expand``
-in chunks of ``dynamics.EXPAND_CHUNK`` states. Results must not depend on
-the chunk size: every value below was recorded with the whole batch
-expanded at once, and each chunk size must reproduce it exactly. The
-memory guard fails if a whole-sample expansion comes back."""
+in row spans of about ``dynamics.EXPAND_CHUNK`` children
+(``dynamics.expand_spans``). Results must not depend on the span size:
+every value below was recorded with the whole batch expanded at once,
+and each ``EXPAND_CHUNK`` must reproduce it exactly. The memory guard
+fails if a whole-batch expansion comes back, and the span guard if an
+``expand`` call returns more than ``EXPAND_CHUNK`` children plus one
+widest image."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -18,11 +22,14 @@ from turnlab.dynamics import (
     StartAt,
     SystemInstance,
     TruncatedL2,
+    _child_gaps,
     continuity_probe,
+    feasibility_check,
+    fixed_points,
 )
 from turnlab.ideals import IdealModel
 from turnlab.scenarios import build_counterexample_system, build_l2_truncation
-from turnlab.verifier import SamplingPlan, _separation_audit, t_hat_batch
+from turnlab.verifier import SamplingPlan, _separation_audit, check_conditions, t_hat_batch
 
 CHUNKS = (1, 7, 100_000)
 
@@ -54,6 +61,45 @@ PROBE_PINS = {
         [[-1.5, 1.5]],
         41,
         [1.8000000000000003, 1.8749999999999987, 1.9124999999999985, 1.9687500000000036],
+    ),
+}
+
+
+# fixed_points(phi, box, seed=17): sha256 of the sorted points' bytes
+FIXED_POINT_PINS = {
+    "l2-8": (TruncatedL2(8), L2_BOX, "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b"),
+    "empty-interval": (
+        PROBE_PINS["empty-interval"][0],
+        [[-1.5, 1.5]],
+        "097f0cff26c5c280f66dfeecce64ef51d67574789b9faebdd16da122c2ec6a14",
+    ),
+    "ifs": (_ifs().phi, _ifs().box, "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d"),
+}
+
+
+def _l2_gap_batch():
+    rng = np.random.default_rng(3)
+    states = rng.uniform(-1.0, 1.0, (2000, 8))
+    return states, states / 2.0 + rng.normal(0.0, 1e-3, states.shape)
+
+
+def _interval_gap_batch():
+    """3,001 states, the 1,000 with |x| > 1 childless (gap inf)."""
+    states = np.linspace(-1.5, 1.5, 3001)[:, None]
+    return states, states
+
+
+# sha256 of the _child_gaps(phi, states, targets) output bytes
+CHILD_GAP_PINS = {
+    "l2-8": (
+        TruncatedL2(8),
+        _l2_gap_batch,
+        "4aa2869a275c24b7cc1b3ec2247155e3dd336e179beaeb15d1b94bf8829ad183",
+    ),
+    "empty-interval": (
+        PROBE_PINS["empty-interval"][0],
+        _interval_gap_batch,
+        "ec5961bda5b6882da1753f2e39548ec1552b9d0d67a206cfaddce8b31f0a3f5d",
     ),
 }
 
@@ -150,6 +196,64 @@ def test_t_hat_batch_independent_of_chunk(name, chunk, monkeypatch):
     assert hashlib.sha256(gains.tobytes()).hexdigest() == want
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", list(FIXED_POINT_PINS))
+def test_fixed_points_independent_of_chunk(name, chunk, monkeypatch):
+    phi, box, want = FIXED_POINT_PINS[name]
+    monkeypatch.setattr(dynamics, "EXPAND_CHUNK", chunk)
+    assert hashlib.sha256(fixed_points(phi, box, seed=17).tobytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", list(CHILD_GAP_PINS))
+def test_child_gaps_independent_of_chunk(name, chunk, monkeypatch):
+    phi, batch, want = CHILD_GAP_PINS[name]
+    monkeypatch.setattr(dynamics, "EXPAND_CHUNK", chunk)
+    gaps = _child_gaps(phi, *batch())
+    assert hashlib.sha256(gaps.tobytes()).hexdigest() == want
+
+
+def _interval_system():
+    """[x - 1, 2 - x] at 33 samples: empty for x > 1.5, a third of the box;
+    x = 0.5 is the fixed point of the middle sample."""
+    return SystemInstance(
+        dim=1,
+        phi=Interval1D(lambda x: x - 1.0, lambda x: 2.0 - x, samples=33),
+        utility=lambda p: p[..., 0],
+        ideal=IdealModel("density", 2048),
+        constraint=StartAt([0.0]),
+        box=np.array([[-4.0, 4.0]]),
+        separation=np.array([1.0]),
+        eta_star=np.array([0.5]),
+        reference_branch=0,
+    )
+
+
+# the l2 reference orbit starts at a state whose band set is empty, so
+# the first image of the feasibility check is the narrowest one
+SPAN_SYSTEMS = {
+    "l2-8": lambda: build_l2_truncation(
+        8, np.r_[0.0, 1.5, np.zeros(6)], IdealModel("density", 2048)
+    ),
+    "empty-interval": _interval_system,
+}
+
+
+@pytest.mark.parametrize("name", list(SPAN_SYSTEMS))
+def test_battery_expand_calls_stay_within_one_span(name):
+    from test_condition_kernels import _Recorder  # that module imports this one
+
+    sys = SPAN_SYSTEMS[name]()
+    rec = _Recorder(sys.phi)
+    check_conditions(dataclasses.replace(sys, phi=rec), SamplingPlan())
+    counts = [np.bincount(sys.phi.expand(b)[1], minlength=b.shape[0]) for b in rec.batches]
+    widest = max(int(c.max()) for c in counts)
+    sizes = [int(c.sum()) for c in counts]
+    assert max(sizes) <= dynamics.EXPAND_CHUNK + widest
+    assert max(sizes) > dynamics.EXPAND_CHUNK // 2  # sample-sized batches were streamed
+    assert any((c == 0).any() for c in counts) == (name == "empty-interval")
+
+
 def _traced_peak_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -161,12 +265,19 @@ def _traced_peak_mb(fn) -> float:
 
 
 def test_battery_peaks_stay_below_whole_sample_expansion():
-    # whole-sample expansion traced 126 MB (audit) and 101 MB (probe)
+    # whole-batch expansion traced 126 MB (audit), 101 MB (probe), 26 MB
+    # (fixed points) and 13 MB (feasibility); streamed, 5.1, 6.8, 3.8 and
+    # 1.8 MB, and each bound is about 1.5 times that
     sys = build_l2_truncation(8, np.r_[1.0, np.zeros(7)], IdealModel("density", 4096))
     plan = SamplingPlan()
+    ref = SPAN_SYSTEMS["l2-8"]().reference_path
     audit = _traced_peak_mb(lambda: _separation_audit(sys, plan))
     probe = _traced_peak_mb(
         lambda: continuity_probe(sys.phi, sys.box, plan.continuity_samples, plan.seed)
     )
-    assert audit < 64.0
-    assert probe < 64.0
+    scan = _traced_peak_mb(lambda: fixed_points(sys.phi, sys.box, seed=17))
+    feasibility = _traced_peak_mb(lambda: feasibility_check(ref, sys.phi))
+    assert audit < 7.5
+    assert probe < 10.0
+    assert scan < 5.5
+    assert feasibility < 2.75

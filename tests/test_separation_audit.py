@@ -1,7 +1,8 @@
 """A5 and the strong/weak separation variants come from one sample,
-streamed through ``expand`` in chunks of ``EXPAND_CHUNK`` states:
-``check_conditions`` carries the variant report, and both results
-reproduce the ones recorded before the audit was merged."""
+streamed through ``expand`` in spans of about ``EXPAND_CHUNK`` children
+(``dynamics.expand_spans``): ``check_conditions`` carries the variant
+report, and both results reproduce the ones recorded before the audit
+was merged."""
 
 import dataclasses
 
