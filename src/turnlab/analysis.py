@@ -58,7 +58,7 @@ def _span(lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def default_grid(window: SequenceWindow) -> float:
-    span = _span(*window.bounding_box().T)
+    span = _span(*window.bounds.T)
     return span / GRID_CELLS_PER_RANGE if span > 0 else 0.0
 
 
@@ -88,8 +88,7 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     counted values in its open ball by two searches in the sorted counted
     values: ``sv`` itself when every post-burn-in index counts, else a
     sorted copy of the counted subset."""
-    vals = window.scalars()
-    v = vals[start:]
+    v = window.scalars()[start:]
     sv = np.sort(v)
     counted = _counted_mask(model, window.horizon)[start:]
     if counted.all():
@@ -97,8 +96,8 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     else:
         cv = v[counted]
         cv.sort()
-    lo = float(vals.min())
-    n_cells = max(1, int(np.ceil((vals.max() - lo) / eps)))
+    lo, hi = window.bounds[0]
+    n_cells = max(1, int(np.ceil((hi - lo) / eps)))
     # cell indices of the sorted values never decrease, so the occupied
     # cells are the run starts, taken span by span and joined at the
     # seams; truncation equals the int cast, as sv >= lo
@@ -222,7 +221,7 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
     of (candidate, row) pairs. Counting keeps no rows; ``members`` takes the
     qualifying cells' rows whole and gathers the other cells' rows again."""
     pts = window.values[start:]
-    lo = window.values.min(axis=0)
+    lo = window.bounds[:, 0]
     m = int(np.sqrt(window.dim) / 2) + 1
     side = eps / m
     order, bounds, keys = _group_rows(((pts - lo) / side).astype(np.int64))
@@ -322,9 +321,7 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     model = model.at_horizon(window.horizon)
-    vals = window.values
-    top, bottom = vals.max(axis=0), vals.min(axis=0)
-    span = _span(bottom, top)
+    span = _span(*window.bounds.T)
     diag = {
         "eps_grid": eps,
         "theta": theta,
@@ -336,8 +333,8 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     }
     if span <= 1e-12:
         diag["degenerate"] = True
-        return vals[:1].copy(), diag
-    if not FLOAT_TOL * (1.0 + float(np.maximum(top, -bottom).max())) < eps:
+        return window.values[:1].copy(), diag
+    if not FLOAT_TOL * (1.0 + float(np.abs(window.bounds).max())) < eps:
         raise ValueError(f"eps_grid {eps!r} is below the window's float resolution")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
     keys, counts, members = cell_stats(window, model, eps, burn_in(window.horizon))
@@ -570,7 +567,7 @@ def check_image_cluster_identity(
     image_window = window.map(h)
     image_clusters = _cluster(image_window, model, eps, theta)[0]
     lip = lipschitz_estimate(h, window)
-    scale = 1.0 + float(np.abs(image_window.values).max())
+    scale = 1.0 + float(np.abs(image_window.bounds).max())
     tol = max(2.0 * eps * (1.0 + lip), FLOAT_TOL * scale)
     dist = hausdorff_distance(mapped, image_clusters)
     return IdentityReport(
@@ -622,7 +619,7 @@ def check_representation_identity(
     q3_min = float(u_on_clusters.min())
     q3_max = float(u_on_clusters.max())
     lip = lipschitz_estimate(u, window)
-    scale = 1.0 + float(np.abs(image_window.values).max())
+    scale = 1.0 + float(np.abs(image_window.bounds).max())
     tol = max(eps * (1.0 + lip), FLOAT_TOL * scale)
     lim_inf = {"order_statistic": q1_min, "image_cluster_min": q2_min, "state_cluster_min": q3_min}
     lim_sup = {"order_statistic": q1_max, "image_cluster_max": q2_max, "state_cluster_max": q3_max}

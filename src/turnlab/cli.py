@@ -305,14 +305,9 @@ def cmd_verify(config: RunConfig) -> int:
 def _reproduce_blocks(config: RunConfig) -> tuple[dict, bool, tuple]:
     window = _checked("scenario blocks", build_block_sequence, config.k_max)
     report, table = _analysis(config, window, limit_eps=0.1)
-    vals = window.scalars()
-    results = {
-        "length": window.horizon,
-        "classical_min": vals.min(),
-        "classical_max": vals.max(),
-        "analysis": report,
-    }
-    extremes_ok = vals.min() == -1.0 and vals.max() == 1.0
+    lo, hi = window.bounds[0]
+    results = {"length": window.horizon, "classical_min": lo, "classical_max": hi, "analysis": report}
+    extremes_ok = lo == -1.0 and hi == 1.0
     if report.model["kind"] == "density":
         limit_ok = report.converges_to is not None and abs(report.converges_to[0]) <= 0.1
     else:

@@ -13,8 +13,8 @@ points are solved per (state, branch) pair by batched Newton steps,
 seeded by one coarse scan of the box plus, for finite branches, where
 each map's own orbit settles. One continuity probe serves both a
 correspondence and the graph x -> {u(x)} of a scalar map, whose
-Hausdorff distance is |u(x) - u(x')|. Batches are expanded in spans of
-about ``EXPAND_CHUNK`` children (``expand_spans``), so temporaries scale
+Hausdorff distance is |u(x) - u(x')|. ``expand_spans`` yields ``expand``'s
+triple per span of about ``EXPAND_CHUNK`` children, so temporaries scale
 with that constant, not the batch.
 
 A state whose image is empty has no children: ``expand`` emits none for
@@ -44,7 +44,7 @@ EXPAND_CHUNK = 8192  # children per ``expand`` call of ``expand_spans``
 
 
 class InfeasibleImageError(RuntimeError):
-    """A search was pinned to a start point whose image is empty."""
+    """A search whose start states all lack children."""
 
 
 def _point(x) -> np.ndarray:
@@ -85,7 +85,7 @@ class Correspondence:
         within each parent the branch indices run 0, 1, ...; the beam
         search, ``_child_gaps`` and the batched audits rely on this order.
         A state whose image is empty gets no children and never raises,
-        so parent_index may skip it.
+        so parent_index may skip it. The arrays are new and the caller's.
         """
         raise NotImplementedError
 
@@ -249,10 +249,8 @@ def feasibility_check(path: Path, phi: Correspondence) -> dict:
     """Re-verify x_{k+1} against a fresh image sample of x_k, within
     ``FEASIBILITY_TOL`` scaled by 1 + the path's largest coordinate."""
     pts = path.points
-    worst = 0.0
-    if pts.shape[0] > 1:
-        worst = float(_child_gaps(phi, pts[:-1], pts[1:]).max())
-    tol = FEASIBILITY_TOL * (1.0 + float(np.abs(pts).max()))
+    worst = float(_child_gaps(phi, pts[:-1], pts[1:]).max(initial=0.0))
+    tol = FEASIBILITY_TOL * (1.0 + float(np.abs(path.window.bounds).max()))
     return {"max_residual": worst, "tolerance": tol, "feasible": worst <= tol}
 
 
@@ -268,11 +266,13 @@ def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expand_spans(phi: Correspondence, states: np.ndarray):
-    """(rows, children, parent, branch) of ``phi.expand`` per span of
-    ceil(``EXPAND_CHUNK`` / ``phi.fanout``) rows, parent counted from
-    ``rows.start``. Rows expand independently: no result depends on spans."""
+    """``phi.expand(states)``'s (children, parent, branch) triple, one span
+    of ceil(``EXPAND_CHUNK`` / ``phi.fanout``) rows at a time, parent counted
+    from row 0. Rows expand independently: no result depends on spans."""
     for rows in row_spans(states.shape[0], -(-EXPAND_CHUNK // phi.fanout)):
-        yield (rows, *phi.expand(states[rows]))
+        children, parent, branch = phi.expand(states[rows])
+        parent += rows.start  # in place: a fresh temporary per span slows the scans
+        yield children, parent, branch
 
 
 def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -283,10 +283,10 @@ def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) ->
     image is at distance inf.
     """
     out = np.full(states.shape[0], np.inf)
-    for rows, children, parent, _ in expand_spans(phi, states):
-        gaps = np.sqrt(((children - targets[rows][parent]) ** 2).sum(axis=1))
+    for children, parent, _ in expand_spans(phi, states):
+        gaps = np.sqrt(((children - targets[parent]) ** 2).sum(axis=1))
         start, _ = _segments(parent)
-        out[rows.start + parent[start]] = np.minimum.reduceat(gaps, start)
+        out[parent[start]] = np.minimum.reduceat(gaps, start)
     return out
 
 
@@ -327,9 +327,9 @@ def _branch_children(phi: Correspondence, states: np.ndarray, branch: np.ndarray
     """Child ``branch[i]`` of ``states[i]`` per row; NaN where the image
     is empty or has no such branch."""
     out = np.full(states.shape, np.nan)
-    for rows, children, parent, b in expand_spans(phi, states):
-        hit = b == branch[rows][parent]
-        out[rows.start + parent[hit]] = children[hit]
+    for children, parent, b in expand_spans(phi, states):
+        hit = b == branch[parent]
+        out[parent[hit]] = children[hit]
     return out
 
 
@@ -386,9 +386,9 @@ def fixed_points(phi: Correspondence, box, seed: int = 0) -> np.ndarray:
         raise ValueError("box must be a (d, 2) array of [lo, hi] rows")
     seeds = _seed_points(phi, box, seed)
     gaps, pairs = np.empty(0), np.empty((0, 2), dtype=int)  # the best (seed, branch) so far
-    for rows, children, parent, branch in expand_spans(phi, seeds):
-        gaps = np.r_[gaps, np.sqrt(((children - seeds[rows][parent]) ** 2).sum(axis=1))]
-        pairs = np.r_[pairs, np.c_[rows.start + parent, branch]]
+    for children, parent, branch in expand_spans(phi, seeds):
+        gaps = np.r_[gaps, np.sqrt(((children - seeds[parent]) ** 2).sum(axis=1))]
+        pairs = np.r_[pairs, np.c_[parent, branch]]
         pick = np.argsort(gaps, kind="stable")[:NEWTON_PAIRS]  # ties keep the earlier pair
         gaps, pairs = gaps[pick], pairs[pick]
     x = _branch_newton(phi, seeds[pairs[:, 0]], pairs[:, 1])
@@ -475,17 +475,17 @@ def continuity_probe(
     rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
     dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
     dirs = dirs[np.sort(np.unique(dirs, axis=0, return_index=True)[1])]
-    base = [(rows.start + parent, kids) for rows, kids, parent, _ in expand_spans(phi, pts)]
-    base_parent, base = (np.concatenate(part) for part in zip(*base))  # frees the spans
+    base = [(kids, parent) for kids, parent, _ in expand_spans(phi, pts)]
+    base, base_parent = (np.concatenate(part) for part in zip(*base))  # frees the spans
     base_start, base_count = _segments(base_parent)
     pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
     rungs = []
     for delta in ladder:
         worst = 0.0
         moved = (pts[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
-        for span, children, parent, _ in expand_spans(phi, moved):
+        for children, parent, _ in expand_spans(phi, moved):
             start, count = _segments(parent)
-            of = (span.start + parent[start]) // dirs.shape[0]  # probe point of each moved image
+            of = parent[start] // dirs.shape[0]  # probe point of each moved image
             # matched-branch bound U = max_j |a_j - b_j|, accumulated per
             # coordinate like the distance matrix whose diagonal it reads,
             # so H(A, B) <= U holds exactly; U = inf where the counts differ

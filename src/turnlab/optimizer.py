@@ -260,10 +260,7 @@ def _finalize(
     values = path.utilities(sys.utility)
     objective = path_objective(values, model, trim_fraction)
     window = SequenceWindow(values)
-    if values.size >= 2:
-        liminf = ideal_liminf(window, model.at_horizon(values.size))
-    else:
-        liminf = objective  # a single surviving point has no asymptotics
+    liminf = ideal_liminf(window, model.at_horizon(values.size))
     gap = abs(objective - liminf)
     tol = max(default_grid(window), 1e-9)
     return OptimReport(
@@ -361,6 +358,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
 
     Deterministic: identical system and config give identical reports,
     with ties resolved by smaller branch index then lexicographic trace.
+    No child at the first step raises ``InfeasibleImageError``; later, a collapse.
     """
     model = sys.ideal.at_horizon(cfg.horizon)
     n = cfg.horizon
@@ -372,8 +370,6 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     full = slice(k_tail + 1, None)
 
     states = _initial_states(sys, cfg)
-    if isinstance(sys.constraint, StartAt) and not sys.phi.images(sys.constraint.x0).size:
-        raise InfeasibleImageError(f"empty image at the pinned start {sys.constraint.x0.tolist()}")
     m0 = states.shape[0]
     prof = np.full((m0, k_tail + k_full + 2), np.inf)
     if relevant[0]:
@@ -396,6 +392,8 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
             counters["beam_steps_expanded"] += 1
             step = _beam_step(sys, cfg, states, prof, k_tail, *flags)
             if step is None:
+                if j == 1:
+                    raise InfeasibleImageError("no start state has a child")
                 collapsed = True
                 break
         else:

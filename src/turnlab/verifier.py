@@ -15,8 +15,8 @@ The six conditions checked here:
   witness. The strong/weak separation variants are read off the same
   sample (with eta_star prepended); ``check_conditions`` keeps them on
   ``ConditionReport.separation``. The sample, like the A1 and A2 probes'
-  moved points and the A4 scan, is streamed through ``expand`` in spans
-  of about ``EXPAND_CHUNK`` children (``dynamics.expand_spans``).
+  moved points and the A4 scan, is streamed by ``dynamics.expand_spans``:
+  ``expand``'s triple per span of about ``EXPAND_CHUNK`` children.
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star). A reference
   orbit cut short by a state without its branch's child fails.
@@ -81,9 +81,9 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
         raise ValueError("system has no separation functional configured")
     pts = np.asarray(pts, dtype=float)
     best = np.full(pts.shape[0], -np.inf)  # a state without children gains -inf
-    for rows, children, parent, _ in expand_spans(sys.phi, pts):
+    for children, parent, _ in expand_spans(sys.phi, pts):
         start, _ = dynamics._segments(parent)
-        best[rows.start + parent[start]] = np.maximum.reduceat(children @ sys.separation, start)
+        best[parent[start]] = np.maximum.reduceat(children @ sys.separation, start)
     return best - pts @ sys.separation
 
 
@@ -179,8 +179,7 @@ def _separation_audit(
     scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))
     witness = {"a5": None, "strong": None, "weak": None}
     pairs = pairs_a5 = 0
-    for rows, children, parent, _ in expand_spans(sys.phi, pts):
-        parent = parent + rows.start
+    for children, parent, _ in expand_spans(sys.phi, pts):
         pairs += children.shape[0]
         pairs_a5 += int(np.count_nonzero(parent))
         rows = np.flatnonzero(tx[parent] <= children @ sys.separation)

@@ -13,14 +13,17 @@ import numpy as np
 class SequenceWindow:
     """A finite prefix (x_0, ..., x_{N-1}) of a vector-valued sequence.
 
-    Values are stored as a read-only (N, d) float array; entries must be
-    finite. Scalar sequences live at d = 1. A read-only array that owns
-    its data is adopted; anything else (writable, a view) is copied.
+    Values are stored as a read-only (N, d) float array, scalar sequences
+    at d = 1. A read-only array that owns its data is adopted; anything
+    else (writable, a view) is copied. ``bounds``, the read-only (d, 2)
+    per-axis [min, max] taken column by column, is the window's extent and
+    its finiteness test: a NaN or an inf shows in its column's min or max.
     """
 
     values: np.ndarray
     dim: int = field(init=False)
     horizon: int = field(init=False)
+    bounds: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.values, dtype=float)
@@ -31,9 +34,12 @@ class SequenceWindow:
             a = a[:, None]
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("window needs shape (N, d) with N, d >= 1")
-        if not np.all(np.isfinite(a)):
+        bounds = np.array([(col.min(), col.max()) for col in a.T])
+        if not np.isfinite(bounds).all():
             raise ValueError("window entries must be finite (no NaN/inf)")
+        bounds.setflags(write=False)
         object.__setattr__(self, "values", a)
+        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "horizon", int(a.shape[0]))
         object.__setattr__(self, "dim", int(a.shape[1]))
 
@@ -50,10 +56,6 @@ class SequenceWindow:
             raise ValueError("map must preserve the number of points")
         out.setflags(write=False)
         return SequenceWindow(out)
-
-    def bounding_box(self) -> np.ndarray:
-        """(d, 2) array of per-axis [min, max]."""
-        return np.stack([self.values.min(axis=0), self.values.max(axis=0)], axis=1)
 
     @classmethod
     def from_text(cls, path: str | FilePath) -> "SequenceWindow":

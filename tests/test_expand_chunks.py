@@ -213,6 +213,28 @@ def test_child_gaps_independent_of_chunk(name, chunk, monkeypatch):
     assert hashlib.sha256(gaps.tobytes()).hexdigest() == want
 
 
+SPAN_STATES = {
+    "finite-branch": (
+        FiniteBranch((lambda x: x / 2.0, lambda x: 0.3 * x + 0.7), dim=1),
+        lambda: np.linspace(-3.0, 3.0, 1001)[:, None],
+    ),
+    "empty-interval": (PROBE_PINS["empty-interval"][0], lambda: _interval_gap_batch()[0]),
+    "l2-8": (TruncatedL2(8), lambda: _l2_gap_batch()[0]),
+}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", list(SPAN_STATES))
+def test_expand_spans_concatenate_to_expand(name, chunk, monkeypatch):
+    phi, states = SPAN_STATES[name]
+    states = states()
+    want = phi.expand(states)
+    monkeypatch.setattr(dynamics, "EXPAND_CHUNK", chunk)
+    got = [np.concatenate(part) for part in zip(*dynamics.expand_spans(phi, states))]
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
 def _interval_system():
     """[x - 1, 2 - x] at 33 samples: empty for x > 1.5, a third of the box;
     x = 0.5 is the fixed point of the middle sample."""

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_two_branch_system
 from turnlab.dynamics import (
     FiniteBranch,
+    Free,
     InfeasibleImageError,
     Interval1D,
     StartAt,
@@ -155,6 +156,22 @@ def test_infeasible_start_raises():
         box=np.array([[-2.0, 2.0]]),
     )
     with pytest.raises(InfeasibleImageError):
+        maxmin_search(sys_inst, SearchConfig(horizon=8, beam_width=4))
+
+
+@pytest.mark.parametrize("constraint", [StartAt([0.0]), Free([[-1.0, 1.0]])], ids=["pinned", "free"])
+@pytest.mark.parametrize("model", [_fin(8), IdealModel("density", 8)], ids=["fin", "density"])
+def test_childless_start_raises_for_either_kind_of_start(constraint, model):
+    # [1, -1] is empty everywhere: the first step has no child
+    sys_inst = SystemInstance(
+        dim=1,
+        phi=Interval1D(lambda x: 0 * x + 1.0, lambda x: 0 * x - 1.0, samples=3),
+        utility=lambda p: p[..., 0],
+        ideal=model,
+        constraint=constraint,
+        box=np.array([[-1.0, 1.0]]),
+    )
+    with pytest.raises(InfeasibleImageError, match="no start state has a child"):
         maxmin_search(sys_inst, SearchConfig(horizon=8, beam_width=4))
 
 
