@@ -86,7 +86,6 @@ class RunConfig(Report):
     ideal: str = ""  # empty -> the scenario's default, filled by resolve_config
     horizon: int = 0  # 0 -> the scenario's default, filled by resolve_config
     beam: int = SearchConfig.beam_width
-    trim: float = SearchConfig.trim_fraction
     grid: float = 0.0  # 0 -> per-command default
     theta: float = DEFAULT_POSITIVITY
     seed: int = 0
@@ -134,13 +133,11 @@ def write_report(
 ) -> FilePath:
     """Write ``{name}.json``: resolved config, results, and a ``meta``
     field with the timestamp and, when given, the run's work counters."""
-    out_dir = FilePath(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
     if counters:
         meta["counters"] = dict(counters)
     report = {"config": plain(config), "results": plain(results), "meta": meta}
-    path = out_dir / f"{name}.json"
+    path = FilePath(config.out_dir) / f"{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -152,13 +149,11 @@ def write_path_csv(
     row per point in ``.12g``, the distance empty without a target, with
     csv's ``\r\n`` line ends. Rows are formatted 16,384 at a time, so
     their Python lists stay a few MB."""
-    out_dir = FilePath(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     d = pts.shape[1]
     u_values = np.asarray(u_values, dtype=float).ravel()
     target = None if eta_star is None else np.asarray(eta_star, dtype=float).ravel()
     row = "%d" + ",%.12g" * (d + 1) + ("," if target is None else ",%.12g") + "\r\n"
-    file = out_dir / f"{name}.csv"
+    file = FilePath(config.out_dir) / f"{name}.csv"
     with open(file, "w", newline="") as fh:
         fh.write(",".join(["n", *(f"x_{i}" for i in range(d)), "u", "dist_to_eta_star"]) + "\r\n")
         for span in row_spans(pts.shape[0], 1 << 14):
@@ -226,7 +221,6 @@ def _search(config: RunConfig, sys_inst, ladder=None, beam: int | None = None, g
         horizon=config.horizon,
         beam_width=config.beam if beam is None else beam,
         state_grid=config.grid or grid,
-        trim_fraction=config.trim,
     )
     opt = _checked("search", maxmin_search, sys_inst, cfg)
     ladder = ladder or ((1e-3,) if config.scenario == "l2" else (1e-1, 1e-2, 1e-3))
@@ -245,6 +239,7 @@ def _finish(config: RunConfig, name: str, results: dict, table=None, passed=True
     ``meta``) and, when ``--output`` asks for it and the run has a path
     table, ``{name}.csv``; print the report line; return the exit code."""
     opt = results.get("optimizer")
+    FilePath(config.out_dir).mkdir(parents=True, exist_ok=True)
     out = write_report(config, results, name, opt.counters if opt else None)
     if table is not None and config.output in ("csv", "both"):
         write_path_csv(config, *table, name)
@@ -398,7 +393,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", default=None, help="fin | density:<thr> | finite-trace:<class>")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--trim", type=float, default=None)
     p.add_argument("--grid", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -474,6 +468,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     ifs = base.scenario == "ifs"
     base.ideal = base.ideal or ("fin" if ifs else "density:0.01")
     base.horizon = base.horizon or (200 if ifs else 4096)
+    # a bad --out-dir fails before any stage runs; it is made only when a
+    # report is written, so a configuration error leaves nothing behind
+    ancestor = FilePath(base.out_dir)
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise ConfigError(f"--out-dir {base.out_dir}: {ancestor} is not a directory")
     return base
 
 

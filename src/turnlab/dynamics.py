@@ -44,7 +44,8 @@ EXPAND_CHUNK = 8192  # children per ``expand`` call of ``expand_spans``
 
 
 class InfeasibleImageError(RuntimeError):
-    """A search whose start states all lack children."""
+    """A search with no path to judge: its start states all lack children,
+    or its beam collapses on a path too short to render the ideal."""
 
 
 def _point(x) -> np.ndarray:

@@ -3,9 +3,9 @@
 The reported objective is a surrogate for the ideal liminf of u along
 the path: the trimmed minimum of the utility values over the tail
 window (the last N/2 indices, restricted to the trace class for
-finite-trace models). The trim budget mirrors what the ideal forgives:
-nothing for ``fin``, a ceil(trim_fraction * tail) slice for ``density``,
-and ``cutoff`` many trace indices for ``finite_trace``.
+finite-trace models). The trim mirrors what the ideal forgives: nothing
+for ``fin``, ceil(threshold * tail) values for ``density``, and
+``cutoff`` many trace indices for ``finite_trace``.
 
 Candidates that tie on the objective are ordered by a full-window
 profile of their worst utility values (ascending sorted, compared
@@ -71,7 +71,7 @@ from turnlab.dynamics import (
     SystemInstance,
     _box_lattice,
 )
-from turnlab.ideals import IdealModel
+from turnlab.ideals import IdealModel, IdealSpecError
 from turnlab.report import Report, plain
 from turnlab.windows import SequenceWindow
 
@@ -90,7 +90,6 @@ class SearchConfig(Report):
     horizon: int
     beam_width: int = 64
     state_grid: float = 1e-3
-    trim_fraction: float = 0.01
 
     def __post_init__(self) -> None:
         if self.horizon < 2:
@@ -99,45 +98,35 @@ class SearchConfig(Report):
             raise ValueError("beam width must be positive")
         if not 0 < self.state_grid < math.inf:
             raise ValueError(f"state grid must be positive and finite, got {self.state_grid!r}")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError("trim fraction must lie in [0, 0.5)")
 
 
 # ---------------------------------------------------------------------------
 # objective machinery
 
 
-def _window(n: int, model: IdealModel, trim: float, tail_only: bool) -> tuple[np.ndarray, int]:
+def _window(n: int, model: IdealModel, tail_only: bool) -> tuple[np.ndarray, int]:
     """Indices of the tail (last n // 2) or full window, restricted to the
     trace class for finite-trace models, and how many of their worst
     values the model forgives."""
     idx = np.arange(n // 2 if tail_only else 0, n, dtype=np.int64)
     if model.kind == "finite_trace":
         idx = idx[model.counted(idx)]
-    k = math.ceil(trim * idx.size) if model.kind == "density" else model.budget()
+    k = math.ceil(model.threshold * idx.size) if model.kind == "density" else model.budget()
     return idx, max(0, min(k, idx.size - 1))
 
 
-def path_objective(values: np.ndarray, model: IdealModel, trim_fraction: float) -> float:
+def worst_profile(values: np.ndarray, model: IdealModel, tail_only: bool = False) -> np.ndarray:
+    """Ascending worst (k + 1) utility values over the full (or tail)
+    window, k the values the model forgives there: the tie-breaking
+    signature. A valid model counts an index of either window."""
+    values = np.asarray(values, dtype=float).ravel()
+    idx, k = _window(values.size, model.at_horizon(values.size), tail_only)
+    return np.sort(values[idx])[: k + 1]
+
+
+def path_objective(values: np.ndarray, model: IdealModel) -> float:
     """Trimmed tail minimum of a utility sequence under the model."""
-    values = np.asarray(values, dtype=float).ravel()
-    model = model.at_horizon(values.size)
-    idx, k = _window(values.size, model, trim_fraction, tail_only=True)
-    if idx.size == 0:
-        idx, k = _window(values.size, model, trim_fraction, tail_only=False)
-    return float(np.sort(values[idx])[k])
-
-
-def worst_profile(values: np.ndarray, model: IdealModel, trim_fraction: float) -> np.ndarray:
-    """Ascending-sorted worst (budget + 1) utility values over the full
-    window, the tie-breaking signature."""
-    values = np.asarray(values, dtype=float).ravel()
-    model = model.at_horizon(values.size)
-    idx, k = _window(values.size, model, trim_fraction, tail_only=False)
-    prof = np.full(k + 1, np.inf)
-    take = np.sort(values[idx])[: k + 1]
-    prof[: take.size] = take
-    return prof
+    return float(worst_profile(values, model, tail_only=True)[-1])
 
 
 def _profile_insert(prof: np.ndarray, vals: np.ndarray) -> None:
@@ -250,7 +239,6 @@ def _finalize(
     trace: tuple[int, ...],
     model: IdealModel,
     cfg_dict: dict,
-    trim_fraction: float,
     frontier_sizes: tuple[tuple[int, int], ...],
     certificate: bool,
     collapsed: bool,
@@ -258,9 +246,15 @@ def _finalize(
 ) -> OptimReport:
     path = Path(SequenceWindow(states), trace, truncated=collapsed)
     values = path.utilities(sys.utility)
-    objective = path_objective(values, model, trim_fraction)
+    try:
+        at_n = model.at_horizon(values.size)
+    except IdealSpecError as exc:  # only a collapsed path is shorter than the horizon
+        raise InfeasibleImageError(
+            f"the beam collapsed at step {values.size}, on a path too short for the ideal: {exc}"
+        ) from exc
+    objective = path_objective(values, at_n)
     window = SequenceWindow(values)
-    liminf = ideal_liminf(window, model.at_horizon(values.size))
+    liminf = ideal_liminf(window, at_n)
     gap = abs(objective - liminf)
     tol = max(default_grid(window), 1e-9)
     return OptimReport(
@@ -358,12 +352,14 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
 
     Deterministic: identical system and config give identical reports,
     with ties resolved by smaller branch index then lexicographic trace.
-    No child at the first step raises ``InfeasibleImageError``; later, a collapse.
+    No child at the first step raises ``InfeasibleImageError``; later, a
+    collapse, which raises it too when the truncated path is too short to
+    render the ideal.
     """
     model = sys.ideal.at_horizon(cfg.horizon)
     n = cfg.horizon
-    _, k_tail = _window(n, model, cfg.trim_fraction, tail_only=True)
-    full_idx, k_full = _window(n, model, cfg.trim_fraction, tail_only=False)
+    _, k_tail = _window(n, model, tail_only=True)
+    full_idx, k_full = _window(n, model, tail_only=False)
     relevant = np.zeros(n, dtype=bool)
     relevant[full_idx] = True
     # one profile row per candidate: the tail profile, then the full one
@@ -421,7 +417,6 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
         tuple(trace),
         model,
         cfg.to_dict(),
-        cfg.trim_fraction,
         tuple(frontier_sizes),
         certificate=False,
         collapsed=collapsed,
@@ -433,9 +428,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
 # exhaustive oracle
 
 
-def exhaustive_maxmin(
-    sys: SystemInstance, horizon: int, trim_fraction: float = 0.01
-) -> OptimReport:
+def exhaustive_maxmin(sys: SystemInstance, horizon: int) -> OptimReport:
     """Enumerate every branch trace and return the exact surrogate optimum.
 
     Shares the objective, tie profile, and lexicographic ordering with
@@ -466,8 +459,7 @@ def exhaustive_maxmin(
         if depth == horizon - 1:
             values = sys.utilities(stack_states).reshape(-1)
             # the first unequal entry decides; a full tie or a NaN keeps the earlier trace
-            key = (path_objective(values, model, trim_fraction),
-                   *worst_profile(values, model, trim_fraction))
+            key = (path_objective(values, model), *worst_profile(values, model))
             if best is None or key > best[0]:
                 best = (key, tuple(trace), stack_states.copy())
             return
@@ -484,8 +476,7 @@ def exhaustive_maxmin(
         best[2],
         best[1],
         model,
-        {"horizon": horizon, "trim_fraction": trim_fraction, "mode": "exhaustive"},
-        trim_fraction,
+        {"horizon": horizon, "mode": "exhaustive"},
         frontier_sizes=((count, count),),
         certificate=True,
         collapsed=False,

@@ -117,7 +117,7 @@ def test_criterion_3_image_cluster_identity():
 def test_criterion_4_counterexample_reproduction():
     with Budget("4 counterexample reproduction", 60):
         n = 4096
-        cfg = SearchConfig(horizon=n, beam_width=64, state_grid=1e-3, trim_fraction=0.01)
+        cfg = SearchConfig(horizon=n, beam_width=64, state_grid=1e-3)
         plan = SamplingPlan(n_points=10_000, seed=0)
 
         trace_model = parse_ideal_spec("finite-trace:auto", n)

@@ -233,6 +233,16 @@ OPT = ["optimize", "--scenario", "counterexample"]
         (OPT, b"beam = 3\n", ""),
         (OPT, b"[run]\nbeam = 3\n  garbage\nnot an option line\n", ""),
         (OPT, b"\x80\xff", ""),
+        # trim is no config key: the ideal's threshold sets the search trim
+        (OPT, b'{"trim": 0.1}', "trim"),
+        (OPT, b"[run]\ntrim = 0.1\n", "trim"),
+        # an --out-dir naming a file, or a path under one, fails before any stage runs
+        (OPT + ["--horizon", "64", "--out-dir", "a-file"], None, "--out-dir"),
+        (OPT + ["--horizon", "64", "--out-dir", "a-file/out"], None, "--out-dir"),
+        (["verify", "--scenario", "ifs", "--out-dir", "a-file"], None, "--out-dir"),
+        (["verify", "--scenario", "ifs", "--out-dir", "a-file/out"], None, "--out-dir"),
+        (["analyze", "--input", "two-points.txt", "--out-dir", "a-file"], None, "--out-dir"),
+        (["analyze", "--input", "two-points.txt", "--out-dir", "a-file/out"], None, "--out-dir"),
     ],
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
@@ -242,18 +252,36 @@ OPT = ["optimize", "--scenario", "counterexample"]
         "analyze-one-point",
         "json-beam-2.7", "json-beam-true", "json-output-xml",
         "ini-beam-2.7", "ini-output-xml", "ini-no-section", "ini-parse-error", "config-not-text",
+        "json-trim", "ini-trim",
+        "optimize-out-dir-file", "optimize-out-dir-under-file",
+        "verify-out-dir-file", "verify-out-dir-under-file",
+        "analyze-out-dir-file", "analyze-out-dir-under-file",
     ],
 )
 def test_bad_setting_exit_2_one_line_error(argv, config, says, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "one-point.txt").write_text("0.5\n")
+    (tmp_path / "two-points.txt").write_text("0.5\n0.25\n")
+    (tmp_path / "a-file").write_text("")
     if config is not None:
         (tmp_path / "run.cfg").write_bytes(config)
         argv = argv + ["--config", str(tmp_path / "run.cfg")]
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    if "--out-dir" not in argv:
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
     assert not (tmp_path / "out").exists()
+
+
+def test_trim_option_is_gone(capsys):
+    # the ideal's threshold sets the density trim; no option is parsed for it
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--help"])
+    assert exc.value.code == 0 and "--trim" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(OPT + ["--trim", "0.1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --trim" in capsys.readouterr().err
 
 
 def test_verify_ifs_branches_below_the_span_limit_run_clean(tmp_path):

@@ -32,27 +32,31 @@ def _fin(horizon, cutoff=None):
 
 def test_path_objective_fin_is_tail_min():
     vals = np.array([5.0, 4.0, 3.0, 0.5, 2.0, 1.0])
-    assert path_objective(vals, _fin(6, cutoff=2), 0.25) == 0.5
+    assert path_objective(vals, _fin(6, cutoff=2)) == 0.5
 
 
 def test_path_objective_density_trims():
     vals = np.ones(200)
     vals[150] = -1.0  # single tail dip, within the 1% budget
-    model = IdealModel("density", 200)
-    assert path_objective(vals, model, 0.01) == 1.0
-    assert path_objective(vals, model, 0.0) == -1.0
+    assert path_objective(vals, IdealModel("density", 200)) == 1.0
+    # the threshold sets the trim: ceil(0.05 * 100) tail dips are forgiven
+    model = IdealModel("density", 200, threshold=0.05)
+    vals[150:155] = -1.0
+    assert path_objective(vals, model) == 1.0
+    vals[155] = -1.0
+    assert path_objective(vals, model) == -1.0
 
 
 def test_path_objective_trace_restricts_and_forgives():
     n = 512
     vals = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     model = IdealModel("finite_trace", n, cutoff=16, trace="evens")
-    assert path_objective(vals, model, 0.01) == 1.0
+    assert path_objective(vals, model) == 1.0
 
 
 def test_worst_profile_sorted_and_padded():
     vals = np.array([3.0, -1.0, 2.0])
-    prof = worst_profile(vals, _fin(3, cutoff=1), 0.0)
+    prof = worst_profile(vals, _fin(3, cutoff=1))
     assert prof[0] == -1.0 and prof.size == 1
 
 
@@ -93,7 +97,7 @@ def test_counterexample_beam_matches_exhaustive():
     sys_inst = build_counterexample_system(_fin(12, cutoff=5))
     ex = exhaustive_maxmin(sys_inst, 12)
     bm = maxmin_search(
-        sys_inst, SearchConfig(horizon=12, beam_width=64, state_grid=1e-12, trim_fraction=0.0)
+        sys_inst, SearchConfig(horizon=12, beam_width=64, state_grid=1e-12)
     )
     assert bm.objective == ex.objective
     assert bm.path.trace == ex.path.trace
@@ -191,6 +195,40 @@ def test_frontier_collapse_flags_partial_report():
     assert rep.path.window.horizon < 8
 
 
+def _dead_end_system(model):
+    # x = 2 has the empty image [1, 0]: a width-1 beam that takes it collapses
+    return SystemInstance(
+        dim=1,
+        phi=Interval1D(lambda x: x - 1.0, lambda x: 2.0 - x, samples=3),
+        utility=lambda p: p[..., 0],
+        ideal=model,
+        constraint=StartAt([0.0]),
+        box=np.array([[-3.0, 3.0]]),
+    )
+
+
+@pytest.mark.parametrize("trace", ["evens", "odds"])
+def test_collapse_too_short_for_a_finite_trace_ideal_raises(trace):
+    # the 2-point path holds one trace index, no more than the cutoff
+    sys_inst = _dead_end_system(IdealModel("finite_trace", 8, cutoff=1, trace=trace))
+    with pytest.raises(InfeasibleImageError, match="collapsed at step 2"):
+        maxmin_search(sys_inst, SearchConfig(horizon=8, beam_width=1))
+
+
+@pytest.mark.parametrize(
+    "model, liminf",
+    [(IdealModel("fin", 8, cutoff=1), 2.0), (IdealModel("density", 8), 0.0)],
+    ids=["fin", "density"],
+)
+def test_collapse_under_fin_or_density_reports_the_short_path(model, liminf):
+    rep = maxmin_search(_dead_end_system(model), SearchConfig(horizon=8, beam_width=1))
+    assert rep.collapsed and rep.path.truncated
+    assert rep.path.trace == (2,) and rep.path.window.horizon == 2
+    assert rep.objective == 2.0 and rep.revalidated_liminf == liminf
+    assert rep.frontier_sizes == ((1, 1), (3, 1))
+    assert rep.model == model.describe()
+
+
 def test_beam_keeps_states_with_children_beside_a_childless_one():
     # x = 2 has the empty image [1, 0]; the other kept states carry the beam
     iv = Interval1D(lambda x: x - 1.0, lambda x: 2.0 - x, samples=3)
@@ -240,24 +278,20 @@ def test_free_constraint_seeds_lattice():
     assert rep.objective == pytest.approx(1.0, abs=1e-3)
 
 
-@pytest.mark.parametrize("trim", [0.0, 0.2])
 @pytest.mark.parametrize(
     "ideal",
     [{"kind": "density", "threshold": 0.2}, {"kind": "finite_trace", "cutoff": 1, "trace": "evens"}],
     ids=["density", "finite_trace"],
 )
-def test_oracle_agreement_multi_column_profiles(ideal, trim):
+def test_oracle_agreement_multi_column_profiles(ideal):
     # density and finite_trace keep several worst values in the tie
     # profile (fin keeps one), so this is the gate on the multi-column path
     n = 10
     model = IdealModel(horizon=n, **ideal)
     for seed in range(40):
         sys_inst = dataclasses.replace(random_two_branch_system(seed, n), ideal=model)
-        ex = exhaustive_maxmin(sys_inst, n, trim_fraction=trim)
-        bm = maxmin_search(
-            sys_inst,
-            SearchConfig(horizon=n, beam_width=1024, state_grid=1e-12, trim_fraction=trim),
-        )
+        ex = exhaustive_maxmin(sys_inst, n)
+        bm = maxmin_search(sys_inst, SearchConfig(horizon=n, beam_width=1024, state_grid=1e-12))
         assert bm.objective == ex.objective, seed
         assert bm.path.trace == ex.path.trace, seed
 

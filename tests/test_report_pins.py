@@ -50,18 +50,24 @@ PINS = {
     # now the worst small set (the 256 odd indices), not a random draw
     # Re-recorded when A2 became the A1 probe of the graph of u: the A2
     # rungs and growth moved and the plan lost delta_ladder; nothing else moved
+    # Re-recorded when the search's trim option went: the optimizer config
+    # lost trim_fraction; nothing else moved
     "reproduce-counterexample-trace": (
-        0, "5b7d11946da9c4bb0a2c4c1af76815ae32cce50a5bf5e6ef378801bc568a6dbf"
+        0, "e366cc6e15cd94cdbac60c658dc612f8fceba8541f6a18bb160d8be1c35e77fc"
     ),
     # re-recorded when A3 became exact: the A3 entry lost samples/fractions
     # and the plan translation_samples/translation_shifts; nothing else moved
     # Re-recorded when A2 became the A1 probe of the graph of u: the A2
     # rungs and growth moved and the plan lost delta_ladder; nothing else moved
+    # Re-recorded when the search's trim option went: the optimizer config
+    # lost trim_fraction; nothing else moved
     "reproduce-counterexample-density": (
-        1, "e807d4780b4a172064cccefc20bc176a3caf0f81564f1c2530e948ee921477f2"
+        1, "f57b6ae17346d7f2a6df049a6f43d67d70440069a57a310814541ea2c2c0d340"
     ),
+    # Re-recorded when the search's trim option went: the optimizer config
+    # lost trim_fraction; nothing else moved
     "reproduce-ifs": (
-        0, "7b2b0df2f7a7569b1e506bce4e6111e274911c33a5d7a110f27819eba2a8275b"
+        0, "ba6256e2b87c845f91cf3212c3c8169ebfc9ed3700b0e9de7bf69c46e41cc6be"
     ),
     # re-recorded when optimizer reports began to carry the system's notes
     # (the l2 band-sampling note); nothing else in its results moved.
@@ -69,11 +75,15 @@ PINS = {
     # and the plan translation_samples/translation_shifts; nothing else moved
     # Re-recorded when A2 became the A1 probe of the graph of u: the A2
     # rungs and growth moved and the plan lost delta_ladder; nothing else moved
+    # Re-recorded when the search's trim option went: the optimizer config
+    # lost trim_fraction; nothing else moved
     "reproduce-l2": (
-        1, "a9a36e423324b41e60c55d4ee3ebab51edb32eae12a9865fdfd620501914eb03"
+        1, "ab1ea11ac04c799e73e9e8f7f836fce0c9a95d9958f2929e0455b9df9ae98a02"
     ),
+    # Re-recorded when the search's trim option went: the optimizer config
+    # lost trim_fraction; nothing else moved
     "optimize-counterexample": (
-        0, "50f976bfb2da824dd4a8a260f7e85a52e5712aeda7937f32c22595e04eb9133b"
+        0, "675fa558e50b57bc89101b5fd8d504cf793ccb0db3c83c333c9251e6a2ca1a2a"
     ),
     # re-recorded when A3 became exact: the A3 entry lost samples/fractions
     # and the plan translation_samples/translation_shifts; nothing else moved
