@@ -32,7 +32,7 @@ import numpy as np
 
 from turnlab import __version__
 from turnlab.analysis import DEFAULT_POSITIVITY, analyze_window
-from turnlab.dynamics import fixed_points
+from turnlab.dynamics import _sample_kept, fixed_points
 from turnlab.geometry import row_spans
 from turnlab.ideals import IdealSpecError, parse_ideal_spec
 from turnlab.optimizer import SearchConfig, maxmin_search
@@ -341,9 +341,9 @@ def _reproduce_l2(config: RunConfig) -> tuple[dict, bool, tuple]:
     sys_inst = _build_system(config)
     conditions = _conditions(config, sys_inst)
     origin_gain = t_hat(sys_inst, sys_inst.eta_star)
+    box = np.tile([-1.0, 1.0], (config.dim, 1))
     rng = np.random.default_rng(config.seed + 1)
-    draw = rng.uniform(-1.0, 1.0, (4 * config.probes, config.dim))
-    draw = draw[draw[:, 0] >= 0.0][: config.probes]
+    draw = _sample_kept(box, config.probes, rng, lambda p: p[:, 0] >= 0.0, 4)
     gains = t_hat_batch(sys_inst, draw)
     results, table = _search(config, sys_inst, beam=min(config.beam, 8))
     results.update(

@@ -61,8 +61,25 @@ def _point(x) -> np.ndarray:
 
 def _sample_box(box: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k points drawn uniformly from a (d, 2) box."""
-    lo, hi = box[:, 0], box[:, 1]
-    return lo + rng.random((k, box.shape[0])) * (hi - lo)
+    r = rng.random((k, box.shape[0]))
+    return np.add(np.multiply(r, box[:, 1] - box[:, 0], out=r), box[:, 0], out=r)
+
+
+def _sample_kept(box: np.ndarray, n: int, rng: np.random.Generator, keep, rounds: int, first=None):
+    """An optional ``first`` row, then the first n box draws that the mask ``keep(draws)``
+    accepts, drawn n at a time for at most ``rounds`` blocks, in one preallocated array."""
+    head = 0 if first is None else 1
+    out = np.empty((head + n, box.shape[0]))
+    out[:head] = first
+    filled = head
+    for _ in range(rounds):
+        if filled == out.shape[0]:
+            break
+        draw = _sample_box(box, n, rng)
+        rows = np.flatnonzero(keep(draw))[: out.shape[0] - filled]
+        np.take(draw, rows, axis=0, out=out[filled : filled + rows.size], mode="clip")
+        filled += rows.size
+    return out[:filled]
 
 
 def _box_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
@@ -94,6 +111,15 @@ class Correspondence:
         """Finite image sample of one point: its ``expand`` children, row j
         the child of branch j, coinciding branches included."""
         return self.expand(_point(x)[None, :])[0]
+
+    def child(self, states: np.ndarray, branch: np.ndarray) -> np.ndarray:
+        """Child ``branch[i]`` of ``states[i]``, bit for bit that row of ``expand``, NaN where
+        missing. This default streams ``expand``; ``TruncatedL2`` evaluates the one branch."""
+        out = np.full(states.shape, np.nan)
+        for children, parent, b in expand_spans(self, states):
+            hit = b == branch[parent]
+            out[parent[hit]] = children[hit]
+        return out
 
 
 @dataclass(frozen=True)
@@ -192,9 +218,9 @@ class TruncatedL2(Correspondence):
         full = np.empty((states.shape[0], 1 + frac.shape[1], d))
         full[:, 0] = states / 2.0
         full[:, 1:, 0] = head[:, None]
-        band = frac[None, :, :] * (hi - lo)[:, :, None]  # (B, d-1, C)
+        band = full[:, 1:, 1:].transpose(0, 2, 1)  # (B, d-1, C), a view of the block
+        np.multiply(frac[None, :, :], (hi - lo)[:, :, None], out=band)
         band += lo[:, :, None]
-        full[:, 1:, 1:] = band.transpose(0, 2, 1)
         counts = np.where(feasible, full.shape[1], 1)
         if feasible.all():
             children = full.reshape(-1, d)
@@ -205,6 +231,15 @@ class TruncatedL2(Correspondence):
         parents = np.repeat(np.arange(states.shape[0]), counts)
         branches = np.arange(children.shape[0]) - (np.cumsum(counts) - counts)[parents]
         return children, parents, branches
+
+    def child(self, states: np.ndarray, branch: np.ndarray) -> np.ndarray:
+        out = np.full(states.shape, np.nan)
+        out[branch == 0] = states[branch == 0] / 2.0
+        lo, hi = 2.0 * states[:, 1:], states[:, 1:] + 1.0 / np.arange(1, self.dim)
+        band = np.flatnonzero((lo <= hi).all(axis=1) & (branch >= 1) & (branch < self.fanout))
+        out[band, 0] = -(states[band, 1:] ** 2).sum(axis=1)
+        out[band, 1:] = self._fractions[:, branch[band] - 1].T * (hi - lo)[band] + lo[band]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +264,8 @@ class Path:
 
 def feasible_path(phi: Correspondence, x0, branch: int, n: int) -> Path:
     """Generate x_0, ..., x_{n-1} with x_{k+1} = images(x_k)[branch], the
-    branch-``branch`` child of ``expand``. A state without that child ends
-    the path, flagged truncated."""
+    branch-``branch`` child of ``expand``, kept as an owned copy: a view would
+    hold the whole image. A state without that child ends the path, flagged truncated."""
     if n < 1:
         raise ValueError("a path needs at least one point")
     if branch < 0:
@@ -241,7 +276,7 @@ def feasible_path(phi: Correspondence, x0, branch: int, n: int) -> Path:
         imgs = phi.images(x)
         if branch >= imgs.shape[0]:
             break
-        x = imgs[branch]
+        x = imgs[branch].copy()
         pts.append(x)
     return Path(SequenceWindow(np.array(pts)), (branch,) * (len(pts) - 1), len(pts) < n)
 
@@ -285,7 +320,8 @@ def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) ->
     """
     out = np.full(states.shape[0], np.inf)
     for children, parent, _ in expand_spans(phi, states):
-        gaps = np.sqrt(((children - targets[parent]) ** 2).sum(axis=1))
+        children -= targets[parent]
+        gaps = np.sqrt(np.square(children, out=children).sum(axis=1))
         start, _ = _segments(parent)
         out[parent[start]] = np.minimum.reduceat(gaps, start)
     return out
@@ -324,23 +360,13 @@ NEWTON_ITERATIONS = 40
 _ROUNDING_STEP = 16 * np.finfo(float).eps
 
 
-def _branch_children(phi: Correspondence, states: np.ndarray, branch: np.ndarray) -> np.ndarray:
-    """Child ``branch[i]`` of ``states[i]`` per row; NaN where the image
-    is empty or has no such branch."""
-    out = np.full(states.shape, np.nan)
-    for children, parent, b in expand_spans(phi, states):
-        hit = b == branch[parent]
-        out[parent[hit]] = children[hit]
-    return out
-
-
 def _branch_newton(phi: Correspondence, x: np.ndarray, branch: np.ndarray) -> np.ndarray:
     """Solve child_branch(x) = x from every start row at once.
 
     Each branch index is a smooth map of x (a finite branch, an interval
     sample point, a band lattice point), so Newton applies per row, with
-    a forward-difference Jacobian: a step expands x and its d axis moves
-    in one ``_branch_children`` call. A row stops when its step reaches
+    a forward-difference Jacobian: a step evaluates x and its d axis moves
+    in one ``Correspondence.child`` call. A row stops when its step reaches
     rounding level, or when its child is missing, non-finite or has a
     singular Jacobian.
     """
@@ -354,7 +380,7 @@ def _branch_newton(phi: Correspondence, x: np.ndarray, branch: np.ndarray) -> np
         xa, ba = x[active], branch[active]
         xs = np.repeat(xa[None], d + 1, axis=0)  # xa, then xa moved along each axis
         xs[1 + axis, :, axis] += 1e-7 * (1.0 + np.abs(xa.T))
-        kids = _branch_children(phi, xs.reshape(-1, d), np.tile(ba, d + 1)).reshape(xs.shape)
+        kids = phi.child(xs.reshape(-1, d), np.tile(ba, d + 1)).reshape(xs.shape)
         jac = ((kids[1:] - kids[0]) / (xs[1 + axis, :, axis] - xa.T)[:, :, None]).transpose(1, 2, 0)
         jac -= eye
         with np.errstate(invalid="ignore"):  # NaN where a child is missing
@@ -388,7 +414,8 @@ def fixed_points(phi: Correspondence, box, seed: int = 0) -> np.ndarray:
     seeds = _seed_points(phi, box, seed)
     gaps, pairs = np.empty(0), np.empty((0, 2), dtype=int)  # the best (seed, branch) so far
     for children, parent, branch in expand_spans(phi, seeds):
-        gaps = np.r_[gaps, np.sqrt(((children - seeds[parent]) ** 2).sum(axis=1))]
+        children -= seeds[parent]
+        gaps = np.r_[gaps, np.sqrt(np.square(children, out=children).sum(axis=1))]
         pairs = np.r_[pairs, np.c_[parent, branch]]
         pick = np.argsort(gaps, kind="stable")[:NEWTON_PAIRS]  # ties keep the earlier pair
         gaps, pairs = gaps[pick], pairs[pick]
@@ -456,14 +483,14 @@ def continuity_probe(
     signature of a jump, or when a rung is NaN: a NaN distance is kept
     as its rung's maximum. A finest rung of zero passes. Image samples
     are the ``expand`` output; probe points and points with an empty
-    image are skipped. The probe points are expanded once for the whole
-    ladder; each rung streams its moved points through ``expand_spans``
-    (l2 at d = 8: 64 moved points, 0.5 MB of children per span). Where
+    image are skipped. Probe points come in blocks of one ``expand_spans``
+    span, and each block runs every rung on its moved points, streamed
+    too (l2 at d = 8: 64 points and 0.5 MB of children a span). Where
     base and moved images have equal counts, the matched-branch distance
     U = max_j |a_j - b_j| bounds H from above, so exact distances are
-    computed in descending U only until U falls to the best H so far,
-    carried across spans: every skipped pair has H <= U <= the rung's
-    maximum, which is therefore exact.
+    computed in descending U only until U falls to the rung's best H so
+    far, carried across spans and blocks: every skipped pair has
+    H <= U <= the rung's maximum, which is therefore exact.
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
@@ -476,39 +503,37 @@ def continuity_probe(
     rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
     dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
     dirs = dirs[np.sort(np.unique(dirs, axis=0, return_index=True)[1])]
-    base = [(kids, parent) for kids, parent, _ in expand_spans(phi, pts)]
-    base, base_parent = (np.concatenate(part) for part in zip(*base))  # frees the spans
-    base_start, base_count = _segments(base_parent)
-    pts = pts[base_parent[base_start]]  # probe points whose image is nonempty
-    rungs = []
-    for delta in ladder:
-        worst = 0.0
-        moved = (pts[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
-        for children, parent, _ in expand_spans(phi, moved):
-            start, count = _segments(parent)
-            of = parent[start] // dirs.shape[0]  # probe point of each moved image
-            # matched-branch bound U = max_j |a_j - b_j|, accumulated per
-            # coordinate like the distance matrix whose diagonal it reads,
-            # so H(A, B) <= U holds exactly; U = inf where the counts differ
-            # or a coordinate is NaN
-            bound = np.full(start.size, np.inf)
-            same = count == base_count[of]
-            if same.any():
-                seg = np.repeat(np.arange(start.size), count)
-                rows = np.flatnonzero(same[seg])
-                a = base[base_start[of[seg[rows]]] + rows - start[seg[rows]]]
-                sq = squared_distances(a, children if same.all() else children[rows])
-                bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
-            bound[np.isnan(bound)] = np.inf
-            # exact distances in descending U, until no U can beat the best;
-            # a NaN distance sticks, and ends the rung's search
-            for i in np.argsort(-bound, kind="stable"):
-                if not bound[i] > worst:
-                    break
-                b0, m0 = base_start[of[i]], start[i]
-                image = base[b0 : b0 + base_count[of[i]]]
-                worst = np.maximum(worst, hausdorff_distance(image, children[m0 : m0 + count[i]]))
-        rungs.append({"delta": float(delta), "max_ratio": float(worst / delta)})
+    worst = [0.0] * len(ladder)
+    for base, base_parent, _ in expand_spans(phi, pts):
+        base_start, base_count = _segments(base_parent)
+        live = pts[base_parent[base_start]]  # the block's probe points whose image is nonempty
+        for r, delta in enumerate(ladder):
+            moved = (live[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
+            for children, parent, _ in expand_spans(phi, moved):
+                start, count = _segments(parent)
+                of = parent[start] // dirs.shape[0]  # probe point of each moved image
+                # matched-branch bound U = max_j |a_j - b_j|, accumulated per coordinate like
+                # the distance matrix whose diagonal it reads, so H(A, B) <= U holds exactly;
+                # U = inf where the counts differ or a coordinate is NaN
+                bound = np.full(start.size, np.inf)
+                same = count == base_count[of]
+                if same.any():
+                    seg = np.repeat(np.arange(start.size), count)
+                    rows = np.flatnonzero(same[seg])
+                    a = base_start[of[seg[rows]]] + rows - start[seg[rows]]
+                    sq = squared_distances(base[a], children if same.all() else children[rows])
+                    bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
+                bound[np.isnan(bound)] = np.inf
+                # exact distances in descending U, until no U can beat the best;
+                # a NaN distance sticks, and ends the rung's search
+                for i in np.argsort(-bound, kind="stable"):
+                    if not bound[i] > worst[r]:
+                        break
+                    b0, m0 = base_start[of[i]], start[i]
+                    image = base[b0 : b0 + base_count[of[i]]]
+                    h = hausdorff_distance(image, children[m0 : m0 + count[i]])
+                    worst[r] = np.maximum(worst[r], h)
+    rungs = [{"delta": float(dl), "max_ratio": float(w / dl)} for dl, w in zip(ladder, worst)]
     ratios = np.array([r["max_ratio"] for r in rungs])
     if np.isnan(ratios).any():
         growth = np.nan

@@ -15,7 +15,7 @@ The six conditions checked here:
   witness. The strong/weak separation variants are read off the same
   sample (with eta_star prepended); ``check_conditions`` keeps them on
   ``ConditionReport.separation``. The sample, like the A1 and A2 probes'
-  moved points and the A4 scan, is streamed by ``dynamics.expand_spans``:
+  points and the A4 scan, is streamed by ``dynamics.expand_spans``:
   ``expand``'s triple per span of about ``EXPAND_CHUNK`` children.
 * A6 -- the optimum value is attainable: witnessed by a supplied
   reference path whose utility liminf reaches u(eta_star). A reference
@@ -39,7 +39,7 @@ from turnlab.dynamics import (
     Path,
     SystemInstance,
     _point,
-    _sample_box,
+    _sample_kept,
     continuity_probe,
     expand_spans,
     feasibility_check,
@@ -149,7 +149,8 @@ def _separation_audit(
 ) -> tuple[dict, SeparationVariantReport]:
     """A5 and the strong/weak separation variants from one sample.
 
-    Row 0 is eta_star, the rest are draws from F. Strong: T x <= T y
+    Row 0 is eta_star, the rest are draws from F, taken n_points box draws
+    at a time (40 rounds at most) into one array. Strong: T x <= T y
     forces x = y = eta_star. Weak: it only forces x = eta_star. The
     variants evaluate the implication at eta_star too, since that is
     where the two part ways. A5, a randomized audit of the probe box, is
@@ -165,15 +166,8 @@ def _separation_audit(
         raise ValueError("separation variants need the functional and eta_star")
     rng = np.random.default_rng(plan.seed)
     u_star = float(sys.utilities(sys.eta_star[None, :])[0])
-    collected = [sys.eta_star[None, :]]
-    drawn = 0
-    for _ in range(40):
-        if drawn >= plan.n_points:
-            break
-        draw = _sample_box(sys.box, plan.n_points, rng)
-        collected.append(draw[np.asarray(sys.utilities(draw), dtype=float).ravel() >= u_star])
-        drawn += collected[-1].shape[0]
-    pts = np.concatenate(collected, axis=0)[: 1 + plan.n_points]
+    in_f = lambda p: sys.utilities(p).ravel() >= u_star  # noqa: E731 - the draws in F
+    pts = _sample_kept(sys.box, plan.n_points, rng, in_f, 40, first=sys.eta_star)
     tx = pts @ sys.separation
     scale = 1.0 + float(np.abs(pts).max())
     scale_a5 = 1.0 + float(np.abs(pts[1:]).max(initial=0.0))

@@ -236,6 +236,69 @@ def test_feasible_path_missing_branch_truncates_and_negative_raises():
         feasible_path(FLIP_OR_HALVE, [1.0], -1, 5)
 
 
+def _expand_rows(phi, states, branch):
+    """Row ``branch[i]`` of the whole-batch ``expand`` of ``states[i]``, NaN where missing."""
+    out = np.full(states.shape, np.nan)
+    children, parent, b = phi.expand(states)
+    hit = b == branch[parent]
+    out[parent[hit]] = children[hit]
+    return out
+
+
+def _l2_states(d, rng):
+    """3,000 states in band range, but every other one pushed past
+    x_{d-1} = 1/(d-1), where its band set is empty, and some others on
+    that edge or one ulp past it."""
+    states = rng.uniform(-1.0, 1.0, (3000, d)) / np.arange(1, d + 1)
+    edge = 1.0 / (d - 1)
+    states[::2, -1] += 2.0 * edge
+    states[1::4, -1] = edge
+    states[3::8, -1] = np.nextafter(edge, 2.0)
+    return states
+
+
+@pytest.mark.parametrize(
+    "phi,states",
+    [
+        # branches 0 and 1 coincide
+        (
+            FiniteBranch((lambda x: x / 2.0, lambda x: x / 2.0, lambda x: 0.3 * x + 0.7)),
+            lambda rng: rng.uniform(-3.0, 3.0, (3000, 1)),
+        ),
+        (
+            FiniteBranch((lambda x: -x, lambda x: np.where(x > 0.5, np.nan, x))),
+            lambda rng: rng.uniform(-1.0, 1.0, (3000, 1)),
+        ),
+        # empty for |x| > 1
+        (
+            Interval1D(lambda x: x**2, lambda x: 1.0 + 0.0 * x, samples=7),
+            lambda rng: rng.uniform(-1.5, 1.5, (3000, 1)),
+        ),
+    ]
+    + [(TruncatedL2(d), lambda rng, d=d: _l2_states(d, rng)) for d in range(2, 9)],
+    ids=["coinciding", "nan-map", "empty-interval"] + [f"l2-{d}" for d in range(2, 9)],
+)
+def test_child_is_the_expand_row(phi, states):
+    rng = np.random.default_rng(5)
+    states = states(rng)
+    # three branches at or beyond fanout, and the edge branches in the first rows
+    branch = rng.integers(0, phi.fanout + 3, states.shape[0])
+    branch[:4] = [0, 1, phi.fanout - 1, phi.fanout]
+    got = phi.child(states, branch)
+    want = _expand_rows(phi, states, branch)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert np.isnan(got[branch >= phi.fanout]).all()
+    assert not np.isnan(got[branch < phi.fanout]).all()
+
+
+def test_nan_child_does_not_end_a_path():
+    # branch 1 is NaN below 0.3: the path takes that child, and the next
+    # step rejects its non-finite state, where a missing child would end it
+    phi = FiniteBranch((lambda x: x / 2.0, lambda x: np.where(x < 0.3, np.nan, x / 2.0)))
+    with pytest.raises(ValueError, match="finite"):
+        feasible_path(phi, [1.0], 1, 6)
+
+
 def test_system_rejects_non_stationary_claim():
     with pytest.raises(ValueError, match="residual"):
         SystemInstance(
