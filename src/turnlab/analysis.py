@@ -17,7 +17,8 @@ The first ceil(sqrt(N)) indices are excluded from all visit statistics
 (transient burn-in). The liminf inf{r : {n : x_n < r} is positive} is
 then the exact order statistic of Fridy and Orhan's statistical limit
 inferior: the counted post-burn-in values at ascending rank ``budget``.
-Limsup is the exact sign mirror.
+Limsup is the exact sign mirror; ``analyze_window`` reads both off the
+cluster pass's sorted copy, at rank ``budget`` from either end.
 
 Two textbook facts about the limiting cluster set, its topological
 closedness and its minimality among closed attractor sets, quantify over
@@ -83,27 +84,36 @@ def _counted_mask(model: IdealModel, n: int) -> np.ndarray:
     return mask
 
 
+def _counted_values(window: SequenceWindow, model: IdealModel, start: int) -> np.ndarray:
+    """The counted scalar values from index ``start`` on: the window's view if all count."""
+    v = window.scalars()[start:]
+    if model.kind == "density" or (model.kind == "fin" and model.cutoff <= start):
+        return v
+    return v[_counted_mask(model, window.horizon)[start:]]
+
+
 def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start: int):
     """Cells of ``sv``, the sorted post-burn-in values. A cell counts the
-    counted values in its open ball by two searches in the sorted counted
-    values: ``sv`` itself when every post-burn-in index counts, else a
-    sorted copy of the counted subset."""
-    v = window.scalars()[start:]
-    sv = np.sort(v)
-    counted = _counted_mask(model, window.horizon)[start:]
-    if counted.all():
-        cv = sv
-    else:
-        cv = v[counted]
+    counted values in its open ball by two searches in ``cv``, the sorted
+    counted values: ``sv`` itself when every post-burn-in index counts,
+    else the counted subset sorted in place. ``cv`` is returned too."""
+    sv = np.sort(window.scalars()[start:])
+    cv = _counted_values(window, model, start)
+    if cv.size < sv.size:
         cv.sort()
+    else:
+        cv = sv
     lo, hi = window.bounds[0]
     n_cells = max(1, int(np.ceil((hi - lo) / eps)))
     # cell indices of the sorted values never decrease, so the occupied
     # cells are the run starts, taken span by span and joined at the
-    # seams; truncation equals the int cast, as sv >= lo
+    # seams; truncation equals the int cast, as sv >= lo. In place, as any
+    # span temporary made after the sort adds to the peak
     runs = []
     for rows in row_spans(sv.size):
-        cells = np.clip(np.trunc((sv[rows] - lo) / eps), 0, n_cells - 1)
+        cells = np.subtract(sv[rows], lo)
+        cells /= eps
+        np.clip(np.trunc(cells, out=cells), 0, n_cells - 1, out=cells)
         runs.append(cells[_run_starts(cells[:, None])])
     cells = np.concatenate(runs)
     cells = cells[_run_starts(cells[:, None])]
@@ -128,7 +138,7 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
                 i, j = int(a[part].min()), int(b[part].max())
             yield sv[i:j, None]
 
-    return keys, counts[hit], members
+    return keys, counts[hit], members, cv
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -268,7 +278,7 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
         for part in np.split(rows, np.flatnonzero(np.diff(owner)) + 1):
             yield pts[part]
 
-    return keys, counts, members
+    return keys, counts, members, None
 
 
 def _components(edges, n: int) -> np.ndarray:
@@ -333,11 +343,11 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
     }
     if span <= 1e-12:
         diag["degenerate"] = True
-        return window.values[:1].copy(), diag
+        return window.values[:1].copy(), diag, None
     if not FLOAT_TOL * (1.0 + float(np.abs(window.bounds).max())) < eps:
         raise ValueError(f"eps_grid {eps!r} is below the window's float resolution")
     cell_stats = _cell_stats_1d if window.dim == 1 else _cell_stats_nd
-    keys, counts, members = cell_stats(window, model, eps, burn_in(window.horizon))
+    keys, counts, members, cv = cell_stats(window, model, eps, burn_in(window.horizon))
     qualifying = np.flatnonzero(counts > model.budget(theta))
     if not qualifying.size:
         # Positivity never clears theta when visits spread thin (a window
@@ -347,7 +357,7 @@ def _cluster(window: SequenceWindow, model: IdealModel, eps: float, theta: float
         qualifying = np.flatnonzero(counts == top)
         diag["theta_effective"] = top / model.horizon if model.kind == "density" else None
         diag["fallback"] = True
-    return _merge_cells(keys, qualifying, window, eps, members), diag
+    return _merge_cells(keys, qualifying, window, eps, members), diag, cv
 
 
 def cluster_points(
@@ -385,16 +395,17 @@ def ideal_liminf(window: SequenceWindow, model: IdealModel, _mirror: bool = Fals
     if window.dim != 1:
         raise ValueError(f"{name} needs a scalar window")
     model = model.at_horizon(window.horizon)
-    start = burn_in(window.horizon)
-    vals = window.scalars()[start:][_counted_mask(model, window.horizon)[start:]]
-    if _mirror:
-        np.negative(vals, out=vals)
+    vals = _counted_values(window, model, burn_in(window.horizon))
     k = model.budget()
     if vals.size <= k:
         raise UnboundedWindowError(
             f"no threshold r makes {name} finite; the window has no "
             "essential mass under this model"
         )
+    if not vals.flags.writeable:  # the window's own view: partition a copy
+        vals = vals.copy()
+    if _mirror:
+        np.negative(vals, out=vals)
     vals.partition(k)
     return float(vals[k])
 
@@ -416,13 +427,15 @@ def deviation_densities(
         raise ValueError(f"deviation scales must be positive and finite, got {scales!r}")
     model = model.at_horizon(window.horizon)
     target = np.asarray(target, dtype=float).ravel()
-    dist = np.empty(window.horizon)
-    for rows in row_spans(window.horizon):  # the same bits as one whole-window pass
-        dist[rows] = np.sqrt(((window.values[rows] - target) ** 2).sum(axis=1))
     start = burn_in(window.horizon) if apply_burn_in else 0
+    vals, found = window.values[start:], [[] for _ in scales]  # deviating indices per scale
+    for rows in row_spans(len(vals)):  # the same bits as one whole-window pass
+        dist = np.sqrt(((vals[rows] - target) ** 2).sum(axis=1))
+        for at, s in zip(found, scales):
+            at.append(np.flatnonzero(dist >= s) + (start + rows.start))
     rungs = []
-    for s in scales:
-        dev = np.nonzero(dist[start:] >= s)[0] + start
+    for s, at in zip(scales, found):
+        dev = np.concatenate(at)
         rungs.append(
             {
                 "scale": float(s),
@@ -501,11 +514,13 @@ def analyze_window(
     if limit_eps is not None and not 0 < limit_eps < np.inf:
         raise ValueError(f"limit_eps must be positive and finite, got {limit_eps!r}")
     eps = _grid(window, eps_grid)
-    pts, diag = _cluster(window, model, eps, theta)
+    pts, diag, cv = _cluster(window, model, eps, theta)
     liminf = limsup = None
-    if window.dim == 1:
-        liminf = ideal_liminf(window, model)
-        limsup = ideal_limsup(window, model)
+    k = model.at_horizon(window.horizon).budget()
+    if cv is not None and cv.size > k:  # rank k from either end; drop the copy before the ladder
+        liminf, limsup, cv = float(cv[k]), float(cv[cv.size - 1 - k]), None
+    elif window.dim == 1:  # degenerate (no sorted copy), or unbounded: ideal_liminf raises
+        liminf, limsup = ideal_liminf(window, model), ideal_limsup(window, model)
     lim_eps = limit_eps if limit_eps is not None else max(10 * eps, 1e-9)
     ladder, converges = _limit_ladder(window, pts, model, lim_eps)
     return ClusterReport(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-ROW_SPAN = 1 << 18  # rows per step of a streamed pass; bounds its temporaries
+ROW_SPAN = 1 << 15  # rows per step of a streamed pass; bounds its temporaries (256 KiB a column)
 _BLOCK_PAIRS = 4_000_000  # distance-matrix entries per block of ``_nearest``
 
 

@@ -146,9 +146,7 @@ def _one_d_windows():
 def test_one_d_occupied_cells_match_unique(window, eps):
     eps = default_grid(window) if eps is None else eps
     want = _occupied_reference(window, eps)
-    keys, _, _ = analysis._cell_stats_1d(
-        window, _model(window.horizon), eps, burn_in(window.horizon)
-    )
+    keys = analysis._cell_stats_1d(window, _model(window.horizon), eps, burn_in(window.horizon))[0]
     assert keys.tolist() == [[int(c)] for c in want]
 
 

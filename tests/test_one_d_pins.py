@@ -222,7 +222,7 @@ def test_analysis_matches_recorded(name):
 def _span_summary(window, spec, grid):
     model = parse_ideal_spec(spec, window.horizon)
     eps = analysis.default_grid(window) if grid is None else grid
-    keys, counts, members = analysis._cell_stats_1d(
+    keys, counts, members, _ = analysis._cell_stats_1d(
         window, model.at_horizon(window.horizon), eps, burn_in(window.horizon)
     )
     every = np.arange(len(keys))  # each cell its own component: its cell's values
@@ -230,12 +230,15 @@ def _span_summary(window, spec, grid):
     pts = cluster_points(window, model, eps_grid=eps)
     target = pts[0]
     rungs = deviation_densities(window, target, model, (0.5, 0.1, 0.02))
+    # the read-off liminf/limsup and the streamed ladder of the one-stop report
+    report = analyze_window(window, model, eps_grid=eps, limit_eps=0.1)
     return (
         [keys.tolist(), counts.tolist(), cells],
         pts.tolist(),
         rungs,
         ideal_liminf(window, model),
         ideal_limsup(window, model),
+        [report.liminf.hex(), report.limsup.hex(), report.ladder],
     )
 
 

@@ -3,9 +3,12 @@ paper's block-sequence analysis.
 
 A window adopts a read-only array that owns its data and copies
 anything else, so a caller's later writes never reach it. The 1-D
-analysis of the 4,038,013-point block window (31 MB of float64) holds
-the window plus one sorted copy of it, with every other temporary
-bounded by a span of rows.
+analysis of the 4,038,013-point block window (30.8 MiB of float64)
+holds the window plus one sorted copy of it, which also yields liminf
+and limsup, with every other temporary bounded by a span of rows: its
+traced peak is 63.4 MiB under density and 62.4 MiB under fin. Under
+finite-trace the counted values are a masked copy, sorted on its own,
+and the peak is 80.9 MiB.
 """
 
 import tracemalloc
@@ -16,7 +19,7 @@ import pytest
 import turnlab.windows as windows
 from turnlab.analysis import analyze_window
 from turnlab.ideals import parse_ideal_spec
-from turnlab.scenarios import build_block_sequence
+from turnlab.scenarios import block_sequence_length, build_block_sequence
 from turnlab.windows import SequenceWindow
 
 
@@ -83,15 +86,31 @@ def test_map_and_from_text_hand_over_fresh_arrays(tmp_path, monkeypatch):
     assert np.array_equal(loaded.values, source.values)
 
 
-@pytest.mark.parametrize("spec", ["density:0.01", "fin"])
-def test_block_analysis_traced_peak(spec):
-    # the window is 31 MB; before the 1-D path kept one sorted copy the
-    # same run traced a peak of 184.8 MB
+def _block_analysis_peak(spec):
+    # the model is built outside the trace: a finite-trace model's own
+    # validation peaks at 65.5 MiB of index arrays on this horizon
+    model = parse_ideal_spec(spec, block_sequence_length(10))
     tracemalloc.start()
     try:
         window = build_block_sequence(10)
-        analyze_window(window, parse_ideal_spec(spec, window.horizon), limit_eps=0.1)
+        analyze_window(window, model, limit_eps=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+    return peak, window.values.nbytes
+
+
+@pytest.mark.parametrize("spec", ["density:0.01", "fin"])
+def test_block_analysis_traced_peak(spec):
+    # the window and its sorted copy, and 4 MiB for everything else; before
+    # liminf and limsup came off the cluster pass's copy the same run traced
+    # 71.5 MiB, and before the 1-D path kept one sorted copy 184.8 MB
+    peak, window_bytes = _block_analysis_peak(spec)
+    assert peak < 2 * window_bytes + 4 * 2**20
+
+
+def test_block_analysis_traced_peak_finite_trace():
+    # the masked path holds the window, the sorted copy, the counted mask
+    # and the counted copy (80.9 MiB); the bound keeps it from growing
+    peak, _ = _block_analysis_peak("finite-trace:auto")
+    assert peak < 82 * 2**20
