@@ -76,33 +76,14 @@ def _grid(window: SequenceWindow, eps_grid: float | None) -> float:
 # cluster detection
 
 
-def _counted_mask(model: IdealModel, n: int) -> np.ndarray:
-    """``model.counted`` over the window indices range(n), span by span."""
-    mask = np.empty(n, dtype=bool)
-    for rows in row_spans(n):
-        mask[rows] = model.counted(np.arange(rows.start, rows.stop))
-    return mask
-
-
-def _counted_values(window: SequenceWindow, model: IdealModel, start: int) -> np.ndarray:
-    """The counted scalar values from index ``start`` on: the window's view if all count."""
-    v = window.scalars()[start:]
-    if model.kind == "density" or (model.kind == "fin" and model.cutoff <= start):
-        return v
-    return v[_counted_mask(model, window.horizon)[start:]]
-
-
 def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start: int):
     """Cells of ``sv``, the sorted post-burn-in values. A cell counts the
     counted values in its open ball by two searches in ``cv``, the sorted
     counted values: ``sv`` itself when every post-burn-in index counts,
-    else the counted subset sorted in place. ``cv`` is returned too."""
+    else a sorted copy of the window's counted slice. ``cv`` is returned too."""
     sv = np.sort(window.scalars()[start:])
-    cv = _counted_values(window, model, start)
-    if cv.size < sv.size:
-        cv.sort()
-    else:
-        cv = sv
+    cv = window.scalars()[model.counted_slice(start, window.horizon)]
+    cv = np.sort(cv) if cv.size < sv.size else sv
     lo, hi = window.bounds[0]
     n_cells = max(1, int(np.ceil((hi - lo) / eps)))
     # cell indices of the sorted values never decrease, so the occupied
@@ -256,7 +237,7 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
                 near = np.sqrt(dist2) < eps
                 yield c[near], at[near]
 
-    counted = _counted_mask(model, window.horizon)[start:][order]
+    counted = model.counted(order + start)
     counts = np.zeros(len(keys), dtype=np.int64)
     for c, at in ball_hits():
         counts += np.bincount(c[counted[at]], minlength=len(keys))
@@ -389,23 +370,20 @@ def ideal_liminf(window: SequenceWindow, model: IdealModel, _mirror: bool = Fals
     {n : x_n < r} is positive exactly when more than ``budget`` counted
     post-burn-in values lie below r, so the infimum is the counted value
     of rank ``budget`` in ascending order. ``_mirror`` (from ``ideal_limsup``)
-    takes it on the counted copy negated in place: the liminf of (-x_n).
+    takes it on the negated counted copy: the liminf of (-x_n).
     """
     name = "limsup" if _mirror else "liminf"
     if window.dim != 1:
         raise ValueError(f"{name} needs a scalar window")
     model = model.at_horizon(window.horizon)
-    vals = _counted_values(window, model, burn_in(window.horizon))
+    vals = window.scalars()[model.counted_slice(burn_in(window.horizon), window.horizon)]
     k = model.budget()
     if vals.size <= k:
         raise UnboundedWindowError(
             f"no threshold r makes {name} finite; the window has no "
             "essential mass under this model"
         )
-    if not vals.flags.writeable:  # the window's own view: partition a copy
-        vals = vals.copy()
-    if _mirror:
-        np.negative(vals, out=vals)
+    vals = -vals if _mirror else vals.copy()  # the window's view is read-only
     vals.partition(k)
     return float(vals[k])
 

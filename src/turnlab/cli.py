@@ -68,14 +68,14 @@ def _checked(what: str, build, *args, **kwargs):
     state grid must keep every child's cell within int64),
     ``analyze_window``, ``check_conditions`` (whose translation-invariance
     check needs a horizon above twice its largest shift) and ideal-spec
-    parsing raise ValueError on values they cannot use; at this boundary
-    that is a configuration error (exit 2), reported with ``what`` as
-    its subject.
+    parsing raise ValueError on values they cannot use, and MemoryError on
+    values too large to allocate for; at this boundary either is a
+    configuration error (exit 2), reported with ``what`` as its subject.
     """
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{what}: {str(exc) or 'out of memory'}") from exc
 
 
 @dataclass

@@ -15,7 +15,11 @@ explicit thresholds:
   then small. These models are deliberately not translation invariant.
 
 Each kind is one rule: a set is small when it holds at most ``budget``
-of the ``counted`` indices.
+of the ``counted`` indices. Those of a window [start, stop) form one
+slice, ``counted_slice``, and are counted by arithmetic: ``start:stop``
+under density, ``max(start, cutoff):stop`` under fin and ``start +
+(p - start) % 2 : stop : 2`` under finite_trace, p the parity of S. The
+mask ``counted(indices)`` is for arbitrary index sets only.
 
 Maximal ideals have no computable membership oracle and are rejected at
 parse time.
@@ -83,8 +87,8 @@ class IdealModel:
             # The trace class must keep growing inside the horizon,
             # otherwise smallness degenerates to a property of a fixed
             # finite set and the model is meaningless.
-            full = int(self.counted(np.arange(self.horizon)).sum())
-            half = int(self.counted(np.arange(self.horizon // 2)).sum())
+            n = self.horizon
+            full, half = (len(range(m)[self.counted_slice(0, m)]) for m in (n, n // 2))
             if full <= self.cutoff:
                 raise IdealSpecError(
                     "trace class has too few elements below the horizon; "
@@ -98,12 +102,23 @@ class IdealModel:
     def counted(self, indices: np.ndarray) -> np.ndarray:
         """Mask of the indices that count toward positivity: all of them
         for ``density``, those at or past the cutoff for ``fin``, and the
-        trace class S (the indices of one parity) for ``finite_trace``."""
+        trace class S (the indices of one parity) for ``finite_trace``.
+        For arbitrary index sets; a window's are one ``counted_slice``."""
         if self.kind == "fin":
             return indices >= self.cutoff
         if self.kind == "finite_trace":
             return indices % 2 == (0 if self.trace == "evens" else 1)
         return np.ones(np.shape(indices), dtype=bool)
+
+    def counted_slice(self, start: int, stop: int) -> slice:
+        """The ``counted`` indices of [start, stop) as one slice, whose
+        length is ``len(range(stop)[slice])``."""
+        if self.kind == "fin":
+            return slice(max(start, self.cutoff), stop)
+        if self.kind == "finite_trace":
+            parity = 0 if self.trace == "evens" else 1
+            return slice(start + (parity - start) % 2, stop, 2)
+        return slice(start, stop)
 
     def budget(self, fraction: float | None = None) -> int:
         """Largest number of counted indices a small set may hold.

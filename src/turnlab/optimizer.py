@@ -104,15 +104,15 @@ class SearchConfig(Report):
 # objective machinery
 
 
-def _window(n: int, model: IdealModel, tail_only: bool) -> tuple[np.ndarray, int]:
-    """Indices of the tail (last n // 2) or full window, restricted to the
-    trace class for finite-trace models, and how many of their worst
-    values the model forgives."""
-    idx = np.arange(n // 2 if tail_only else 0, n, dtype=np.int64)
-    if model.kind == "finite_trace":
-        idx = idx[model.counted(idx)]
-    k = math.ceil(model.threshold * idx.size) if model.kind == "density" else model.budget()
-    return idx, max(0, min(k, idx.size - 1))
+def _window(n: int, model: IdealModel, tail_only: bool) -> tuple[slice, int]:
+    """The tail (last n // 2) or full window as a slice of range(n),
+    restricted to the trace class for finite-trace models, and how many of
+    its worst values the model forgives."""
+    start = n // 2 if tail_only else 0
+    rows = model.counted_slice(start, n) if model.kind == "finite_trace" else slice(start, n)
+    size = len(range(n)[rows])
+    k = math.ceil(model.threshold * size) if model.kind == "density" else model.budget()
+    return rows, max(0, min(k, size - 1))
 
 
 def worst_profile(values: np.ndarray, model: IdealModel, tail_only: bool = False) -> np.ndarray:
@@ -120,8 +120,8 @@ def worst_profile(values: np.ndarray, model: IdealModel, tail_only: bool = False
     window, k the values the model forgives there: the tie-breaking
     signature. A valid model counts an index of either window."""
     values = np.asarray(values, dtype=float).ravel()
-    idx, k = _window(values.size, model.at_horizon(values.size), tail_only)
-    return np.sort(values[idx])[: k + 1]
+    rows, k = _window(values.size, model.at_horizon(values.size), tail_only)
+    return np.sort(values[rows])[: k + 1]
 
 
 def path_objective(values: np.ndarray, model: IdealModel) -> float:
@@ -359,16 +359,15 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     model = sys.ideal.at_horizon(cfg.horizon)
     n = cfg.horizon
     _, k_tail = _window(n, model, tail_only=True)
-    full_idx, k_full = _window(n, model, tail_only=False)
-    relevant = np.zeros(n, dtype=bool)
-    relevant[full_idx] = True
+    full_rows, k_full = _window(n, model, tail_only=False)
+    relevant = range(n)[full_rows]
     # one profile row per candidate: the tail profile, then the full one
     full = slice(k_tail + 1, None)
 
     states = _initial_states(sys, cfg)
     m0 = states.shape[0]
     prof = np.full((m0, k_tail + k_full + 2), np.inf)
-    if relevant[0]:
+    if 0 in relevant:
         _profile_insert(prof[:, full], sys.utilities(states).reshape(-1))
     states_log = [states]
     parents_log: list[np.ndarray] = []
@@ -381,7 +380,7 @@ def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:
     counters = {"beam_steps_expanded": 0, "beam_steps_replayed": 0}
 
     for j in range(1, n):
-        flags = (bool(relevant[j]), j >= n // 2)
+        flags = (j in relevant, j >= n // 2)
         beam_key = (*flags, states.tobytes(), prof.tobytes())
         step = next((out for past, out in recent if past == beam_key), None)
         if step is None:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import turnlab.cli as cli
 from turnlab.cli import build_parser, main, resolve_config
 
 
@@ -271,6 +272,51 @@ def test_bad_setting_exit_2_one_line_error(argv, config, says, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+    assert not (tmp_path / "out").exists()
+
+
+TOO_FEW = "trace class has too few elements below the horizon"
+NO_LIMINF = "search: no threshold r makes liminf finite"
+
+
+@pytest.mark.parametrize(
+    "horizon, code, says",
+    [(64, 2, TOO_FEW), (100, 2, TOO_FEW), (128, 2, TOO_FEW), (140, 2, NO_LIMINF), (141, 0, "")],
+)
+def test_finite_trace_short_horizons(horizon, code, says, tmp_path, capsys):
+    # the trace cutoff is min(64, N // 2): for an even N up to 128 the even
+    # class holds exactly the cutoff, and up to N = 140 the even indices past
+    # the burn-in of ceil(sqrt(N)) are at most 64, so the liminf is unbounded
+    argv = OPT + ["--ideal", "finite-trace:auto", "--horizon", str(horizon)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, builder, what",
+    [
+        (["verify", "--scenario", "ifs"], "check_conditions", "condition battery"),
+        (OPT, "maxmin_search", "search"),
+    ],
+    ids=["verify", "optimize"],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""], ids=["numpy", "bare"])
+def test_memory_error_exit_2_one_line_error(
+    argv, builder, what, message, tmp_path, capsys, monkeypatch
+):
+    # a value too large to allocate for (a --probes or --horizon of 1e11)
+    # is a configuration error, not a traceback
+    def build(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, builder, build)
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {what}: {message or 'out of memory'}\n"
     assert not (tmp_path / "out").exists()
 
 

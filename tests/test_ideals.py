@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from turnlab.ideals import (
@@ -108,6 +108,61 @@ def test_finite_sets_small_under_every_model():
         IdealModel("finite_trace", 10**5, trace="evens"),
     ):
         assert is_small(fin_set, model)
+
+
+def _model(kind, horizon, cutoff, trace):
+    return IdealModel(kind, horizon, cutoff=cutoff, trace=trace if kind == "finite_trace" else "")
+
+
+def _assert_slice_is_mask(model, start, stop):
+    idx = np.arange(start, stop)
+    rows = model.counted_slice(start, stop)
+    assert np.arange(model.horizon)[rows].tolist() == idx[model.counted(idx)].tolist()
+    assert len(range(stop)[rows]) == int(model.counted(idx).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["fin", "density", "finite_trace"]),
+    trace=st.sampled_from(["evens", "odds"]),
+)
+def test_counted_slice_is_the_counted_mask(data, kind, trace):
+    horizon = data.draw(st.integers(2, 300))
+    cutoff = data.draw(st.integers(0, horizon - 1))
+    try:
+        model = _model(kind, horizon, cutoff, trace)
+    except IdealSpecError:
+        assume(False)
+    stop = data.draw(st.integers(0, horizon))
+    _assert_slice_is_mask(model, data.draw(st.integers(0, stop)), stop)
+
+
+@pytest.mark.parametrize("kind", ["fin", "density", "finite_trace"])
+@pytest.mark.parametrize("trace", ["evens", "odds"])
+@pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (3, 20), (0, 30), (21, 40), (50, 100)])
+def test_counted_slice_past_the_cutoff_and_empty(kind, trace, start, stop):
+    # cutoff 30 lies past the stop of some windows and inside the others
+    _assert_slice_is_mask(_model(kind, 100, 30, trace), start, stop)
+
+
+@pytest.mark.parametrize("trace", ["evens", "odds"])
+def test_finite_trace_validation_counts_as_the_mask_did(trace):
+    # the trace class must hold more than the cutoff and grow past horizon // 2
+    for horizon in range(2, 160):
+        for cutoff in {0, 1, horizon // 2 - 1, horizon // 2, horizon // 2 + 1, 64}:
+            if not 0 <= cutoff < horizon:
+                continue
+            idx = np.arange(horizon)
+            in_class = idx % 2 == (0 if trace == "evens" else 1)
+            full, half = int(in_class.sum()), int(in_class[: horizon // 2].sum())
+            valid = full > cutoff and full > half
+            try:
+                IdealModel("finite_trace", horizon, cutoff=cutoff, trace=trace)
+            except IdealSpecError:
+                assert not valid, (horizon, cutoff)
+            else:
+                assert valid, (horizon, cutoff)
 
 
 def draw_small(model, rng):

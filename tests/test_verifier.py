@@ -191,6 +191,22 @@ def test_a6_judges_an_untruncated_orbit_on_its_liminf():
     assert "reference_points" not in a6 and "childless_state" not in a6
 
 
+def test_a4_fails_when_two_fixed_points_tie_in_u():
+    # x/2 and x/2 + 1/2 fix 0 and 1, where u(x) = x(1 - x) is 0 at both
+    sys_inst = SystemInstance(
+        dim=1,
+        phi=FiniteBranch((lambda x: x / 2.0, lambda x: x / 2.0 + 0.5), dim=1),
+        utility=lambda pts: pts[..., 0] * (1.0 - pts[..., 0]),
+        ideal=IdealModel("fin", 200, cutoff=8),
+        constraint=StartAt([0.5]),
+        box=np.array([[-0.5, 1.5]]),
+    )
+    a4 = check_conditions(sys_inst, PLAN).conditions["A4"]
+    assert a4["verdict"] == "fail" and a4["reason"] == "maximizer not unique"
+    assert a4["margin"] == 0.0
+    assert a4["witnesses"] == [[0.0], [1.0]]
+
+
 def test_separation_variants_crafted_gap():
     sys_inst = build_weak_separation_system(IdealModel("fin", 2048))
     rep = check_separation_variants(sys_inst, PLAN)
