@@ -33,7 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, lipschitz_ratio, min_distance, row_spans
+from turnlab.geometry import distinct, hausdorff_distance, lipschitz_ratio, min_distance
+from turnlab.geometry import row_spans, run_starts
 from turnlab.ideals import IdealModel, burn_in, is_small
 from turnlab.report import Report
 from turnlab.windows import SequenceWindow
@@ -95,9 +96,9 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
         cells = np.subtract(sv[rows], lo)
         cells /= eps
         np.clip(np.trunc(cells, out=cells), 0, n_cells - 1, out=cells)
-        runs.append(cells[_run_starts(cells[:, None])])
+        runs.append(cells[run_starts(cells)])
     cells = np.concatenate(runs)
-    cells = cells[_run_starts(cells[:, None])]
+    cells = cells[run_starts(cells)]
     centers = lo + (cells + 0.5) * eps
     a = np.searchsorted(sv, centers - eps, side="right")
     b = np.searchsorted(sv, centers + eps, side="left")
@@ -111,7 +112,7 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
         # slice of the sorted values, from its first to its last cell; the
         # top cell also holds the maximum clipped into it
         by_label = np.argsort(label, kind="stable")
-        for part in np.split(qualifying[by_label], _run_starts(label[by_label, None])[1:]):
+        for part in np.split(qualifying[by_label], run_starts(label[by_label])[1:]):
             i = int(np.searchsorted(sv, lo + int(keys[part].min()) * eps, side="left"))
             top = int(keys[part].max()) + 1
             j = sv.size if top == n_cells else int(np.searchsorted(sv, lo + top * eps, side="left"))
@@ -122,25 +123,11 @@ def _cell_stats_1d(window: SequenceWindow, model: IdealModel, eps: float, start:
     return keys, counts[hit], members, cv
 
 
-def _run_starts(rows: np.ndarray) -> np.ndarray:
-    """Positions at which sorted (n, d) rows begin a run of equal rows."""
-    new = np.empty(len(rows), dtype=bool)
-    new[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    return np.flatnonzero(new)
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D array, ascending: ``np.unique`` by a sort."""
-    a = np.sort(a)
-    return a[np.diff(a, prepend=a[:1] - 1) != 0]
-
-
 def _group_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row positions sorted stably by their (n, d) cell row, so a cell's
     positions ascend; the bounds of each cell's run in them; the cells."""
     order = np.lexsort(cells.T[::-1])
-    starts = _run_starts(cells[order])
+    starts = run_starts(cells[order])
     return order, np.append(starts, len(order)), cells[order[starts]]
 
 
@@ -155,7 +142,7 @@ def _batches(counts: np.ndarray) -> list[slice]:
     multiple of PAIR_SPAN: a run sums to less than PAIR_SPAN plus its first count."""
     ends = np.cumsum(counts)
     cuts = np.searchsorted(ends, np.arange(PAIR_SPAN, ends[-1:].sum(), PAIR_SPAN), side="right")
-    bounds = np.unique(np.r_[0, cuts, len(counts)]).tolist()
+    bounds = distinct(np.r_[0, cuts, len(counts)]).tolist()
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -173,7 +160,7 @@ def _neighbours(keys: np.ndarray, reach: int = 1, rows: np.ndarray | None = None
     rel = keys - keys.min(axis=0) + reach  # a digit stays in [0, width) under any offset
     width = rel.max(axis=0) + reach + 1
     cols = []
-    for c in np.argsort([-len(_distinct(col)) for col in keys.T], kind="stable"):
+    for c in np.argsort([-len(distinct(col)) for col in keys.T], kind="stable"):
         if len(cols) < 3 and np.prod(width[cols + [c]], dtype=float) < 2.0**62:
             cols.append(int(c))
     cols.sort()
@@ -252,11 +239,11 @@ def _cell_stats_nd(window: SequenceWindow, model: IdealModel, eps: float, start:
         size = bounds[qualifying + 1] - bounds[qualifying]
         codes = [np.repeat(label * n, size) + order[_ranges(bounds[qualifying], size)]]
         for c, at in ball_hits(qualifying, component):
-            codes.append(_distinct(label[c] * n + order[at]))
+            codes.append(distinct(label[c] * n + order[at]))
             if len(codes) == 64:
-                codes = [_distinct(np.concatenate(codes))]
-        owner, rows = np.divmod(_distinct(np.concatenate(codes)), n)
-        for part in np.split(rows, np.flatnonzero(np.diff(owner)) + 1):
+                codes = [distinct(np.concatenate(codes))]
+        owner, rows = np.divmod(distinct(np.concatenate(codes)), n)
+        for part in np.split(rows, run_starts(owner)[1:]):
             yield pts[part]
 
     return keys, counts, members, None
@@ -405,6 +392,8 @@ def deviation_densities(
         raise ValueError(f"deviation scales must be positive and finite, got {scales!r}")
     model = model.at_horizon(window.horizon)
     target = np.asarray(target, dtype=float).ravel()
+    if target.shape != (window.dim,) or not np.isfinite(target).all():
+        raise ValueError(f"target must be a finite point in {window.dim}-D, got {target!r}")
     start = burn_in(window.horizon) if apply_burn_in else 0
     vals, found = window.values[start:], [[] for _ in scales]  # deviating indices per scale
     for rows in row_spans(len(vals)):  # the same bits as one whole-window pass

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from turnlab.geometry import hausdorff_distance, row_spans, squared_distances
+from turnlab.geometry import hausdorff_distance, row_spans, run_starts, squared_distances
 from turnlab.ideals import IdealModel
 from turnlab.report import Report
 from turnlab.windows import SequenceWindow
@@ -294,13 +294,6 @@ def feasibility_check(path: Path, phi: Correspondence) -> dict:
 # fixed points
 
 
-def _segments(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal values in a grouped parent
-    array (one run per state that has children)."""
-    start = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]]) if parent.size else parent
-    return start, np.diff(np.r_[start, parent.size])
-
-
 def expand_spans(phi: Correspondence, states: np.ndarray):
     """``phi.expand(states)``'s (children, parent, branch) triple, one span
     of ceil(``EXPAND_CHUNK`` / ``phi.fanout``) rows at a time, parent counted
@@ -322,7 +315,7 @@ def _child_gaps(phi: Correspondence, states: np.ndarray, targets: np.ndarray) ->
     for children, parent, _ in expand_spans(phi, states):
         children -= targets[parent]
         gaps = np.sqrt(np.square(children, out=children).sum(axis=1))
-        start, _ = _segments(parent)
+        start = run_starts(parent)
         out[parent[start]] = np.minimum.reduceat(gaps, start)
     return out
 
@@ -492,6 +485,8 @@ def continuity_probe(
     far, carried across spans and blocks: every skipped pair has
     H <= U <= the rung's maximum, which is therefore exact.
     """
+    if samples < 1:
+        raise ValueError(f"continuity probe needs at least one sample, got {samples}")
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
     ladder = _ladder(box)
@@ -505,12 +500,14 @@ def continuity_probe(
     dirs = dirs[np.sort(np.unique(dirs, axis=0, return_index=True)[1])]
     worst = [0.0] * len(ladder)
     for base, base_parent, _ in expand_spans(phi, pts):
-        base_start, base_count = _segments(base_parent)
+        base_start = run_starts(base_parent)
+        base_count = np.diff(base_start, append=base_parent.size)
         live = pts[base_parent[base_start]]  # the block's probe points whose image is nonempty
         for r, delta in enumerate(ladder):
             moved = (live[:, None, :] + (delta * dirs)[None, :, :]).reshape(-1, d)
             for children, parent, _ in expand_spans(phi, moved):
-                start, count = _segments(parent)
+                start = run_starts(parent)
+                count = np.diff(start, append=parent.size)
                 of = parent[start] // dirs.shape[0]  # probe point of each moved image
                 # matched-branch bound U = max_j |a_j - b_j|, accumulated per coordinate like
                 # the distance matrix whose diagonal it reads, so H(A, B) <= U holds exactly;
@@ -522,7 +519,7 @@ def continuity_probe(
                     rows = np.flatnonzero(same[seg])
                     a = base_start[of[seg[rows]]] + rows - start[seg[rows]]
                     sq = squared_distances(base[a], children if same.all() else children[rows])
-                    bound[same] = np.sqrt(np.maximum.reduceat(sq, _segments(seg[rows])[0]))
+                    bound[same] = np.sqrt(np.maximum.reduceat(sq, run_starts(seg[rows])))
                 bound[np.isnan(bound)] = np.inf
                 # exact distances in descending U, until no U can beat the best;
                 # a NaN distance sticks, and ends the rung's search

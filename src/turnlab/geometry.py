@@ -35,13 +35,8 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row minima of ``_distance_matrix(a, b)``, bit for bit, at any size. Rounded
-    subtraction, square and sqrt are monotone, so for d = 1 only a point's two neighbours
-    in sorted b compete; for d >= 2 the matrix comes in blocks of ``_BLOCK_PAIRS`` entries."""
-    if a.shape[1] == 1:
-        s, x = np.sort(b[:, 0]), a[:, 0]
-        near = s[np.clip(np.searchsorted(s, x)[:, None] + [-1, 0], 0, s.size - 1)]
-        return np.sqrt(((x[:, None] - near) ** 2).min(axis=1))
+    """Row minima of ``_distance_matrix(a, b)``, bit for bit, at any size: the
+    matrix comes in blocks of at most ``_BLOCK_PAIRS`` entries, in every dimension."""
     spans = row_spans(a.shape[0], max(1, _BLOCK_PAIRS // b.shape[0]))
     return np.concatenate([_distance_matrix(a[rows], b).min(axis=1) for rows in spans])
 
@@ -73,6 +68,21 @@ def row_spans(n: int, span: int | None = None) -> list[slice]:
     """Consecutive slices of at most ``span`` (``ROW_SPAN``) rows over range(n)."""
     span = ROW_SPAN if span is None else span
     return [slice(c0, min(c0 + span, n)) for c0 in range(0, n, span)]
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys begins in a grouped 1-D array, or in the rows of a 2-D one."""
+    rows = keys[:, None] if keys.ndim == 1 else keys
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return np.flatnonzero(new)
+
+
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: ``np.unique`` by a sort."""
+    a = np.sort(a)
+    return a[run_starts(a)]
 
 
 def min_distance(point, pts) -> tuple[float, int]:

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from turnlab.geometry import distinct
 from turnlab.report import Report
 
 _KINDS = ("fin", "density", "finite_trace")
@@ -168,7 +169,7 @@ def as_index_set(indices: Iterable[int] | np.ndarray, horizon: int) -> np.ndarra
     if a.size == 0:
         return a
     if not (a[1:] > a[:-1]).all():
-        a = np.unique(a)
+        a = distinct(a)
     if a[0] < 0 or a[-1] >= horizon:
         raise ValueError(
             f"index set must lie in [0, {horizon}); got range [{a[0]}, {a[-1]}]"

@@ -71,6 +71,7 @@ from turnlab.dynamics import (
     SystemInstance,
     _box_lattice,
 )
+from turnlab.geometry import run_starts
 from turnlab.ideals import IdealModel, IdealSpecError
 from turnlab.report import Report, plain
 from turnlab.windows import SequenceWindow
@@ -162,10 +163,8 @@ def _survivors(
     mix = _CELL_MIX ** np.arange(cells.shape[1], dtype=np.int64)
     key = (cells @ mix + parent)[order]
     by_key = np.argsort(key, kind="stable")
-    sorted_key = key[by_key]
-    first = np.empty(key.size, dtype=bool)
-    first[by_key[0]] = True
-    first[by_key[1:]] = sorted_key[1:] != sorted_key[:-1]
+    first = np.zeros(key.size, dtype=bool)
+    first[by_key[run_starts(key[by_key])]] = True
     # distinct cells before each child, counted from its parent's first child
     before = np.cumsum(first) - first
     starts = np.cumsum(counts) - counts

@@ -45,6 +45,7 @@ from turnlab.dynamics import (
     feasibility_check,
     fixed_points,
 )
+from turnlab.geometry import run_starts
 from turnlab.ideals import IdealModel, check_translation_invariance
 from turnlab.report import Report, plain
 from turnlab.windows import SequenceWindow
@@ -62,8 +63,8 @@ class SamplingPlan(Report):
     continuity_samples: int = 256
 
     def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise ValueError(f"probe count must be positive, got {self.n_points}")
+        if min(self.n_points, self.continuity_samples) < 1:
+            raise ValueError(f"probe counts must be positive, got {self!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     best = np.full(pts.shape[0], -np.inf)  # a state without children gains -inf
     for children, parent, _ in expand_spans(sys.phi, pts):
-        start, _ = dynamics._segments(parent)
+        start = run_starts(parent)
         best[parent[start]] = np.maximum.reduceat(children @ sys.separation, start)
     return best - pts @ sys.separation
 

@@ -4,6 +4,8 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 captured-output section) and enforces its runtime budget.
 """
 
+import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -149,15 +151,23 @@ def test_criterion_4_counterexample_reproduction():
 def test_criterion_5_optimizer_oracle_equivalence():
     with Budget("5 optimizer oracle equivalence", 30):
         n = 12
-        for seed in range(10):
+        ideals = (
+            None,  # the system's own fin model
+            IdealModel("density", n, threshold=0.2),
+            IdealModel("finite_trace", n, cutoff=1, trace="evens"),
+        )
+        for seed, ideal in itertools.product(range(10), ideals):
             sys_inst = random_two_branch_system(seed, n)
+            if ideal is not None:
+                sys_inst = dataclasses.replace(sys_inst, ideal=ideal)
             oracle = exhaustive_maxmin(sys_inst, n)
             beam = maxmin_search(
                 sys_inst,
                 SearchConfig(horizon=n, beam_width=2048, state_grid=1e-12),
             )
-            assert beam.objective == oracle.objective, f"seed {seed}"
-            assert beam.path.trace == oracle.path.trace, f"seed {seed}"
+            case = f"seed {seed}, {sys_inst.ideal.kind}"
+            assert beam.objective == oracle.objective, case
+            assert beam.path.trace == oracle.path.trace, case
 
 
 def test_criterion_6_ifs_turnpike():

@@ -95,9 +95,9 @@ def test_residual_equals_dedup_min_distance(phi, points):
 
 
 def test_hausdorff_is_larger_directed_distance(monkeypatch):
-    # the nearest-point kernel gives the bits of the full distance matrix:
-    # sorted neighbours for d = 1, row blocks for d >= 2 (a 50-pair budget
-    # puts block seams every few rows); rounding makes ties, and squared
+    # the nearest-point kernel gives the bits of the full distance matrix
+    # from row blocks in every dimension (a 50-pair budget puts block seams
+    # every few rows); rounding makes ties, and squared
     # differences go subnormal at the 1e-161 scale and to zero at 1e-170
     rng = np.random.default_rng(5)
     shapes = [(1, 1, 1), (3, 17, 1), (33, 9, 2), (129, 129, 8), (40, 5, 3), (200, 90, 1)]

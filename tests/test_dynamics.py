@@ -174,6 +174,15 @@ def test_continuity_probe_flags_jump():
             assert not continuity_probe(jump, [[-1.0, 1.0]] * d, seed=seed).passed, (d, seed)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_continuity_probe_needs_a_sample(samples):
+    # no sample gave every rung max_ratio 0.0, a pass for a jump map
+    jump = FiniteBranch((lambda x: np.where(x > 0.3, 1.0, 0.0),))
+    assert not continuity_probe(jump, [[-1.0, 1.0]], samples=256).passed
+    with pytest.raises(ValueError, match="at least one sample"):
+        continuity_probe(jump, [[-1.0, 1.0]], samples=samples)
+
+
 def test_feasible_path_policies():
     p_alt = feasible_path(FLIP_OR_HALVE, [1.0], 0, 8)
     np.testing.assert_allclose(p_alt.points.ravel(), [(-1.0) ** n for n in range(8)])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from turnlab import dynamics
+from turnlab.analysis import deviation_densities
 from turnlab.dynamics import (
     Interval1D,
+    Path,
     StartAt,
     SystemInstance,
     FiniteBranch,
@@ -281,6 +283,24 @@ def test_turnpike_scales_must_be_positive_and_finite(bad):
     path = feasible_path(sys_inst.phi, [1.0], 0, 256)
     with pytest.raises(ValueError, match="positive and finite"):
         turnpike_verdict(path, [0.0], _dens(256), (bad,))
+
+
+@pytest.mark.parametrize("target", [None, [np.nan], [0.0, 0.0]])
+def test_turnpike_target_must_be_a_finite_point_of_the_path(target):
+    # None and [nan] read verdict True with no deviating index; [0, 0]
+    # broadcast the 1-D path against a 2-D target
+    path = Path(SequenceWindow(np.linspace(1.0, 0.0, 200)), ())
+    with pytest.raises(ValueError, match="finite point in 1-D"):
+        turnpike_verdict(path, target, IdealModel("fin", 200), (0.1,))
+    with pytest.raises(ValueError, match="finite point in 1-D"):
+        deviation_densities(path.window, target, IdealModel("fin", 200), (0.1,))
+
+
+@pytest.mark.parametrize("plan", [dict(continuity_samples=0), dict(n_points=0)])
+def test_sampling_plan_counts_must_be_positive(plan):
+    # at continuity_samples=0 the counterexample passed A1 and A2
+    with pytest.raises(ValueError, match="probe counts must be positive"):
+        SamplingPlan(**plan)
 
 
 def test_turnpike_ladder_densities_reported():
