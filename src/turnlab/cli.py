@@ -43,6 +43,7 @@ from turnlab.scenarios import (
     build_counterexample_system,
     build_ifs_system,
     build_l2_truncation,
+    l2_start,
 )
 from turnlab.verifier import (
     SamplingPlan,
@@ -188,10 +189,7 @@ def _build_system(config: RunConfig):
             raise ConfigError(f"malformed --branches value {config.branches!r}") from exc
         return _checked(what, build_ifs_system, pairs, ideal)
     # l2: argparse admits no other scenario here
-    rng = np.random.default_rng(config.seed)
-    # a negative --dim draws nothing and is left to the builder to reject
-    x_star = rng.uniform(-1.0, 1.0, max(config.dim, 0))
-    x_star *= 0.9 / max(1.0, float(np.sqrt((x_star**2).sum())))
+    x_star = _checked(what, l2_start, config.dim, config.seed)
     return _checked(what, build_l2_truncation, config.dim, x_star, ideal)
 
 
@@ -460,6 +458,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--horizon must be positive, or 0 for the default; got {base.horizon}")
     if base.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {base.seed}")
+    if not 0 < base.theta < 1:
+        raise ConfigError(f"--theta must lie in (0, 1), got {base.theta!r}")
+    if base.grid != 0 and not 0 < base.grid < np.inf:
+        raise ConfigError(f"--grid must be positive and finite, or 0 for the default; got {base.grid!r}")
     if base.output not in OUTPUTS:
         raise ConfigError(f"output must be one of {', '.join(OUTPUTS)}; got {base.output!r}")
     # analyze has no scenario: one named in a config file picks no defaults

@@ -121,6 +121,49 @@ def build_ifs_system(branches, ideal: IdealModel) -> SystemInstance:
     )
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def l2_start(d: int, seed: int) -> np.ndarray:
+    """``np.random.default_rng(seed).uniform(-1, 1, d)`` bit for bit, scaled to norm <= 0.9:
+    the ``l2`` start point, drawn by a transcription of numpy's SeedSequence and PCG64,
+    as importing ``numpy.random`` loads ``secrets``, ``hashlib`` and OpenSSL (about 6 MB)."""
+    if not 2 <= d <= 8:
+        raise ValueError("truncation dimension must lie in [2, 8]")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    h = 0x43B0D7E5
+
+    def hashmix(v: int, mult: int = 0x931E8875) -> int:
+        nonlocal h
+        v, h = v ^ h, h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    # SeedSequence(seed): the seed's 32-bit words, low first, mixed into a pool of 4
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(max(4, len(words))):
+        for dst in (t for t in range(4) if t != src):
+            v = hashmix(pool[src] if src < 4 else words[src])
+            r = 0xCA01F9DD * pool[dst] - 0x4973F715 * v & _M32
+            pool[dst] = r ^ r >> 16
+    # generate_state(4, uint64) seeds PCG64: state, then increment, high word first
+    h = 0x8B51F9DD
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = (inc + (s_hi << 64 | s_lo)) * mult + inc & _M128
+    x = np.empty(d)
+    for i in range(d):  # LCG step, XSL-RR output, 53-bit double
+        state = state * mult + inc & _M128
+        v, rot = (state >> 64 ^ state) & _M64, state >> 122
+        v = (v >> rot | v << (64 - rot)) & _M64
+        x[i] = -1.0 + 2.0 * ((v >> 11) * 2.0**-53)
+    x *= 0.9 / max(1.0, float(np.sqrt((x**2).sum())))
+    return x
+
+
 def build_l2_truncation(d: int, x_star, ideal: IdealModel) -> SystemInstance:
     """Finite-dimensional slice of the square-summable-space dynamics.
 

@@ -215,6 +215,9 @@ OPT = ["optimize", "--scenario", "counterexample"]
         (["reproduce", "blocks", "--k-max", "13"], None, ""),
         (["reproduce", "l2", "--horizon", "-3"], None, ""),
         (["optimize", "--scenario", "l2", "--dim", "-1"], None, ""),
+        # the dimension is checked before anything is drawn or allocated
+        (["optimize", "--scenario", "l2", "--dim", "100000000", "--horizon", "8"], None, "[2, 8]"),
+        (["optimize", "--scenario", "l2", "--dim", "1000000000000", "--horizon", "8"], None, "[2, 8]"),
         (["reproduce", "blocks", "--theta", "2"], None, ""),
         (["optimize", "--scenario", "l2", "--seed", "-1"], None, ""),
         (["reproduce", "l2", "--seed", "-1"], None, ""),
@@ -247,7 +250,7 @@ OPT = ["optimize", "--scenario", "counterexample"]
     ],
     ids=[
         "dim-9", "beam-0", "branches-slope-1.5", "ideal-fin-abc", "k-max-13", "horizon-neg-3",
-        "dim-neg-1", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
+        "dim-neg-1", "dim-1e8", "dim-1e12", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
         "grid-past-int64-cells", "branches-fixed-point-overflow",
         "verify-branches-span-1e154", "optimize-branches-span-1e154", "verify-branches-span-8e307",
         "analyze-one-point",
@@ -384,18 +387,37 @@ def test_missing_config_file_exit_2(alt_file, tmp_path, capsys):
     assert err.startswith("error: cannot read config file") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("theta", ["-1", "1.5"])
-def test_theta_outside_unit_interval_exit_2(theta, alt_file, tmp_path, capsys):
-    argv = ["analyze", "--input", str(alt_file), "--theta", theta]
+@pytest.mark.parametrize(
+    "command, theta",
+    [
+        (["analyze"], "-1"),
+        (["analyze"], "1.5"),
+        (["optimize", "--scenario", "ifs"], "nan"),
+        (["optimize", "--scenario", "l2"], "0"),
+        (["verify", "--scenario", "ifs"], "2"),
+        (["reproduce", "ifs"], "-1"),
+        (["reproduce", "l2"], "1"),
+    ],
+    ids=["-1", "1.5", "optimize-nan", "optimize-0", "verify-2", "reproduce-neg-1", "reproduce-1"],
+)
+def test_theta_outside_unit_interval_exit_2(command, theta, alt_file, tmp_path, capsys):
+    # checked with the other settings, before any stage: every command reads theta into its config
+    given = ["--input", str(alt_file)] if command == ["analyze"] else []
+    argv = [*command, *given, "--theta", theta]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "theta" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "optimize"])
+@pytest.mark.parametrize("command", ["analyze", "optimize", "verify", "reproduce"])
 def test_negative_grid_exit_2(command, alt_file, tmp_path, capsys):
-    target = {"analyze": ["--input", str(alt_file)], "optimize": ["--scenario", "ifs"]}
+    target = {
+        "analyze": ["--input", str(alt_file)],
+        "optimize": ["--scenario", "ifs"],
+        "verify": ["--scenario", "ifs"],
+        "reproduce": ["ifs"],
+    }
     argv = [command, *target[command], "--grid", "-0.5"]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -1,8 +1,11 @@
-"""SciPy stays off the CLI import path, and beam paths stay feasible.
+"""SciPy and, for searches, numpy.random stay off the CLI import path,
+and beam paths stay feasible.
 
 SciPy is a test-only dependency. The runtime needs NumPy alone: only the
 ``dynamics.minimize`` wrapper, which no command calls, would load SciPy.
-So ``analyze``, ``optimize`` and ``verify`` never import it.
+So ``analyze``, ``optimize`` and ``verify`` never import it. ``optimize``
+draws the ``l2`` start point without ``numpy.random``, whose import alone
+costs a search about 6 MB of peak RSS.
 """
 
 import json
@@ -19,15 +22,15 @@ import turnlab.dynamics
 from turnlab.dynamics import feasibility_check
 from turnlab.ideals import parse_ideal_spec
 from turnlab.optimizer import SearchConfig, maxmin_search
-from turnlab.scenarios import build_counterexample_system, build_l2_truncation
+from turnlab.scenarios import build_counterexample_system, build_l2_truncation, l2_start
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """SciPy modules loaded in a fresh interpreter after running ``code``."""
+def _modules_after(code: str, package: str) -> list[str]:
+    """Modules of ``package`` loaded in a fresh interpreter after running ``code``."""
     script = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.'))))\n"
     )
     # the child imports the same turnlab as this test process
     src = str(Path(turnlab.__file__).resolve().parents[1])
@@ -53,12 +56,12 @@ def _cli_run(argv: list[str]) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import turnlab.cli") == []
+    assert _modules_after("import turnlab.cli", "scipy") == []
 
 
 def test_optimize_loads_no_scipy(tmp_path):
     run = _cli_run(["optimize", "--scenario", "ifs", "--out-dir", str(tmp_path)])
-    assert _scipy_modules_after(run + "assert code == 0") == []
+    assert _modules_after(run + "assert code == 0", "scipy") == []
     assert (tmp_path / "optimize-ifs.json").is_file()
 
 
@@ -66,7 +69,7 @@ def test_analyze_loads_no_scipy(tmp_path):
     data = tmp_path / "window.txt"
     np.savetxt(data, np.where(np.arange(2000) % 2 == 0, 1.0, -1.0))
     run = _cli_run(["analyze", "--input", str(data), "--out-dir", str(tmp_path)])
-    assert _scipy_modules_after(run + "assert code == 0") == []
+    assert _modules_after(run + "assert code == 0", "scipy") == []
     assert (tmp_path / "analyze.json").is_file()
 
 
@@ -81,9 +84,20 @@ def test_verify_loads_no_scipy(tmp_path):
         + f"assert code == {want}\n"
         for name, (extra, want) in runs.items()
     )
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code, "scipy") == []
     for name in runs:
         assert (tmp_path / f"verify-{name}.json").is_file()
+
+
+def test_optimize_loads_no_numpy_random(tmp_path):
+    code = "".join(
+        _cli_run(["optimize", "--scenario", name, "--horizon", "64", "--out-dir", str(tmp_path)])
+        + "assert code == 0\n"
+        for name in ("counterexample", "ifs", "l2")
+    )
+    assert _modules_after(code, "numpy.random") == []
+    for name in ("counterexample", "ifs", "l2"):
+        assert (tmp_path / f"optimize-{name}.json").is_file()
 
 
 def test_minimize_is_a_module_attribute_with_nfev():
@@ -95,10 +109,7 @@ def test_minimize_is_a_module_attribute_with_nfev():
 
 
 def _l2_system(ideal):
-    rng = np.random.default_rng(0)
-    x_star = rng.uniform(-1.0, 1.0, 4)
-    x_star *= 0.9 / max(1.0, float(np.sqrt((x_star**2).sum())))
-    return build_l2_truncation(4, x_star, ideal)
+    return build_l2_truncation(4, l2_start(4, 0), ideal)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from turnlab.scenarios import (
     build_counterexample_system,
     build_ifs_system,
     build_l2_truncation,
+    l2_start,
 )
 
 
@@ -171,3 +172,20 @@ def test_l2_dimension_guard():
         build_l2_truncation(1, np.zeros(1), IdealModel("density", 256))
     with pytest.raises(ValueError):
         build_l2_truncation(9, np.zeros(9), IdealModel("density", 256))
+    # the start point is checked before anything is drawn, so a huge d fails at once
+    for d in (-1, 1, 9, 10**12):
+        with pytest.raises(ValueError, match=r"truncation dimension must lie in \[2, 8\]"):
+            l2_start(d, 0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        l2_start(8, -1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_l2_start_matches_numpy_default_rng(d):
+    # numpy's generator stays the reference for the transcribed draw; a seed
+    # past 2**128 has more 32-bit words than SeedSequence's pool of four
+    seeds = [*range(1000), 2**32, 2**64 - 1, 2**70 + 3, 123456789012345678901234567890, 2**160 + 5]
+    for seed in seeds:
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+        want *= 0.9 / max(1.0, float(np.sqrt((want**2).sum())))
+        assert l2_start(d, seed).tobytes() == want.tobytes(), seed
