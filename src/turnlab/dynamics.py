@@ -13,7 +13,9 @@ points are solved per (state, branch) pair by batched Newton steps,
 seeded by one coarse scan of the box plus, for finite branches, where
 each map's own orbit settles. One continuity probe serves both a
 correspondence and the graph x -> {u(x)} of a scalar map, whose
-Hausdorff distance is |u(x) - u(x')|. ``expand_spans`` yields ``expand``'s
+Hausdorff distance is |u(x) - u(x')|; besides axis moves it moves along
+a random r and -r, one of which crosses any coordinate hyperplane
+through a probe point. ``expand_spans`` yields ``expand``'s
 triple per span of about ``EXPAND_CHUNK`` children, so temporaries scale
 with that constant, not the batch.
 
@@ -21,7 +23,8 @@ A state whose image is empty has no children: ``expand`` emits none for
 it and carries on with the rest of the batch, so its ``parent`` array
 may skip rows. Such a state ends its own feasible path and no other;
 the fixed-point scan, the probe and the beam search pass over it. The
-runtime needs NumPy alone; SciPy is a test-only dependency.
+runtime needs NumPy alone, not even ``numpy.random``: every seeded draw
+comes from ``UniformStream``. SciPy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -59,13 +62,89 @@ def _point(x) -> np.ndarray:
     return p
 
 
-def _sample_box(box: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k points drawn uniformly from a (d, 2) box."""
+_M32, _M128, _PCG_MULT = (1 << 32) - 1, (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+STREAM_BLOCK = 2048  # LCG steps per vectorized block of ``UniformStream``
+
+
+def _mul_add(x: np.ndarray, s: int, add) -> np.ndarray:
+    """x * s + add mod 2^128 on (4, n) uint64 arrays of 32-bit limbs, low limb first: each
+    32 x 32-bit product fits in uint64, its halves sum per column, then carries propagate."""
+    cols = add + np.zeros_like(x)
+    for j in range(4):
+        for i in range(4 - j):
+            p = x[i] * np.uint64(s >> 32 * j & _M32)
+            cols[i + j] += p & _M32
+            if i + j < 3:
+                cols[i + j + 1] += p >> 32
+    for k in range(3):
+        cols[k + 1] += cols[k] >> 32
+    return cols & _M32
+
+
+class UniformStream:
+    """``np.random.default_rng(seed).random`` bit for bit, its state carried across calls:
+    numpy's SeedSequence and PCG64 (XSL-RR) transcribed, with the 128-bit LCG stepped a block
+    at a time on limbs, state_j = a^j s + inc (1 + a + ... + a^(j-1)) for j <= STREAM_BLOCK.
+    Both tables grow to the draw, at most a block: a^j per process, the increment sums per
+    stream, so an 8-double draw costs microseconds."""
+
+    _powers = np.empty((2, 4, 0), np.uint64)  # a^j and 1 + a + ... + a^(j-1), j = 1, 2, ...
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        h = 0x43B0D7E5
+
+        def hashmix(v: int, mult: int = 0x931E8875) -> int:
+            nonlocal h
+            v, h = v ^ h, h * mult & _M32
+            v = v * h & _M32
+            return v ^ v >> 16
+
+        # SeedSequence(seed): the seed's 32-bit words, low first, mixed into a pool of 4
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(max(4, len(words))):
+            for dst in (t for t in range(4) if t != src):
+                v = hashmix(pool[src] if src < 4 else words[src])
+                r = 0xCA01F9DD * pool[dst] - 0x4973F715 * v & _M32
+                pool[dst] = r ^ r >> 16
+        # generate_state(4, uint64) seeds PCG64: state, then increment, high word first
+        h = 0x8B51F9DD
+        out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        s_hi, s_lo, i_hi, i_lo = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+        self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self.state = (self.inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self.inc & _M128
+        self._inc_sums = np.empty((4, 0), np.uint64)  # inc (1 + a + ... + a^(j-1))
+
+    def random(self, shape) -> np.ndarray:
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        for rows in row_spans(flat.size, STREAM_BLOCK):
+            n = rows.stop - rows.start
+            if UniformStream._powers.shape[2] < n:
+                pw, c, raw = 1, 0, bytearray()
+                for _ in range(n):
+                    pw, c = pw * _PCG_MULT & _M128, c + pw & _M128
+                    raw += pw.to_bytes(16, "little") + c.to_bytes(16, "little")
+                limbs = np.frombuffer(raw, "<u4").astype(np.uint64).reshape(n, 2, 4)
+                UniformStream._powers = limbs.transpose(1, 2, 0).copy()
+            if self._inc_sums.shape[1] < n:
+                self._inc_sums = _mul_add(UniformStream._powers[1, :, :n], self.inc, 0)
+            x = _mul_add(UniformStream._powers[0, :, :n], self.state, self._inc_sums[:, :n])
+            self.state = sum(int(x[k, -1]) << 32 * k for k in range(4))
+            v, rot = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0]), x[3] >> 26
+            flat[rows] = ((v >> rot | v << (64 - rot & 63)) >> 11) * 2.0**-53
+        return out
+
+
+def _sample_box(box: np.ndarray, k: int, rng: UniformStream) -> np.ndarray:
+    """k points drawn uniformly from a (d, 2) box; ``rng`` needs only ``random(shape)``."""
     r = rng.random((k, box.shape[0]))
     return np.add(np.multiply(r, box[:, 1] - box[:, 0], out=r), box[:, 0], out=r)
 
 
-def _sample_kept(box: np.ndarray, n: int, rng: np.random.Generator, keep, rounds: int, first=None):
+def _sample_kept(box: np.ndarray, n: int, rng: UniformStream, keep, rounds: int, first=None):
     """An optional ``first`` row, then the first n box draws that the mask ``keep(draws)``
     accepts, drawn n at a time for at most ``rounds`` blocks, in one preallocated array."""
     head = 0 if first is None else 1
@@ -325,7 +404,7 @@ def _seed_points(phi: Correspondence, box: np.ndarray, seed: int) -> np.ndarray:
     if d <= 2:
         seeds = [_box_lattice(box, max(2, int(round(4096 ** (1.0 / d)))))]
     else:
-        seeds = [_sample_box(box, 1024, np.random.default_rng(seed))]
+        seeds = [_sample_box(box, 1024, UniformStream(seed))]
     if isinstance(phi, FiniteBranch):
         # an orbit end is a contraction's fixed point to the bit; Newton may miss it by one ulp
         for f in phi.maps:
@@ -458,7 +537,7 @@ def _probe_points(box: np.ndarray, samples: int, seed: int) -> np.ndarray:
         line = np.tile(center, (per_axis, 1))
         line[:, i] = np.linspace(lo[i], hi[i], per_axis)
         lines.append(line)
-    fill = _sample_box(box, samples, np.random.default_rng(seed))
+    fill = _sample_box(box, samples, UniformStream(seed))
     return np.concatenate(lines + [fill], axis=0)
 
 
@@ -474,7 +553,11 @@ def continuity_probe(
     statistic is max H(Phi(x), Phi(x')) / delta. The verdict fails when
     the statistic grows faster than delta^(-1/2) across the ladder, the
     signature of a jump, or when a rung is NaN: a NaN distance is kept
-    as its rung's maximum. A finest rung of zero passes. Image samples
+    as its rung's maximum. The moves are the first min(2d, 6) of +-e_i and,
+    for d >= 2, a uniform r from ``seed + 1`` and -r: no axis move is
+    negative from d = 4 on, but r or -r crosses any coordinate hyperplane
+    through a probe point, so a jump there shows on every seed. A finest
+    rung of zero passes. Image samples
     are the ``expand`` output; probe points and points with an empty
     image are skipped. Probe points come in blocks of one ``expand_spans``
     span, and each block runs every rung on its moved points, streamed
@@ -491,13 +574,10 @@ def continuity_probe(
     d = box.shape[0]
     ladder = _ladder(box)
     pts = _probe_points(box, samples, seed)
-    # up to six axis moves, two random unit directions; in 1-D those are
-    # +-1.0 again, so each move is kept once, at its first occurrence
-    axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
-    rnd = np.random.default_rng(seed + 1).normal(size=(2, d))
-    rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
-    dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
-    dirs = dirs[np.sort(np.unique(dirs, axis=0, return_index=True)[1])]
+    dirs = np.concatenate([np.eye(d), -np.eye(d)], axis=0)[: min(2 * d, 6)]
+    if d > 1:
+        r = -1.0 + 2.0 * UniformStream(seed + 1).random(d)
+        dirs = np.concatenate([dirs, [r, -r] / np.sqrt((r**2).sum())], axis=0)
     worst = [0.0] * len(ladder)
     for base, base_parent, _ in expand_spans(phi, pts):
         base_start = run_starts(base_parent)

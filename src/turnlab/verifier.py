@@ -3,7 +3,9 @@
 The six conditions checked here:
 
 * A1 -- the correspondence is continuous with compact (finitely sampled)
-  images: probed through Hausdorff sensitivity at shrinking scales.
+  images: probed through Hausdorff sensitivity at shrinking scales, along
+  axis moves and a random r and -r, so that a jump through the box centre
+  across any coordinate hyperplane is crossed on every seed.
 * A2 -- the utility map is continuous: the graph of u, on the A1 probe.
 * A3 -- the ideal is translation invariant: shifted small sets stay small,
   decided exactly on the worst small set of each shift.
@@ -38,6 +40,7 @@ from turnlab.dynamics import (
     FiniteBranch,
     Path,
     SystemInstance,
+    UniformStream,
     _point,
     _sample_kept,
     continuity_probe,
@@ -165,7 +168,7 @@ def _separation_audit(
     """
     if sys.separation is None or sys.eta_star is None:
         raise ValueError("separation variants need the functional and eta_star")
-    rng = np.random.default_rng(plan.seed)
+    rng = UniformStream(plan.seed)
     u_star = float(sys.utilities(sys.eta_star[None, :])[0])
     in_f = lambda p: sys.utilities(p).ravel() >= u_star  # noqa: E731 - the draws in F
     pts = _sample_kept(sys.box, plan.n_points, rng, in_f, 40, first=sys.eta_star)

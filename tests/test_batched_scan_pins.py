@@ -136,14 +136,14 @@ def _probe_reference(phi, box, samples, seed):
     distance per (probe point, direction) pair, empty images skipped."""
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
-    rng = np.random.default_rng(seed + 1)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        rnd = rng.normal(size=(2, d))
-        rnd /= np.sqrt((rnd**2).sum(axis=1))[:, None]
+        # the first min(2d, 6) axis moves, then one direction r from seed + 1 and -r
+        r = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, d)
+        r /= np.sqrt((r**2).sum())
         axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
-        dirs = np.concatenate([axes[: min(2 * d, 6)], rnd], axis=0)
+        dirs = np.concatenate([axes[: min(2 * d, 6)], [r, -r]], axis=0)
 
     def image(x):
         children = phi.expand(x[None, :])[0]

@@ -9,11 +9,13 @@ import pytest
 
 import turnlab
 from turnlab.dynamics import (
+    STREAM_BLOCK,
     FiniteBranch,
     Interval1D,
     StartAt,
     SystemInstance,
     TruncatedL2,
+    UniformStream,
     _seed_points,
     continuity_probe,
     feasibility_check,
@@ -150,6 +152,37 @@ def test_runtime_needs_no_scipy():
     assert float.fromhex(got["h3"]) == max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
+# a seed past 2**128 has more 32-bit words than SeedSequence's pool of four
+STREAM_SEEDS = [*range(1000), 2**32, 2**64 - 1, 2**70 + 3, 123456789012345678901234567890, 2**160 + 5]
+BIG = (10000, 8)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        *(((n,) * 3) for n in (0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1)),
+        (8, STREAM_BLOCK + 1, 3),  # the per-stream table grows, then serves a short draw
+        (BIG,) * 3,
+    ],
+    ids=lambda shapes: "-".join(str(s).replace(" ", "") for s in shapes),
+)
+def test_uniform_stream_matches_numpy_default_rng(shapes):
+    # numpy's generator stays the reference, compared bit for bit over three
+    # consecutive calls; the (10000, 8) draws take every 25th small seed
+    seeds = [*range(0, 1000, 25), *STREAM_SEEDS[1000:]] if shapes[0] == BIG else STREAM_SEEDS
+    for seed in seeds:
+        stream, rng = UniformStream(seed), np.random.default_rng(seed)
+        for shape in shapes:
+            got, want = stream.random(shape), rng.random(shape)
+            assert got.shape == want.shape, (seed, shape)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, shape)
+
+
+def test_uniform_stream_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        UniformStream(-1)
+
+
 def test_continuity_probe_lipschitz_branches():
     rep = continuity_probe(FLIP_OR_HALVE, [[-2.0, 2.0]])
     assert rep.passed
@@ -167,11 +200,16 @@ def test_continuity_probe_flags_jump():
     step = FiniteBranch((lambda x: np.where(x >= 0, 1.0, -1.0),), dim=1)
     rep = continuity_probe(step, [[-1.0, 1.0]])
     assert not rep.passed
-    # A2 probes the graph of u = 1{x_0 >= 0}, which jumps through the box centre
-    jump = FiniteBranch((lambda x: (x[..., 0] >= 0).astype(float),))
-    for d in (1, 2, 3, 8):
-        for seed in range(10):
-            assert not continuity_probe(jump, [[-1.0, 1.0]] * d, seed=seed).passed, (d, seed)
+    # A2 probes the graph of u = 1{x_i >= 0}, which jumps through the box centre.
+    # From d = 4 on, the first six axis moves hold no negative one, so the jump
+    # shows only along a random direction: one of r and -r crosses x_i = 0 from
+    # every probe point on a centre line, whatever the seed
+    for d, coords, seeds in ((1, (0,), 10), (2, (0,), 10), (3, (0,), 10), (8, (0, 1, 7), 60)):
+        for i in coords:
+            jump = FiniteBranch((lambda x, i=i: (x[..., i] >= 0).astype(float),))
+            for seed in range(seeds):
+                rep = continuity_probe(jump, [[-1.0, 1.0]] * d, seed=seed)
+                assert not rep.passed, (d, i, seed)
 
 
 @pytest.mark.parametrize("samples", [0, -1])

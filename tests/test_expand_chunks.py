@@ -39,18 +39,20 @@ CHUNKS = (1, 7, 100_000)
 L2_BOX = build_l2_truncation(8, np.zeros(8), IdealModel("fin", 200, cutoff=64)).box
 # continuity_probe(phi, box, samples, seed=0) rungs' max_ratio
 PROBE_PINS = {
+    # re-recorded when the probe's two random directions became one uniform r and -r
     "l2-8": (
         TruncatedL2(8),
         L2_BOX,
         256,
-        [2.8549300706898264, 2.8902688031181554, 2.908081636276723, 2.917023154563596],
+        [3.2228789062774097, 3.1838276604193188, 3.1644174618468077, 3.1547418409741104],
     ),
-    # base and moved images differ in count where x_i crosses 1/i
+    # base and moved images differ in count where x_i crosses 1/i;
+    # re-recorded with l2-8
     "l2-crossing": (
         TruncatedL2(3),
         [[-0.5, 0.5], [0.6, 1.4], [0.2, 0.8]],
         64,
-        [44.83581157958446, 89.83457018319841, 179.8339511883115, 359.83364211813216],
+        [45.15387435356016, 90.15261914261946, 180.1519899322469, 360.1516749275183],
     ),
     "flip-or-halve": (
         FiniteBranch((lambda x: -x, lambda x: x / 2.0), dim=1),

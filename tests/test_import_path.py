@@ -1,11 +1,11 @@
-"""SciPy and, for searches, numpy.random stay off the CLI import path,
+"""SciPy and numpy.random stay off the CLI import path,
 and beam paths stay feasible.
 
 SciPy is a test-only dependency. The runtime needs NumPy alone: only the
 ``dynamics.minimize`` wrapper, which no command calls, would load SciPy.
-So ``analyze``, ``optimize`` and ``verify`` never import it. ``optimize``
-draws the ``l2`` start point without ``numpy.random``, whose import alone
-costs a search about 6 MB of peak RSS.
+So ``analyze``, ``optimize`` and ``verify`` never import it. Every seeded
+draw comes from ``dynamics.UniformStream``, not ``numpy.random``, whose
+import alone costs a command about 6 MB of peak RSS.
 """
 
 import json
@@ -89,15 +89,27 @@ def test_verify_loads_no_scipy(tmp_path):
         assert (tmp_path / f"verify-{name}.json").is_file()
 
 
-def test_optimize_loads_no_numpy_random(tmp_path):
-    code = "".join(
-        _cli_run(["optimize", "--scenario", name, "--horizon", "64", "--out-dir", str(tmp_path)])
-        + "assert code == 0\n"
+def test_commands_load_no_numpy_random(tmp_path):
+    runs = {
+        f"optimize-{name}": (["optimize", "--scenario", name, "--horizon", "64"], 0)
         for name in ("counterexample", "ifs", "l2")
+    }
+    runs |= {
+        "verify-counterexample": (
+            ["verify", "--scenario", "counterexample", "--ideal", "finite-trace:auto"], 1
+        ),
+        "verify-ifs": (["verify", "--scenario", "ifs"], 0),
+        "verify-l2": (["verify", "--scenario", "l2", "--ideal", "density:0.01"], 0),
+        # the short horizon fails the turnpike verdict; the draws all run
+        "reproduce-l2": (["reproduce", "l2", "--horizon", "64", "--probes", "200"], 1),
+    }
+    code = "".join(
+        _cli_run([*argv, "--out-dir", str(tmp_path)]) + f"assert code == {want}\n"
+        for argv, want in runs.values()
     )
     assert _modules_after(code, "numpy.random") == []
-    for name in ("counterexample", "ifs", "l2"):
-        assert (tmp_path / f"optimize-{name}.json").is_file()
+    for name in runs:
+        assert (tmp_path / f"{name}.json").is_file()
 
 
 def test_minimize_is_a_module_attribute_with_nfev():

@@ -77,8 +77,10 @@ PINS = {
     # rungs and growth moved and the plan lost delta_ladder; nothing else moved
     # Re-recorded when the search's trim option went: the optimizer config
     # lost trim_fraction; nothing else moved
+    # Re-recorded when the probe's two random directions became one uniform r
+    # and -r: the A1 rungs and growth moved; nothing else moved
     "reproduce-l2": (
-        1, "ab1ea11ac04c799e73e9e8f7f836fce0c9a95d9958f2929e0455b9df9ae98a02"
+        1, "79ab280a777de8962b86bdca3c37ba1136c97ae3d8f2375a07ce1789e964884a"
     ),
     # Re-recorded when the search's trim option went: the optimizer config
     # lost trim_fraction; nothing else moved
@@ -89,8 +91,10 @@ PINS = {
     # and the plan translation_samples/translation_shifts; nothing else moved
     # Re-recorded when A2 became the A1 probe of the graph of u: the A2
     # rungs and growth moved and the plan lost delta_ladder; nothing else moved
+    # Re-recorded when the probe's two random directions became one uniform r
+    # and -r: the A1 rungs and growth moved; nothing else moved
     "verify-l2": (
-        0, "39f68f40e26f68f84423e2d70902e2a47069f5c02b1ed8fb5f76b5d756fa9269"
+        0, "779d90dd32bfd9dbd2c651272cbe4227f3214904dd2c9f8db33437357742a892"
     ),
     # recorded before the l2 band kernel, the probe chunks and the witness
     # image changed; every condition and separation result must keep it.
@@ -98,8 +102,10 @@ PINS = {
     # and the plan translation_samples/translation_shifts; nothing else moved
     # Re-recorded when A2 became the A1 probe of the graph of u: the A2
     # rungs and growth moved and the plan lost delta_ladder; nothing else moved
+    # Re-recorded when the probe's two random directions became one uniform r
+    # and -r: the A1 rungs and growth moved; nothing else moved
     "verify-l2-default": (
-        0, "c0286e5a705d7c594648a5ec4f8913f46dd4dcc18eb2feb67bf82de6299bf9f6"
+        0, "1a2f0328931accb78642a61f6f224c313805641944c9b5fa4e3996a03e68adfc"
     ),
 }
 

@@ -182,9 +182,9 @@ def test_l2_dimension_guard():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_l2_start_matches_numpy_default_rng(d):
-    # numpy's generator stays the reference for the transcribed draw; a seed
-    # past 2**128 has more 32-bit words than SeedSequence's pool of four
-    seeds = [*range(1000), 2**32, 2**64 - 1, 2**70 + 3, 123456789012345678901234567890, 2**160 + 5]
+    # numpy's generator stays the reference for the draw's transform and scaling;
+    # the stream itself is swept over 1,005 seeds in test_dynamics
+    seeds = [*range(20), 2**32, 2**64 - 1, 2**70 + 3, 123456789012345678901234567890, 2**160 + 5]
     for seed in seeds:
         want = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
         want *= 0.9 / max(1.0, float(np.sqrt((want**2).sum())))
