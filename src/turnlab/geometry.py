@@ -75,7 +75,10 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     rows = keys[:, None] if keys.ndim == 1 else keys
     new = np.empty(len(rows), dtype=bool)
     new[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    # column by column: a reduction along a short row axis is several times slower
+    np.not_equal(rows[1:, 0], rows[:-1, 0], out=new[1:])
+    for j in range(1, rows.shape[1]):
+        new[1:] |= rows[1:, j] != rows[:-1, j]
     return np.flatnonzero(new)
 
 

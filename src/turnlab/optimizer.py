@@ -25,22 +25,15 @@ utility such as copysign tells them apart), so their continuations can
 differ. With a beam at least as wide as the dedup-group count the search
 is exhaustive-equivalent up to that grid, not exactly.
 
-A step ranks only the children that can survive. Children of one parent
-share its profile row, and inserting a value v into a profile is
-elementwise non-decreasing in v, so within a parent the full comparator
-(objective, profile, utility, index) reduces to v descending, then
-index. The selection relies on ``Correspondence.expand`` grouping
-children by parent, then branch, so that index order within a parent is
-branch order. A child can be kept only if fewer than ``beam_width``
-distinct dedup keys precede it in its parent's order. The cell is a
-coarser key than (cell, profile row), so keeping each parent's children
-up to and including its ``beam_width``-th distinct cell keeps a superset
-of the survivors, and ranking and deduplicating that superset keeps
-exactly the children that ranking all of them keeps. A NaN utility never
-enters a profile and so breaks the monotonicity: a step with one ranks
-every child, as does a step where no parent has more than
-``beam_width`` children. ``frontier_sizes`` counts the children from
-before the selection.
+A step ranks groups, not children. Children of one parent whose
+utilities have the same bits share every rank key but their index: the
+parent's profile row with that value inserted, and the value itself.
+So a step inserts each (parent, value) group's value once, ranks the
+groups, and takes their children by group rank, then index. Groups tie
+only across parents, or as +-0.0 or NaN bit-variants within one; either
+way ``Correspondence.expand``'s parent-major order and the stable sort
+that forms the groups number tied groups in index order, so this is the
+order a rank of every child gives.
 
 A step is a function of its input beam (the bytes of the states and the
 profile rows) and two flags: whether its index counts toward the window,
@@ -78,7 +71,6 @@ from turnlab.windows import SequenceWindow
 
 EXHAUSTIVE_BUDGET = 10**7
 EXHAUSTIVE_MAX_HORIZON = 16
-_CELL_MIX = 1_000_003  # odd multiplier of the cell hash; wraps modulo 2**64
 _CELL_LIMIT = 2.0**62  # largest |cell index| a finite child may reach
 
 
@@ -131,45 +123,17 @@ def path_objective(values: np.ndarray, model: IdealModel) -> float:
 
 
 def _profile_insert(prof: np.ndarray, vals: np.ndarray) -> None:
-    """Insert vals[i] into the ascending profile prof[i], in place.
+    """Insert vals[i] into the ascending profile prof[i], in place,
+    without a sort: entry j becomes min(prof[i, j], max(prof[i, j - 1],
+    vals[i])), entry 0 min(prof[i, 0], vals[i]), and the largest entry
+    drops out. A NaN inserts as +inf, which changes nothing.
 
     A zero is stored as +0.0: the beam dedups on the raw bytes of the
     profiles, and -0.0 would make value-equal candidates look distinct.
     """
-    hit = vals < prof[:, -1]
-    if not hit.any():
-        return
-    merged = np.concatenate([prof[hit], vals[hit, None] + 0.0], axis=1)
-    merged.sort(axis=1)
-    prof[hit] = merged[:, :-1]
-
-
-def _survivors(
-    parent: np.ndarray, vals: np.ndarray, cells: np.ndarray, width: int
-) -> Optional[np.ndarray]:
-    """Ascending indices of a superset of the children a beam step of
-    ``width`` keeps, or None when every child must be ranked: no parent
-    has more than ``width`` children, or a utility is NaN.
-
-    Each parent's children are taken by descending value, ties in index
-    order, up to and including its ``width``-th distinct cell. Cells are
-    told apart by an integer hash of (parent, cell row); a collision
-    merges two cells and so only keeps more children.
-    """
-    counts = np.bincount(parent)
-    if counts.max() <= width or np.isnan(vals).any():
-        return None
-    order = np.lexsort((-vals, parent))
-    mix = _CELL_MIX ** np.arange(cells.shape[1], dtype=np.int64)
-    key = (cells @ mix + parent)[order]
-    by_key = np.argsort(key, kind="stable")
-    first = np.zeros(key.size, dtype=bool)
-    first[by_key[run_starts(key[by_key])]] = True
-    # distinct cells before each child, counted from its parent's first child
-    before = np.cumsum(first) - first
-    starts = np.cumsum(counts) - counts
-    keep = before - before[starts[parent[order]]] < width
-    return np.sort(order[keep])
+    v = np.fmin(vals, np.inf)[:, None] + 0.0
+    np.minimum(prof[:, 1:], np.maximum(prof[:, :-1], v), out=prof[:, 1:])
+    np.minimum(prof[:, :1], v, out=prof[:, :1])
 
 
 def _rank(
@@ -183,15 +147,12 @@ def _rank(
 
     One float key array for the stable ``np.lexsort``, whose last row is
     the primary key; candidates are indexed in trace order, so full ties
-    fall to the smaller trace.
+    fall to the smaller trace. A profile column on which every candidate
+    ties cannot move a stable sort, so it is left out.
     """
-    head = 0 if utility is None else 1
-    keys = np.empty((head + profile.shape[1] + 1, objective.size))
-    if utility is not None:
-        np.negative(utility, out=keys[0])
-    np.negative(profile[:, ::-1].T, out=keys[head:-1])
-    np.negative(objective, out=keys[-1])
-    return np.lexsort(keys)
+    head = [] if utility is None else [utility]
+    varying = profile[:, (profile != profile[:1]).any(axis=0)]
+    return np.lexsort(-np.vstack([*head, varying[:, ::-1].T, objective]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +245,51 @@ def _initial_states(sys: SystemInstance, cfg: SearchConfig) -> np.ndarray:
     return _box_lattice(box, per_axis)[: cfg.beam_width]
 
 
+def _select(
+    prof: np.ndarray,
+    parent: np.ndarray,
+    vals: np.ndarray,
+    cells: np.ndarray,
+    width: int,
+    k_tail: int,
+    relevant: bool,
+    in_tail: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The children a beam step of ``width`` keeps, ascending, and their
+    profile rows: the first ``width`` distinct (cell, profile row) keys
+    in rank order, children grouped by (parent, utility bits)."""
+    by_group = np.lexsort((vals, parent))
+    starts = run_starts(np.array([parent[by_group], vals[by_group].view(np.int64)]).T)
+    first = by_group[starts]
+    g_prof, g_vals = prof[parent[first]], vals[first]
+    if relevant:
+        _profile_insert(g_prof[:, k_tail + 1 :], g_vals)
+        if in_tail:
+            _profile_insert(g_prof[:, : k_tail + 1], g_vals)
+    # pruning rank: current utility between profile and trace order
+    # keeps climbing lineages alive through the otherwise
+    # objective-blind transient
+    kept: list[int] = []
+    kept_groups: list[int] = []
+    seen: set[bytes] = set()
+    bounds = np.append(starts, by_group.size).tolist()
+    for g in _rank(g_prof[:, k_tail + 1 :], g_prof[:, k_tail], utility=g_vals).tolist():
+        row = g_prof[g].tobytes()
+        for i in by_group[bounds[g] : bounds[g + 1]].tolist():
+            child_key = cells[i].tobytes() + row
+            if child_key not in seen:
+                seen.add(child_key)
+                kept.append(i)
+                kept_groups.append(g)
+        if len(kept) >= width:
+            break
+    # ``expand`` lists children by parent, then branch: with the beam
+    # in trace order, ascending child indices are in trace order too
+    rows = np.array(kept[:width])
+    order = rows.argsort()
+    return rows[order], g_prof[np.array(kept_groups[:width])[order]]
+
+
 def _beam_step(
     sys: SystemInstance,
     cfg: SearchConfig,
@@ -301,9 +307,7 @@ def _beam_step(
     children, parent, branch = sys.phi.expand(states)
     if children.shape[0] == 0:
         return None
-    tail, full = slice(0, k_tail + 1), slice(k_tail + 1, None)
     vals = sys.utilities(children).reshape(-1)
-    size = vals.size
     # compared before dividing, so the check itself cannot overflow
     mag = np.abs(children)
     big = (mag >= _CELL_LIMIT * cfg.state_grid) & (mag < np.inf)
@@ -313,37 +317,11 @@ def _beam_step(
             f"{float(mag[big].max()):g}: its cell index reaches 2^62"
         )
     cells = np.round(children / cfg.state_grid).astype(np.int64)
-    rows = _survivors(parent, vals, cells, cfg.beam_width)
-    if rows is not None:
-        children, parent, branch, vals, cells = (
-            a[rows] for a in (children, parent, branch, vals, cells)
-        )
-    c_prof = prof[parent]
-    if relevant:
-        _profile_insert(c_prof[:, full], vals)
-        if in_tail:
-            _profile_insert(c_prof[:, tail], vals)
-    # pruning rank: current utility between profile and trace order
-    # keeps climbing lineages alive through the otherwise
-    # objective-blind transient
-    order = _rank(c_prof[:, full], c_prof[:, k_tail], utility=vals)
-    kept: list[int] = []
-    seen: set[bytes] = set()
-    for i in order:
-        child_key = cells[i].tobytes() + c_prof[i].tobytes()
-        if child_key in seen:
-            continue
-        seen.add(child_key)
-        kept.append(i)
-        if len(kept) >= cfg.beam_width:
-            break
-    # ``expand`` lists children by parent, then branch: with the beam
-    # in trace order, ascending child indices are in trace order too
-    kept_arr = np.sort(np.array(kept, dtype=np.int64))
-    out = (children[kept_arr], c_prof[kept_arr], parent[kept_arr], branch[kept_arr])
+    rows, c_prof = _select(prof, parent, vals, cells, cfg.beam_width, k_tail, relevant, in_tail)
+    out = (children[rows], c_prof, parent[rows], branch[rows])
     for a in out:
         a.setflags(write=False)
-    return (*out, (size, int(kept_arr.size)))
+    return (*out, (vals.size, int(rows.size)))
 
 
 def maxmin_search(sys: SystemInstance, cfg: SearchConfig) -> OptimReport:

@@ -1,18 +1,18 @@
-"""The beam step's survivor selection against a full rank of every child.
+"""The beam step's group selection against a full rank of every child.
 
-``_full_step`` is the step as it ran before the selection: insert each
+``_full_step`` is the step as a rank of every child runs it: insert each
 child's value into its parent's profile row, rank all children, and keep
-the first ``width`` distinct (cell, profile) keys. On random steps with
-tied values, +-0.0, +-inf, NaN, coarse (colliding) cells and parents
-with fewer children than the beam, ``_survivors`` must return a superset
-of what the full step keeps, and the full step run on that superset
-alone must keep the same children with the same profiles.
+the first ``width`` distinct (cell, profile) keys. ``_select`` ranks
+(parent, utility bits) groups instead and takes their children by group
+rank, then index. On random steps with tied values, +-0.0, +-inf, NaN,
+coarse (colliding) cells and parents with fewer or more children than
+the beam, it must keep the same children with the same profile bytes.
 """
 
 import numpy as np
 import pytest
 
-from turnlab.optimizer import _profile_insert, _rank, _survivors
+from turnlab.optimizer import _profile_insert, _rank, _select
 
 
 def _full_step(prof, parent, vals, cells, width, k_tail, tail, full):
@@ -36,7 +36,17 @@ def _full_step(prof, parent, vals, cells, width, k_tail, tail, full):
     return kept, c_prof[kept]
 
 
+def _both(prof, parent, vals, cells, width, k_tail=0, tail=True, full=True):
+    """The full step's and ``_select``'s kept indices and profile bytes."""
+    step = (prof, parent, vals, cells, width, k_tail)
+    want = _full_step(*step, tail, full)
+    got = _select(*step, full, tail)
+    return [(rows.tolist(), rows_prof.tobytes()) for rows, rows_prof in (want, got)]
+
+
 VALUES = np.array([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf])
+NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(float)[0]
+NEG_ZERO_BITS = np.array([-0.0]).view(np.int64)[0]
 
 
 def _random_step(rng, nan):
@@ -55,6 +65,7 @@ def _random_step(rng, nan):
     vals = np.where(rng.random(n) < 0.5, rng.choice(VALUES, n), rng.normal(size=n))
     if nan == "some":
         vals[rng.random(n) < 0.2] = np.nan
+        vals[rng.random(n) < 0.1] = NEG_NAN
         vals[rng.integers(n)] = np.nan
     elif nan == "all":
         vals[:] = np.nan
@@ -65,35 +76,68 @@ def _random_step(rng, nan):
 
 
 @pytest.mark.parametrize("nan", ["none", "some", "all"])
-def test_survivors_keep_every_child_the_full_step_keeps(nan):
+def test_selection_keeps_what_the_full_step_keeps(nan):
     rng = np.random.default_rng({"none": 0, "some": 1, "all": 2}[nan])
-    selected = 0
+    wide = 0
     for _ in range(1500):
         step = _random_step(rng, nan)
         if step is None:
             continue
-        prof, parent, vals, cells, width, k_tail, tail, full = step
-        kept, kept_prof = _full_step(*step)
-        rows = _survivors(parent, vals, cells, width)
-        if rows is None:
-            assert nan != "none" or np.bincount(parent).max() <= width
-            continue
-        assert nan == "none"
-        selected += 1
-        assert np.all(rows[1:] > rows[:-1])
-        assert np.isin(kept, rows).all()
-        sub = _full_step(prof, parent[rows], vals[rows], cells[rows], width, k_tail, tail, full)
-        assert np.array_equal(rows[sub[0]], kept)
-        assert sub[1].tobytes() == kept_prof.tobytes()
-    assert nan != "none" or selected > 500
+        want, got = _both(*step)
+        assert got == want
+        wide += np.bincount(step[1]).max() > step[4]
+    assert wide > 500
 
 
-def test_survivors_are_a_prefix_up_to_the_width_th_distinct_cell():
-    # one parent; by value, ties by index: 1 (cell a), 0 (a), 3 (b), 2 (b), 4 (c)
+def test_tied_parents_keep_index_order():
+    # two parents with equal rows, each with children of values 2.0, 2.0
+    prof = np.array([[0.5, np.inf], [0.5, np.inf]])
+    parent = np.array([0, 0, 1, 1])
+    vals = np.full(4, 2.0)
+    distinct = np.array([[0], [1], [2], [3]])
+    for width, kept in ((1, [0]), (3, [0, 1, 2])):
+        want, got = _both(prof, parent, vals, distinct, width)
+        assert got == want and got[0] == kept
+    # the second parent's children repeat the first's keys
+    shared = np.array([[0], [1], [0], [1]])
+    want, got = _both(prof, parent, vals, shared, 4)
+    assert got == want and got[0] == [0, 1]
+
+
+def test_signed_zeros_and_nans_of_one_parent():
+    vals = np.array([np.nan, -0.0, 0.0, NEG_NAN, -0.0])
     parent = np.zeros(5, dtype=np.int64)
-    vals = np.array([2.0, 3.0, 1.0, 2.0, 0.0])
-    cells = np.array([[0], [0], [1], [1], [2]])
-    assert _survivors(parent, vals, cells, 1).tolist() == [1]
-    assert _survivors(parent, vals, cells, 2).tolist() == [0, 1, 3]
-    assert _survivors(parent, vals, cells, 3).tolist() == [0, 1, 2, 3, 4]
-    assert _survivors(parent, vals, cells, 5) is None
+    cells = np.arange(5)[:, None]
+    # no value enters the row, so the zeros tie and lead, then the NaNs
+    low = np.array([[-1.0, -1.0]])
+    for width, kept in ((2, [1, 2]), (4, [0, 1, 2, 4]), (5, [0, 1, 2, 3, 4])):
+        want, got = _both(low, parent, vals, cells, width)
+        assert got == want and got[0] == kept
+    # a zero enters the row as +0.0, so both signs share one key in one cell
+    high = np.array([[0.5, np.inf]])
+    want, got = _both(high, parent, vals, np.zeros((5, 1), dtype=np.int64), 5)
+    assert got == want and got[0] == [0, 1]
+    assert got[1] == np.array([[0.5, np.inf], [0.0, 0.0]]).tobytes()
+
+
+def test_all_nan_step_ranks_the_parents_rows():
+    prof = np.array([[0.5, 1.0], [0.5, 2.0], [0.25, np.inf]])
+    parent = np.array([0, 0, 1, 2, 2])
+    vals = np.full(5, np.nan)
+    cells = np.arange(5)[:, None]
+    want, got = _both(prof, parent, vals, cells, 2)
+    assert got == want and got[0] == [0, 2]
+    assert got[1] == prof[[0, 1]].tobytes()
+
+
+def test_profile_insert_is_a_sorted_merge():
+    # stored rows hold no -0.0 and no NaN: ``_profile_insert`` writes neither
+    rng = np.random.default_rng(3)
+    stored = VALUES[VALUES.view(np.int64) != NEG_ZERO_BITS]
+    for _ in range(2000):
+        prof = np.sort(rng.choice(stored, (int(rng.integers(1, 9)), int(rng.integers(1, 6)))), axis=1)
+        vals = rng.choice(np.append(VALUES, np.nan), prof.shape[0])
+        merged = np.sort(np.concatenate([prof, vals[:, None] + 0.0], axis=1), axis=1)[:, :-1]
+        want = np.where(np.isnan(vals)[:, None], prof, merged)
+        _profile_insert(prof, vals)
+        assert prof.tobytes() == want.tobytes()

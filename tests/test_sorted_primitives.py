@@ -1,6 +1,6 @@
 """``geometry.run_starts`` and ``geometry.distinct``, the sort-based
 primitives behind the cell passes, the continuity probe, the beam's
-survivor marks and ``as_index_set``, checked against ``np.unique``."""
+(parent, utility) groups and ``as_index_set``, checked against ``np.unique``."""
 
 import numpy as np
 import pytest
