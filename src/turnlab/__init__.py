@@ -8,10 +8,7 @@ samples. Every verdict carries the thresholds it was computed with.
 
 from turnlab.ideals import (
     IdealModel,
-    upper_density,
     is_small,
-    is_positive,
-    is_dual,
     check_translation_invariance,
     parse_ideal_spec,
 )
@@ -22,7 +19,6 @@ from turnlab.analysis import (
     cluster_points,
     ideal_liminf,
     ideal_limsup,
-    ideal_limit,
     check_image_cluster_identity,
     check_representation_identity,
 )
@@ -50,7 +46,6 @@ from turnlab.verifier import (
     SamplingPlan,
     ConditionReport,
     TurnpikeVerdict,
-    t_hat,
     check_conditions,
     check_separation_variants,
     turnpike_verdict,
@@ -66,10 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IdealModel",
-    "upper_density",
     "is_small",
-    "is_positive",
-    "is_dual",
     "check_translation_invariance",
     "parse_ideal_spec",
     "SequenceWindow",
@@ -78,7 +70,6 @@ __all__ = [
     "cluster_points",
     "ideal_liminf",
     "ideal_limsup",
-    "ideal_limit",
     "check_image_cluster_identity",
     "check_representation_identity",
     "FiniteBranch",
@@ -100,7 +91,6 @@ __all__ = [
     "SamplingPlan",
     "ConditionReport",
     "TurnpikeVerdict",
-    "t_hat",
     "check_conditions",
     "check_separation_variants",
     "turnpike_verdict",

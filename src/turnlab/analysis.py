@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from turnlab.geometry import distinct, hausdorff_distance, lipschitz_ratio, min_distance
+from turnlab.geometry import distinct, hausdorff_distance, min_distance
 from turnlab.geometry import row_spans, run_starts
 from turnlab.ideals import IdealModel, burn_in, is_small
 from turnlab.report import Report
@@ -414,25 +414,6 @@ def deviation_densities(
     return rungs
 
 
-def ideal_limit(
-    window: SequenceWindow,
-    model: IdealModel,
-    eps: float,
-    eps_grid: float | None = None,
-    theta: float = DEFAULT_POSITIVITY,
-) -> Optional[np.ndarray]:
-    """The limit point, when one exists at the tested scales.
-
-    The candidate is the sole cluster point (nothing is returned when the
-    cluster set is not a singleton); it is confirmed when the deviation
-    set {n : ||x_n - candidate|| >= s} is small for s in (eps, eps/2, eps/4).
-    """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    pts = cluster_points(window, model, eps_grid=eps_grid, theta=theta)
-    return _limit_ladder(window, pts, model, eps)[1]
-
-
 def _limit_ladder(window, pts, model, eps) -> tuple[list[dict], Optional[np.ndarray]]:
     """Deviation rungs at eps, eps/2 and eps/4 around a sole cluster
     point, and that point when every rung is small."""
@@ -506,8 +487,8 @@ def analyze_window(
 
 
 def lipschitz_estimate(h: Callable[[np.ndarray], np.ndarray], window: SequenceWindow) -> float:
-    """Sampled Lipschitz constant of h over at most 4,096 pairs among at
-    most 96 evenly strided window points."""
+    """Sampled Lipschitz constant of h over at most 4,096 pairs more than 1e-12
+    apart (0.0 without one) among at most 96 evenly strided window points."""
     pts = window.values
     m = min(96, pts.shape[0])
     stride = max(1, pts.shape[0] // m)
@@ -516,7 +497,12 @@ def lipschitz_estimate(h: Callable[[np.ndarray], np.ndarray], window: SequenceWi
     if ii.size > 4096:
         keep = np.linspace(0, ii.size - 1, 4096).astype(int)
         ii, jj = ii[keep], jj[keep]
-    return lipschitz_ratio(h, sub[ii], sub[jj])
+    gap = np.sqrt(((sub[ii] - sub[jj]) ** 2).sum(axis=1))
+    ok = gap > 1e-12
+    if not ok.any():
+        return 0.0
+    ha, hb = (np.asarray(h(sub[k[ok]]), dtype=float).reshape(ok.sum(), -1) for k in (ii, jj))
+    return float((np.sqrt(((ha - hb) ** 2).sum(axis=1)) / gap[ok]).max())
 
 
 @dataclass(frozen=True)

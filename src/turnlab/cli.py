@@ -23,6 +23,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -48,7 +49,6 @@ from turnlab.scenarios import (
 from turnlab.verifier import (
     SamplingPlan,
     check_conditions,
-    t_hat,
     t_hat_batch,
     turnpike_verdict,
 )
@@ -241,7 +241,7 @@ def _finish(config: RunConfig, name: str, results: dict, table=None, passed=True
     out = write_report(config, results, name, opt.counters if opt else None)
     if table is not None and config.output in ("csv", "both"):
         write_path_csv(config, *table, name)
-    print(f"  report: {out}")
+    print(f"  report: {out}", flush=True)  # a closed stdout fails here, not at exit
     return 0 if passed else 1
 
 
@@ -338,7 +338,7 @@ def _reproduce_ifs(config: RunConfig) -> tuple[dict, bool, tuple]:
 def _reproduce_l2(config: RunConfig) -> tuple[dict, bool, tuple]:
     sys_inst = _build_system(config)
     conditions = _conditions(config, sys_inst)
-    origin_gain = t_hat(sys_inst, sys_inst.eta_star)
+    origin_gain = float(t_hat_batch(sys_inst, sys_inst.eta_star[None, :])[0])
     box = np.tile([-1.0, 1.0], (config.dim, 1))
     rng = UniformStream(config.seed + 1)
     draw = _sample_kept(box, config.probes, rng, lambda p: p[:, 0] >= 0.0, 4)
@@ -488,6 +488,9 @@ def main(argv=None) -> int:
     except (ConfigError, IdealSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: exit 1, and /dev/null takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -54,16 +54,6 @@ def hausdorff_distance(a, b) -> float:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
-def lipschitz_ratio(h, a: np.ndarray, b: np.ndarray) -> float:
-    """max ||h(a_i) - h(b_i)|| / ||a_i - b_i|| over rows > 1e-12 apart, else 0."""
-    gap = np.sqrt(((a - b) ** 2).sum(axis=1))
-    ok = gap > 1e-12
-    if not ok.any():
-        return 0.0
-    ha, hb = (np.asarray(h(p[ok]), dtype=float).reshape(gap[ok].size, -1) for p in (a, b))
-    return float((np.sqrt(((ha - hb) ** 2).sum(axis=1)) / gap[ok]).max())
-
-
 def row_spans(n: int, span: int | None = None) -> list[slice]:
     """Consecutive slices of at most ``span`` (``ROW_SPAN``) rows over range(n)."""
     span = ROW_SPAN if span is None else span

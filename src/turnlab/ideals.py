@@ -177,31 +177,9 @@ def as_index_set(indices: Iterable[int] | np.ndarray, horizon: int) -> np.ndarra
     return a
 
 
-def upper_density(indices: Iterable[int] | np.ndarray, n: int, horizon: int | None = None) -> float:
-    """|{a in A : a < n}| / n, the empirical upper density at n."""
-    if horizon is None:
-        horizon = int(n)
-    if not 1 <= n <= horizon:
-        raise ValueError(f"n must lie in [1, {horizon}], got {n}")
-    a = as_index_set(indices, horizon)
-    count = int(np.searchsorted(a, n, side="left"))
-    return count / n
-
-
 def is_small(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
     """Membership oracle: does the index set belong to the ideal?"""
     return int(model.counted(as_index_set(indices, model.horizon)).sum()) <= model.budget()
-
-
-def is_positive(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
-    return not is_small(indices, model)
-
-
-def is_dual(indices: Iterable[int] | np.ndarray, model: IdealModel) -> bool:
-    """True when the complement in [0, horizon) is small (dual-filter membership)."""
-    a = as_index_set(indices, model.horizon)
-    comp = np.setdiff1d(np.arange(model.horizon, dtype=np.int64), a, assume_unique=True)
-    return is_small(comp, model)
 
 
 def _shifted_model(model: IdealModel, shift: int) -> IdealModel:

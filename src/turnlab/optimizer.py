@@ -408,9 +408,9 @@ def exhaustive_maxmin(sys: SystemInstance, horizon: int) -> OptimReport:
     """Enumerate every branch trace and return the exact surrogate optimum.
 
     Shares the objective, tie profile, and lexicographic ordering with
-    maxmin_search, so a wide-enough beam must reproduce its result
-    exactly. Only finite-branch systems with a pinned start are small
-    enough to enumerate.
+    maxmin_search, so a beam at least as wide as the dedup-group count
+    matches it up to the state grid, not exactly (see the module
+    docstring). Only finite-branch systems with a pinned start enumerate.
     """
     if horizon > EXHAUSTIVE_MAX_HORIZON:
         raise SearchBudgetError(f"exhaustive horizon capped at {EXHAUSTIVE_MAX_HORIZON}")

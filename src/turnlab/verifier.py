@@ -41,7 +41,6 @@ from turnlab.dynamics import (
     Path,
     SystemInstance,
     UniformStream,
-    _point,
     _sample_kept,
     continuity_probe,
     expand_spans,
@@ -74,13 +73,8 @@ class SamplingPlan(Report):
 # separation functional helpers
 
 
-def t_hat(sys: SystemInstance, x) -> float:
-    """Best one-step separation gain max over y in Phi(x) of T(y - x)."""
-    return float(t_hat_batch(sys, _point(x)[None, :])[0])
-
-
 def t_hat_batch(sys: SystemInstance, pts: np.ndarray) -> np.ndarray:
-    """Vectorized t_hat over a (P, d) batch."""
+    """Best one-step separation gain max over y in Phi(x) of T(y - x), per row x of pts."""
     if sys.separation is None:
         raise ValueError("system has no separation functional configured")
     pts = np.asarray(pts, dtype=float)

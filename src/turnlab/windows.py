@@ -69,6 +69,3 @@ class SequenceWindow:
             raise ValueError(f"sequence file {path} holds no points")
         data.setflags(write=False)
         return cls(data)
-
-    def to_text(self, path: str | FilePath) -> None:
-        np.savetxt(path, self.values, fmt="%.17g")

@@ -34,7 +34,6 @@ from turnlab.verifier import (
     SamplingPlan,
     check_conditions,
     check_separation_variants,
-    t_hat,
     t_hat_batch,
     turnpike_verdict,
 )
@@ -200,7 +199,7 @@ def test_criterion_7_l2_truncation():
             k: v["verdict"] for k, v in conditions.conditions.items()
         }
 
-        assert t_hat(sys_inst, sys_inst.eta_star) == 0.0
+        assert t_hat_batch(sys_inst, sys_inst.eta_star[None, :])[0] == 0.0
 
         probes = rng.uniform(-1.0, 1.0, (4 * 10_000, d))
         probes = probes[probes[:, 0] > 0.0][:10_000]

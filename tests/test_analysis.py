@@ -12,7 +12,6 @@ from turnlab.analysis import (
     default_grid,
     deviation_densities,
     ideal_liminf,
-    ideal_limit,
     ideal_limsup,
 )
 from turnlab.ideals import IdealModel
@@ -37,16 +36,14 @@ def test_alternating_liminf_limsup_density():
 
 def test_alternating_no_limit_density_or_fin():
     w = alternating_window()
-    assert ideal_limit(w, DENS, 0.1) is None
-    assert ideal_limit(w, FIN, 0.1) is None
+    assert analyze_window(w, DENS, limit_eps=0.1).converges_to is None
+    assert analyze_window(w, FIN, limit_eps=0.1).converges_to is None
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
 def test_limit_scales_must_be_positive_and_finite(bad):
     # a NaN or infinite scale made every deviation set empty, hence small
     w = alternating_window()
-    with pytest.raises(ValueError, match="positive and finite"):
-        ideal_limit(w, TRACE_EVENS, bad)
     with pytest.raises(ValueError, match="limit_eps"):
         analyze_window(w, TRACE_EVENS, limit_eps=bad)
     with pytest.raises(ValueError, match="deviation scales"):
@@ -61,7 +58,7 @@ def test_alternating_under_evens_trace():
     assert ideal_liminf(w, TRACE_EVENS) == pytest.approx(1.0, abs=1e-6)
     pts = cluster_points(w, TRACE_EVENS)
     assert pts.shape == (1, 1)
-    lim = ideal_limit(w, TRACE_EVENS, 0.1)
+    lim = analyze_window(w, TRACE_EVENS, limit_eps=0.1).converges_to
     assert lim is not None and lim[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -69,7 +66,7 @@ def test_constant_window_short_circuits():
     w = SequenceWindow(np.full(500, 3.25))
     pts = cluster_points(w, IdealModel("density", 500))
     np.testing.assert_allclose(pts, [[3.25]])
-    lim = ideal_limit(w, IdealModel("density", 500), 0.1)
+    lim = analyze_window(w, IdealModel("density", 500), limit_eps=0.1).converges_to
     np.testing.assert_allclose(lim, [3.25])
 
 
@@ -85,7 +82,6 @@ def test_constant_window_report_keeps_its_zero_grid():
 
 GRID_ENTRY_POINTS = {
     "cluster_points": lambda w, m, g: cluster_points(w, m, eps_grid=g),
-    "ideal_limit": lambda w, m, g: ideal_limit(w, m, 0.1, eps_grid=g),
     "analyze_window": lambda w, m, g: analyze_window(w, m, eps_grid=g),
     "image_identity": lambda w, m, g: check_image_cluster_identity(w, lambda t: 2 * t, m, eps_grid=g),
     "representation_identity": lambda w, m, g: check_representation_identity(
@@ -214,7 +210,7 @@ def test_liminf_limsup_gap_tracks_limit_existence():
     decaying = SequenceWindow(0.9 ** np.arange(n))
     model = IdealModel("density", n)
     eps = default_grid(decaying)
-    assert ideal_limit(decaying, model, 10 * eps) is not None
+    assert analyze_window(decaying, model, limit_eps=10 * eps).converges_to is not None
     assert ideal_limsup(decaying, model) - ideal_liminf(decaying, model) <= eps
 
 
@@ -258,7 +254,7 @@ def test_window_validation():
 def test_window_text_roundtrip(tmp_path):
     w = SequenceWindow(np.random.default_rng(0).uniform(-1, 1, (50, 3)))
     f = tmp_path / "w.txt"
-    w.to_text(f)
+    np.savetxt(f, w.values, fmt="%.17g")
     back = SequenceWindow.from_text(f)
     np.testing.assert_allclose(back.values, w.values)
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import turnlab
 import turnlab.cli as cli
 from turnlab.cli import build_parser, main, resolve_config
 
@@ -588,3 +593,22 @@ def test_path_csv_bytes_match_row_writer(d, with_target, tmp_path):
     _path_csv_by_rows(tmp_path / "rows.csv", pts, u_values, target)
     file = write_path_csv(RunConfig(command="analyze", out_dir=str(tmp_path)), pts, u_values, target, "path")
     assert file.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
+    # `turnlab optimize ... | head -0`: the reader is gone before the first line
+    src = str(Path(turnlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # Python reads an empty PYTHONUNBUFFERED as unset
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1" if unbuffered else "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "turnlab.cli", "optimize", "--scenario", "ifs", "--out-dir", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -10,11 +10,8 @@ from turnlab.ideals import (
     as_index_set,
     burn_in,
     check_translation_invariance,
-    is_dual,
-    is_positive,
     is_small,
     parse_ideal_spec,
-    upper_density,
 )
 
 EVENS_1K = np.arange(0, 1000, 2)
@@ -38,35 +35,6 @@ def test_as_index_set_rejects_out_of_range(indices):
         as_index_set(indices, 1000)
 
 
-def test_upper_density_evens():
-    assert upper_density(EVENS_1K, 1000) == 0.5
-
-
-def test_upper_density_squares_enumeration():
-    # oracle: direct enumeration of perfect squares below 10^4
-    count = sum(1 for k in range(200) if k * k < 10_000)
-    assert count == 100
-    assert upper_density(SQUARES[SQUARES < 10_000], 10_000) == count / 10_000
-
-
-def test_upper_density_empty():
-    assert upper_density([], 17, horizon=100) == 0.0
-
-
-def test_upper_density_range_error():
-    with pytest.raises(ValueError):
-        upper_density(EVENS_1K, 0, horizon=1000)
-    with pytest.raises(ValueError):
-        upper_density(EVENS_1K, 1001, horizon=1000)
-
-
-def test_evens_density_error_bound():
-    # |density(evens, n) - 1/2| <= 1/n
-    evens = np.arange(0, 10**6, 2)
-    for n in (10, 101, 999, 12345, 10**6):
-        assert abs(upper_density(evens, n, horizon=10**6) - 0.5) <= 1.0 / n
-
-
 def test_is_small_examples():
     dens = IdealModel("density", 10**6, threshold=0.01)
     assert not is_small(np.arange(0, 10**6, 2), dens)
@@ -83,12 +51,11 @@ def test_fin_small_iff_below_cutoff():
 
 
 def test_positive_and_dual():
+    # positive: not small; dual: the complement in [0, horizon) is small
     dens = IdealModel("density", 1000)
-    evens = np.arange(0, 1000, 2)
-    assert is_positive(evens, dens)
-    assert not is_dual(evens, dens)  # complement (odds) is not small
-    near_full = np.arange(5, 1000)
-    assert is_dual(near_full, dens)
+    assert not is_small(np.arange(0, 1000, 2), dens)  # evens are positive
+    assert not is_small(np.arange(1, 1000, 2), dens)  # so their complement is not dual
+    assert is_small(np.arange(5), dens)  # the complement of [5, 1000), which is dual
 
 
 def test_full_set_never_small():

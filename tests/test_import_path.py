@@ -55,6 +55,54 @@ def _cli_run(argv: list[str]) -> str:
     )
 
 
+PUBLIC = [
+    "IdealModel",
+    "is_small",
+    "check_translation_invariance",
+    "parse_ideal_spec",
+    "SequenceWindow",
+    "ClusterReport",
+    "analyze_window",
+    "cluster_points",
+    "ideal_liminf",
+    "ideal_limsup",
+    "check_image_cluster_identity",
+    "check_representation_identity",
+    "FiniteBranch",
+    "Interval1D",
+    "TruncatedL2",
+    "SystemInstance",
+    "StartAt",
+    "Free",
+    "Path",
+    "fixed_points",
+    "continuity_probe",
+    "feasible_path",
+    "feasibility_check",
+    "SearchConfig",
+    "OptimReport",
+    "maxmin_search",
+    "exhaustive_maxmin",
+    "path_objective",
+    "SamplingPlan",
+    "ConditionReport",
+    "TurnpikeVerdict",
+    "check_conditions",
+    "check_separation_variants",
+    "turnpike_verdict",
+    "build_counterexample_system",
+    "build_block_sequence",
+    "build_ifs_system",
+    "build_l2_truncation",
+]
+
+
+def test_public_surface_is_pinned():
+    # a new public name is a deliberate edit of this list
+    assert turnlab.__all__ == PUBLIC
+    exec("from turnlab import *", {})  # every entry imports
+
+
 def test_cli_import_loads_no_scipy():
     assert _modules_after("import turnlab.cli", "scipy") == []
 

@@ -22,7 +22,6 @@ from turnlab.verifier import (
     SamplingPlan,
     check_conditions,
     check_separation_variants,
-    t_hat,
     t_hat_batch,
     turnpike_verdict,
 )
@@ -37,8 +36,7 @@ def _dens(n=2048):
 
 def test_t_hat_flip_or_halve():
     sys_inst = build_counterexample_system(_dens())
-    assert t_hat(sys_inst, [1.0]) == -0.5
-    assert t_hat(sys_inst, [0.0]) == 0.0
+    assert t_hat_batch(sys_inst, [[1.0], [0.0]]).tolist() == [-0.5, 0.0]
 
 
 @pytest.mark.parametrize("chunk", [1024, 2])
@@ -69,7 +67,7 @@ def test_t_hat_singleton():
         separation=np.array([1.0]),
         eta_star=np.array([0.0]),
     )
-    assert t_hat(half, [2.0]) == -1.0
+    assert t_hat_batch(half, [[2.0]])[0] == -1.0
 
 
 def test_t_hat_negative_on_upper_level_set():
@@ -78,7 +76,7 @@ def test_t_hat_negative_on_upper_level_set():
     pts = rng.uniform(1e-6, 2.0, (500, 1))
     gains = t_hat_batch(sys_inst, pts)
     assert np.all(gains < 0)
-    assert t_hat(sys_inst, sys_inst.eta_star) == 0.0
+    assert t_hat_batch(sys_inst, sys_inst.eta_star[None, :])[0] == 0.0
 
 
 def test_conditions_counterexample_density_all_pass():
