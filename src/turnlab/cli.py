@@ -13,8 +13,10 @@ Reports are JSON (deterministic for a fixed config and seed; timestamps
 live in a separate ``meta`` field) plus, with ``--output csv|both``, a
 CSV path table with columns ``n, x_0..x_{d-1}, u, dist_to_eta_star``:
 the window for ``analyze`` and ``reproduce blocks``, the optimizer path
-for the other commands that search, none for ``verify``. Exit status: 0 for
-pass verdicts, 1 for fail verdicts, 2 for configuration errors.
+for the other commands that search, none for ``verify``. A command
+writes its report before any summary line, so a reader that leaves early
+never costs it. Exit status: 0 for pass verdicts, 1 for fail verdicts, 2
+for configuration errors, among them an unwritable report or CSV path.
 """
 
 from __future__ import annotations
@@ -129,20 +131,6 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def write_report(
-    config: RunConfig, results: dict, name: str, counters: dict | None = None
-) -> FilePath:
-    """Write ``{name}.json``: resolved config, results, and a ``meta``
-    field with the timestamp and, when given, the run's work counters."""
-    meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
-    if counters:
-        meta["counters"] = dict(counters)
-    report = {"config": plain(config), "results": plain(results), "meta": meta}
-    path = FilePath(config.out_dir) / f"{name}.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def write_path_csv(
     config: RunConfig, pts: np.ndarray, u_values: np.ndarray, eta_star, name: str
 ) -> FilePath:
@@ -232,16 +220,24 @@ def _conditions(config: RunConfig, sys_inst):
     return _checked("condition battery", check_conditions, sys_inst, plan)
 
 
-def _finish(config: RunConfig, name: str, results: dict, table=None, passed=True) -> int:
-    """Write ``{name}.json`` (with the optimizer's work counters in
-    ``meta``) and, when ``--output`` asks for it and the run has a path
-    table, ``{name}.csv``; print the report line; return the exit code."""
-    opt = results.get("optimizer")
-    FilePath(config.out_dir).mkdir(parents=True, exist_ok=True)
-    out = write_report(config, results, name, opt.counters if opt else None)
-    if table is not None and config.output in ("csv", "both"):
-        write_path_csv(config, *table, name)
-    print(f"  report: {out}", flush=True)  # a closed stdout fails here, not at exit
+def _finish(config: RunConfig, name: str, results: dict, lines: list, table=None, passed=True) -> int:
+    """Write ``{name}.json`` (with the timestamp and the optimizer's work
+    counters in ``meta``) and, when ``--output`` asks for it and the run has
+    a path table, ``{name}.csv``; only then print ``lines`` and the report
+    line; return the exit code."""
+    meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
+    if "optimizer" in results:
+        meta["counters"] = dict(results["optimizer"].counters)
+    report = {"config": plain(config), "results": plain(results), "meta": meta}
+    out = FilePath(config.out_dir) / f"{name}.json"
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        if table is not None and config.output in ("csv", "both"):
+            write_path_csv(config, *table, name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out.parent}: {exc.strerror}") from exc
+    print(*lines, f"  report: {out}", sep="\n", flush=True)  # a closed stdout fails here
     return 0 if passed else 1
 
 
@@ -260,35 +256,34 @@ def cmd_analyze(config: RunConfig) -> int:
         raise ConfigError(f"sequence file {config.input}: analyze needs at least two points")
     report, table = _analysis(config, window)
     results = report.to_dict()
-    print(f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.ideal}")
-    print(f"  cluster points: {results['cluster_points']}")
+    lines = [
+        f"analyze: {window.horizon} points, dim {window.dim}, ideal {config.ideal}",
+        f"  cluster points: {results['cluster_points']}",
+    ]
     if report.liminf is not None:
-        print(f"  liminf {report.liminf:.6g}  limsup {report.limsup:.6g}")
-    print(f"  converges_to: {results['converges_to']}")
-    return _finish(config, "analyze", results, table)
+        lines.append(f"  liminf {report.liminf:.6g}  limsup {report.limsup:.6g}")
+    lines.append(f"  converges_to: {results['converges_to']}")
+    return _finish(config, "analyze", results, lines, table)
 
 
 def cmd_optimize(config: RunConfig) -> int:
     results, table = _search(config, _build_system(config))
     opt = results["optimizer"]
-    print(
+    line = (
         f"optimize {config.scenario}: objective {opt.objective:.6g}, "
         f"liminf {opt.revalidated_liminf:.6g}, turnpike {results['turnpike'].verdict}"
     )
     passed = opt.consistent and not opt.collapsed
-    return _finish(config, f"optimize-{config.scenario}", results, table, passed)
+    return _finish(config, f"optimize-{config.scenario}", results, [line], table, passed)
 
 
 def cmd_verify(config: RunConfig) -> int:
     conditions = _conditions(config, _build_system(config))
     separation = conditions.separation
-    for name in sorted(conditions.conditions):
-        print(f"  {name}: {conditions.conditions[name]['verdict']}")
-    print(
-        f"  separation: strong={separation.strong_holds} weak={separation.weak_holds}"
-    )
+    lines = [f"  {name}: {conditions.verdict(name)}" for name in sorted(conditions.conditions)]
+    lines.append(f"  separation: strong={separation.strong_holds} weak={separation.weak_holds}")
     results = {"conditions": conditions, "separation": separation}
-    return _finish(config, f"verify-{config.scenario}", results, passed=conditions.all_pass)
+    return _finish(config, f"verify-{config.scenario}", results, lines, passed=conditions.all_pass)
 
 
 # each ``reproduce`` scenario runs its stages and checks the documented
@@ -370,8 +365,8 @@ REPRODUCE = {
 def cmd_reproduce(config: RunConfig) -> int:
     results, reproduced, table = REPRODUCE[config.scenario](config)
     reproduced = results["reproduced"] = bool(reproduced)
-    print(f"reproduce {config.scenario}: {'ok' if reproduced else 'MISMATCH'}")
-    return _finish(config, f"reproduce-{config.scenario}", results, table, reproduced)
+    line = f"reproduce {config.scenario}: {'ok' if reproduced else 'MISMATCH'}"
+    return _finish(config, f"reproduce-{config.scenario}", results, [line], table, reproduced)
 
 
 COMMANDS = {
@@ -411,19 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     for name, text in (("optimize", "maxmin path search on a scenario"),
-                       ("verify", "condition battery A1-A6 plus separation variants")):
+                       ("verify", "condition battery A1-A6 plus separation variants"),
+                       ("reproduce", "full documented pipeline for one scenario")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--scenario", required=True, choices=("counterexample", "ifs", "l2"))
+        if name == "reproduce":
+            p.add_argument("scenario", choices=SCENARIO_NAMES)
+            p.add_argument("--k-max", dest="k_max", type=int, default=None)
+        else:
+            p.add_argument("--scenario", required=True, choices=("counterexample", "ifs", "l2"))
         p.add_argument("--branches", default=None, help="ifs branches as a,b:a,b")
         p.add_argument("--dim", type=int, default=None)
         _add_common(p)
-
-    p = sub.add_parser("reproduce", help="full documented pipeline for one scenario")
-    p.add_argument("scenario", choices=SCENARIO_NAMES)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--branches", default=None, help="ifs branches as a,b:a,b")
-    p.add_argument("--dim", type=int, default=None)
-    _add_common(p)
 
     return parser
 
@@ -471,7 +464,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     base.ideal = base.ideal or ("fin" if ifs else "density:0.01")
     base.horizon = base.horizon or (200 if ifs else 4096)
     # a bad --out-dir fails before any stage runs; it is made only when a
-    # report is written, so a configuration error leaves nothing behind
+    # report is written, so an error in a stage leaves nothing behind
     ancestor = FilePath(base.out_dir)
     while not ancestor.exists():
         ancestor = ancestor.parent

@@ -612,3 +612,62 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+    assert (tmp_path / "optimize-ifs.json").exists()  # the report is written before any line
+
+
+@pytest.mark.parametrize(
+    "taken, output", [("optimize-ifs.json", "json"), ("optimize-ifs.csv", "both")], ids=["json", "csv"]
+)
+def test_unwritable_report_path_exit_2(taken, output, tmp_path, capsys):
+    # a directory where the report or its CSV goes: one error line, and no
+    # summary line, since the summary is printed only after both are written
+    (tmp_path / taken).mkdir()
+    argv = ["optimize", "--scenario", "ifs", "--output", output, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot write {tmp_path / taken}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, report, lines",
+    [
+        (
+            ["analyze", "--ideal", "fin"], 0, "analyze.json",
+            [
+                "analyze: 4000 points, dim 1, ideal fin",
+                "  cluster points: [[-1.0], [1.0]]",
+                "  liminf -1  limsup 1",
+                "  converges_to: None",
+            ],
+        ),
+        (
+            ["optimize", "--scenario", "counterexample", "--horizon", "256", "--beam", "16"],
+            0, "optimize-counterexample.json",
+            ["optimize counterexample: objective 1.35081e-225, liminf -3.96553e-118, turnpike False"],
+        ),
+        (
+            ["verify", "--scenario", "counterexample", "--ideal", "finite-trace:auto"],
+            1, "verify-counterexample.json",
+            [
+                "  A1: pass",
+                "  A2: pass",
+                "  A3: fail",
+                "  A4: pass",
+                "  A5: pass",
+                "  A6: pass",
+                "  separation: strong=True weak=True",
+            ],
+        ),
+        (["reproduce", "ifs"], 0, "reproduce-ifs.json", ["reproduce ifs: ok"]),
+    ],
+    ids=["analyze", "optimize", "verify", "reproduce"],
+)
+def test_command_stdout_lines(argv, code, report, lines, alt_file, tmp_path, capsys):
+    # every line each command prints, not a substring of it
+    if argv[0] == "analyze":
+        argv = [*argv, "--input", str(alt_file)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+    report_line = f"  report: {tmp_path / 'out' / report}"
+    assert capsys.readouterr().out.splitlines() == [*lines, report_line]
