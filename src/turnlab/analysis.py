@@ -570,27 +570,22 @@ def check_representation_identity(
     2. the smallest cluster point of the image sequence,
     3. the minimum of u over the state cluster set,
 
-    plus the mirrored limsup triple. All must pairwise agree within
+    plus the mirrored limsup triple. Routes 2 and 3 are the two sides of
+    ``check_image_cluster_identity(window, u, ...)``, whose Lipschitz
+    estimate of u they share. All must pairwise agree within
     eps_grid * (1 + Lipschitz estimate of u).
     """
     eps = _grid(window, eps_grid)
     image_window = window.map(u)
     if image_window.dim != 1:
         raise ValueError("u must map points to scalars")
-    q1_min = ideal_liminf(image_window, model)
-    q1_max = ideal_limsup(image_window, model)
-    image_clusters = _cluster(image_window, model, eps, theta)[0]
-    q2_min = float(image_clusters.min())
-    q2_max = float(image_clusters.max())
-    state_clusters = _cluster(window, model, eps, theta)[0]
-    u_on_clusters = np.asarray(u(state_clusters), dtype=float).ravel()
-    q3_min = float(u_on_clusters.min())
-    q3_max = float(u_on_clusters.max())
-    lip = lipschitz_estimate(u, window)
+    q1 = ideal_liminf(image_window, model), ideal_limsup(image_window, model)
+    sides = check_image_cluster_identity(window, u, model, eps_grid, theta)
+    q2, q3 = ((float(side.min()), float(side.max())) for side in (sides.rhs, sides.lhs))
     scale = 1.0 + float(np.abs(image_window.bounds).max())
-    tol = max(eps * (1.0 + lip), FLOAT_TOL * scale)
-    lim_inf = {"order_statistic": q1_min, "image_cluster_min": q2_min, "state_cluster_min": q3_min}
-    lim_sup = {"order_statistic": q1_max, "image_cluster_max": q2_max, "state_cluster_max": q3_max}
+    tol = max(eps * (1.0 + sides.lipschitz), FLOAT_TOL * scale)
+    lim_inf = {"order_statistic": q1[0], "image_cluster_min": q2[0], "state_cluster_min": q3[0]}
+    lim_sup = {"order_statistic": q1[1], "image_cluster_max": q2[1], "state_cluster_max": q3[1]}
     spread = max(
         max(lim_inf.values()) - min(lim_inf.values()),
         max(lim_sup.values()) - min(lim_sup.values()),
@@ -598,7 +593,7 @@ def check_representation_identity(
     return RepresentationReport(
         passed=spread <= tol,
         tolerance=tol,
-        lipschitz=lip,
+        lipschitz=sides.lipschitz,
         liminf_values=lim_inf,
         limsup_values=lim_sup,
     )

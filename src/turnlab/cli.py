@@ -13,10 +13,11 @@ Reports are JSON (deterministic for a fixed config and seed; timestamps
 live in a separate ``meta`` field) plus, with ``--output csv|both``, a
 CSV path table with columns ``n, x_0..x_{d-1}, u, dist_to_eta_star``:
 the window for ``analyze`` and ``reproduce blocks``, the optimizer path
-for the other commands that search, none for ``verify``. A command
-writes its report before any summary line, so a reader that leaves early
-never costs it. Exit status: 0 for pass verdicts, 1 for fail verdicts, 2
-for configuration errors, among them an unwritable report or CSV path.
+for the other commands that search, none for ``verify``. A command writes
+its CSV, then its report, and only then a summary line: a report on disk
+means the run wrote every file, and a reader that leaves early never costs
+it. Exit status: 0 for pass verdicts, 1 for fail verdicts, 2 for
+configuration errors, among them an unwritable report or CSV path.
 """
 
 from __future__ import annotations
@@ -221,10 +222,10 @@ def _conditions(config: RunConfig, sys_inst):
 
 
 def _finish(config: RunConfig, name: str, results: dict, lines: list, table=None, passed=True) -> int:
-    """Write ``{name}.json`` (with the timestamp and the optimizer's work
-    counters in ``meta``) and, when ``--output`` asks for it and the run has
-    a path table, ``{name}.csv``; only then print ``lines`` and the report
-    line; return the exit code."""
+    """Write ``{name}.csv`` when ``--output`` asks for it and the run has a
+    path table, then ``{name}.json`` (with the timestamp and the optimizer's
+    work counters in ``meta``), so a report on disk means every file was
+    written; only then print ``lines`` and the report line; return the exit code."""
     meta = {"created_utc": datetime.now(timezone.utc).isoformat(), "version": __version__}
     if "optimizer" in results:
         meta["counters"] = dict(results["optimizer"].counters)
@@ -232,9 +233,9 @@ def _finish(config: RunConfig, name: str, results: dict, lines: list, table=None
     out = FilePath(config.out_dir) / f"{name}.json"
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         if table is not None and config.output in ("csv", "both"):
             write_path_csv(config, *table, name)
+        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or out.parent}: {exc.strerror}") from exc
     print(*lines, f"  report: {out}", sep="\n", flush=True)  # a closed stdout fails here

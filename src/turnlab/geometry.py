@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 ROW_SPAN = 1 << 15  # rows per step of a streamed pass; bounds its temporaries (256 KiB a column)
-_BLOCK_PAIRS = 4_000_000  # distance-matrix entries per block of ``_nearest``
+_BLOCK_PAIRS = 4_000_000  # distance-matrix entries per block of ``hausdorff_distance``
 
 
 def _as_points(a) -> np.ndarray:
@@ -34,24 +34,18 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_distances(a[:, None, :], b[None, :, :]))
 
 
-def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row minima of ``_distance_matrix(a, b)``, bit for bit, at any size: the
-    matrix comes in blocks of at most ``_BLOCK_PAIRS`` entries, in every dimension."""
-    spans = row_spans(a.shape[0], max(1, _BLOCK_PAIRS // b.shape[0]))
-    return np.concatenate([_distance_matrix(a[rows], b).min(axis=1) for rows in spans])
-
-
-def directed_hausdorff(a, b) -> float:
-    """max over a of the distance to the nearest point of b."""
+def hausdorff_distance(a, b) -> float:
+    """Larger of the two directed distances, bit for bit, at any size: one pass over the
+    distance matrix in blocks of at most ``_BLOCK_PAIRS`` entries gives its row and column minima."""
     a, b = _as_points(a), _as_points(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must share a dimension")
-    return float(_nearest(a, b).max())
-
-
-def hausdorff_distance(a, b) -> float:
-    """Larger of the two directed distances."""
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+    rows_near, cols_near = [], np.full(b.shape[0], np.inf)
+    for rows in row_spans(a.shape[0], max(1, _BLOCK_PAIRS // b.shape[0])):
+        block = _distance_matrix(a[rows], b)
+        rows_near.append(block.min(axis=1))
+        np.minimum(cols_near, block.min(axis=0), out=cols_near)  # a NaN stays NaN
+    return float(np.concatenate([*rows_near, cols_near]).max())
 
 
 def row_spans(n: int, span: int | None = None) -> list[slice]:

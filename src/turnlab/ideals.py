@@ -19,7 +19,7 @@ of the ``counted`` indices. Those of a window [start, stop) form one
 slice, ``counted_slice``, and are counted by arithmetic: ``start:stop``
 under density, ``max(start, cutoff):stop`` under fin and ``start +
 (p - start) % 2 : stop : 2`` under finite_trace, p the parity of S. The
-mask ``counted(indices)`` is for arbitrary index sets only.
+mask ``counted`` of an index set in [0, horizon) derives from ``counted_slice(0, horizon)``.
 
 Maximal ideals have no computable membership oracle and are rejected at
 parse time.
@@ -101,15 +101,14 @@ class IdealModel:
     # -- helpers ---------------------------------------------------------
 
     def counted(self, indices: np.ndarray) -> np.ndarray:
-        """Mask of the indices that count toward positivity: all of them
-        for ``density``, those at or past the cutoff for ``fin``, and the
-        trace class S (the indices of one parity) for ``finite_trace``.
-        For arbitrary index sets; a window's are one ``counted_slice``."""
-        if self.kind == "fin":
-            return indices >= self.cutoff
-        if self.kind == "finite_trace":
-            return indices % 2 == (0 if self.trace == "evens" else 1)
-        return np.ones(np.shape(indices), dtype=bool)
+        """Mask of the indices of ``counted_slice(0, horizon)``: those at or past
+        its start whose offset from it is a multiple of its step. For indices in
+        [0, horizon); A3 masks its out-of-range images itself."""
+        rule = self.counted_slice(0, self.horizon)
+        mask = indices >= rule.start
+        if rule.step:
+            mask &= indices % rule.step == rule.start % rule.step
+        return mask
 
     def counted_slice(self, start: int, stop: int) -> slice:
         """The ``counted`` indices of [start, stop) as one slice, whose

@@ -116,19 +116,12 @@ def _check_a4(sys: SystemInstance) -> dict:
     utils = sys.utilities(pts).reshape(-1)
     order = np.argsort(-utils, kind="stable")
     best = pts[order[0]]
-    diag = {
-        "fixed_points": [[float(v) for v in p] for p in pts],
-        "utilities": [float(v) for v in utils],
-        "maximizer": [float(v) for v in best],
-    }
+    diag = {"fixed_points": pts, "utilities": utils, "maximizer": best}  # rendered by to_dict
     if pts.shape[0] > 1:
         margin = float(utils[order[0]] - utils[order[1]])
         diag["margin"] = margin
         if margin <= UNIQUENESS_MARGIN:
-            diag["witnesses"] = [
-                [float(v) for v in pts[order[0]]],
-                [float(v) for v in pts[order[1]]],
-            ]
+            diag["witnesses"] = pts[order[:2]]
             return {"verdict": "fail", "reason": "maximizer not unique", **diag}
     if sys.eta_star is not None:
         gap = float(np.sqrt(((best - sys.eta_star) ** 2).sum()))

@@ -207,6 +207,16 @@ def test_missing_input_exit_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.txt")]) == 2
 
 
+def test_json_config_int_grid_reads_as_float(alt_file, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"grid": 1}')
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", str(alt_file), "--config", str(cfg), "--out-dir", str(out)]
+    assert main(argv) == 0
+    grid = _load(out / "analyze.json")["config"]["grid"]
+    assert type(grid) is float and grid == 1.0
+
+
 OPT = ["optimize", "--scenario", "counterexample"]
 
 
@@ -234,6 +244,8 @@ OPT = ["optimize", "--scenario", "counterexample"]
         (["optimize", "--scenario", "ifs", "--branches", "0.5,1e154:0.5,-1e154"], None, "branch 0"),
         (["verify", "--scenario", "ifs", "--branches", "0.5,8e307:0.5,-8e307"], None, "branch 0"),
         (["analyze", "--input", "one-point.txt"], None, "at least two"),
+        (["analyze", "--input", ""], None, "analyze needs --input"),
+        (["verify", "--scenario", "ifs", "--branches", "0.5"], None, "malformed --branches"),
         (OPT, b'{"beam": 2.7}', ""),
         (OPT, b'{"beam": true}', ""),
         (OPT, b'{"output": "xml"}', ""),
@@ -242,6 +254,7 @@ OPT = ["optimize", "--scenario", "counterexample"]
         (OPT, b"beam = 3\n", ""),
         (OPT, b"[run]\nbeam = 3\n  garbage\nnot an option line\n", ""),
         (OPT, b"\x80\xff", ""),
+        (OPT, b"[1, 2]", "must hold a JSON object"),
         # trim is no config key: the ideal's threshold sets the search trim
         (OPT, b'{"trim": 0.1}', "trim"),
         (OPT, b"[run]\ntrim = 0.1\n", "trim"),
@@ -258,9 +271,10 @@ OPT = ["optimize", "--scenario", "counterexample"]
         "dim-neg-1", "dim-1e8", "dim-1e12", "blocks-theta-2", "optimize-seed-neg-1", "reproduce-seed-neg-1",
         "grid-past-int64-cells", "branches-fixed-point-overflow",
         "verify-branches-span-1e154", "optimize-branches-span-1e154", "verify-branches-span-8e307",
-        "analyze-one-point",
+        "analyze-one-point", "analyze-empty-input", "branches-one-number",
         "json-beam-2.7", "json-beam-true", "json-output-xml",
         "ini-beam-2.7", "ini-output-xml", "ini-no-section", "ini-parse-error", "config-not-text",
+        "json-array",
         "json-trim", "ini-trim",
         "optimize-out-dir-file", "optimize-out-dir-under-file",
         "verify-out-dir-file", "verify-out-dir-under-file",
@@ -628,6 +642,7 @@ def test_unwritable_report_path_exit_2(taken, output, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"cannot write {tmp_path / taken}" in err
+    assert not (tmp_path / "optimize-ifs.json").is_file()  # the report is the last file written
 
 
 @pytest.mark.parametrize(

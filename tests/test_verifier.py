@@ -204,7 +204,7 @@ def test_a4_fails_when_two_fixed_points_tie_in_u():
     a4 = check_conditions(sys_inst, PLAN).conditions["A4"]
     assert a4["verdict"] == "fail" and a4["reason"] == "maximizer not unique"
     assert a4["margin"] == 0.0
-    assert a4["witnesses"] == [[0.0], [1.0]]
+    assert a4["witnesses"].tolist() == [[0.0], [1.0]]
 
 
 def test_separation_variants_crafted_gap():
